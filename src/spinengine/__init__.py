@@ -16,8 +16,8 @@ from .engine import (Betas, BoundInputs, CycleReport, Quench, ThermalContact,
                      carnot_like_cycle, carnot_like_work_bound,
                      efficiency_bound, isothermal_staircase, run_cycle)
 from .hamiltonians import (CompositeHamiltonian, DiagonalHamiltonian,
-                           IsingParams, LocalField, chain_hamiltonian,
-                           compose, ising_composite, ising_diagonal)
+                           IsingParams, LocalField, compose, ising_composite,
+                           ising_diagonal)
 from .ising import (entropy_density, free_energy_density,
                     ground_state_degeneracy, internal_energy_density,
                     log_lambda_plus, magnetization_density, optimal_field,
@@ -41,7 +41,7 @@ __all__ = [
     "ThermalContact", "UndefinedResultError", "Unitary", "UnitaryClass",
     "apply_step", "bound_terms", "carnot_like_cycle",
     "carnot_like_work_bound", "chain_efficiency_at_max_work",
-    "chain_hamiltonian", "classify_unitary_class", "compose",
+    "classify_unitary_class", "compose",
     "efficiency_at_max_work", "efficiency_bound", "efficiency_thermo_limit",
     "entropy_density", "entropy_ratio_limit_check", "ferro_efficiency_limit",
     "free_energy", "free_energy_density", "gibbs", "ground_state_degeneracy",

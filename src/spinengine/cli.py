@@ -16,9 +16,9 @@ Determinism contract: identical invocations produce byte-identical
 output.  Floats are printed as their shortest round-trip decimal, CSV
 is UTF-8 with "\n" line endings, the header row comes first, and the
 second line echoes the resolved parameters as canonical JSON in a
-comment ``# params: {...}``.  Grid points may be evaluated on a thread
-pool but results are written in index order, so the thread count never
-shows in the output.
+comment ``# params: {...}``.  Grid points are evaluated in index order
+on one thread; ``--threads`` is still accepted and validated but has no
+effect.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import control as control_lib
 from . import ising, protocols
@@ -93,21 +91,10 @@ def _resolve_grid(args, config, default_min, default_max, default_step):
     return [j_min + k * j_step for k in range(count)], j_min, j_max, j_step
 
 
-def _resolve_threads(args, config) -> int:
-    threads = _resolve(args, config, "threads", os.cpu_count() or 1)
-    threads = int(threads)
-    if threads < 1:
+def _check_threads(args, config) -> None:
+    """Validate ``--threads``, which is accepted but has no effect."""
+    if int(_resolve(args, config, "threads", 1)) < 1:
         raise ConfigError("--threads must be at least 1")
-    return threads
-
-
-def _parallel_map(fn, values, threads: int):
-    # executor.map preserves input order, so output stays index-ordered
-    # no matter how many workers race on the grid.
-    if threads == 1 or len(values) <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, values))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +160,7 @@ def cmd_sweep_j(args) -> int:
     grid_step = float(_resolve(args, config, "grid_step", 1e-2))
     if not (grid_step > 0):
         raise ConfigError("--grid-step must be positive")
-    threads = _resolve_threads(args, config)
+    _check_threads(args, config)
     params = {"command": "sweep-j", "beta_h": betas.beta_h, "beta_c": betas.beta_c,
               "j_min": j_min, "j_max": j_max, "j_step": j_step,
               "mode": mode, "grid_step": grid_step}
@@ -183,7 +170,7 @@ def cmd_sweep_j(args) -> int:
         return (float(p.j), float(p.h_opt), float(p.work_density),
                 float(p.efficiency), p.mode)
 
-    rows = _parallel_map(point, js, threads)
+    rows = [point(j) for j in js]
     _emit_csv(args.output, "J,h_opt,work_density,efficiency,mode", params, rows)
     return EXIT_OK
 
@@ -193,7 +180,7 @@ def cmd_precision(args) -> int:
     betas = _resolve_betas(args, config)
     n = int(_resolve(args, config, "n", 6))
     if n > 12:
-        raise ConfigError("-N above 12 is not supported (exact table grows as 2^N)")
+        raise ConfigError("-N above 12 is not supported")
     if n < 1:
         raise ConfigError("-N must be at least 1")
     epsilons = _resolve(args, config, "epsilon", None)
@@ -206,7 +193,7 @@ def cmd_precision(args) -> int:
     grid_step = float(_resolve(args, config, "grid_step", 1e-2))
     if not (grid_step > 0):
         raise ConfigError("--grid-step must be positive")
-    threads = _resolve_threads(args, config)
+    _check_threads(args, config)
     params = {"command": "precision", "beta_h": betas.beta_h, "beta_c": betas.beta_c,
               "n": n, "epsilon": epsilons, "j_min": j_min, "j_max": j_max,
               "j_step": j_step, "grid_step": grid_step}
@@ -219,7 +206,7 @@ def cmd_precision(args) -> int:
                                                    grid_step=grid_step)
         return (float(p.j), float(p.epsilon), float(p.efficiency))
 
-    rows = _parallel_map(point, tasks, threads)
+    rows = [point(task) for task in tasks]
     _emit_csv(args.output, "J,epsilon,efficiency", params, rows)
     return EXIT_OK
 
@@ -233,7 +220,7 @@ def cmd_optimal_field(args) -> int:
     if any(b <= 0 for b in betas):
         raise ConfigError("--beta values must be positive")
     js, j_min, j_max, j_step = _resolve_grid(args, config, -3.0, 0.0, 0.01)
-    threads = _resolve_threads(args, config)
+    _check_threads(args, config)
     params = {"command": "optimal-field", "beta": betas,
               "j_min": j_min, "j_max": j_max, "j_step": j_step}
 
@@ -243,7 +230,7 @@ def cmd_optimal_field(args) -> int:
         b, j = task
         return (b, float(j), float(ising.optimal_field(b, j)))
 
-    rows = _parallel_map(point, tasks, threads)
+    rows = [point(task) for task in tasks]
     _emit_csv(args.output, "beta,J,h_opt", params, rows)
     return EXIT_OK
 
@@ -281,15 +268,12 @@ def cmd_bound(args) -> int:
 
     inputs = BoundInputs(corner(h_a), corner(h_b), corner(h_c), corner(h_d),
                          betas, u=u_class, v=v_class)
-    delta_s, d_u, d_v = bound_terms(inputs)
-    if math.isinf(d_v) or delta_s - d_v <= 0:
-        raise UndefinedResultError("bound undefined: dS - D_V must be positive")
-    eta = -math.inf if math.isinf(d_u) else \
-        1.0 - (betas.t_c / betas.t_h) * (delta_s + d_u) / (delta_s - d_v)
+    terms = bound_terms(inputs)
+    eta = terms.efficiency(betas)
     report = {"command": "bound", "beta_h": betas.beta_h, "beta_c": betas.beta_c,
               "n": n, "j": j, "h_a": h_a, "h_b": h_b, "h_c": h_c, "h_d": h_d,
               "u_class": u_class, "v_class": v_class,
-              "delta_s": delta_s, "d_u": d_u, "d_v": d_v,
+              "delta_s": terms.delta_s, "d_u": terms.d_u, "d_v": terms.d_v,
               "eta_bound": eta, "carnot": betas.carnot}
     _emit_json(args.output, report)
     return EXIT_OK
@@ -403,7 +387,7 @@ def _add_common(sp):
     sp.add_argument("-o", "--output", metavar="PATH", default=None,
                     help="output file (default: stdout)")
     sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads for grid sweeps (default: all cores)")
+                    help="accepted for compatibility; has no effect")
 
 
 def _add_betas(sp):

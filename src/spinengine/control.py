@@ -23,7 +23,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .hamiltonians import SIGMA_X, SIGMA_Y, SIGMA_Z, check_hermitian, embed_site_operator
+from .hamiltonians import (SIGMA_X, SIGMA_Y, SIGMA_Z, IsingParams, check_hermitian,
+                           embed_site_operator, ising_composite)
 
 FULL = "FULL"
 COMMUTING = "COMMUTING"
@@ -208,13 +209,8 @@ def heisenberg_chain_drift(n_sites: int, coupling: float = 1.0) -> np.ndarray:
 
 
 def ising_chain_drift(n_sites: int, coupling: float = 1.0) -> np.ndarray:
-    """ZZ bond sum matching the engine's interaction convention."""
-    dim = 2 ** n_sites
-    drift = np.zeros((dim, dim), dtype=np.complex128)
-    for (i, k) in _chain_bonds(n_sites):
-        drift += -coupling * (embed_site_operator(SIGMA_Z, i, n_sites)
-                              @ embed_site_operator(SIGMA_Z, k, n_sites))
-    return drift
+    """ZZ ring of the engine's Ising medium: its interaction at zero field."""
+    return ising_composite(IsingParams(n_sites, coupling, 0.0)).interaction
 
 
 def site_controls(n_sites: int, site: int, axes: Sequence[str]) -> list:

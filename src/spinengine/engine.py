@@ -267,6 +267,21 @@ class BoundTerms(NamedTuple):
     d_u: float
     d_v: float
 
+    def efficiency(self, betas: Betas) -> float:
+        """Efficiency bound ``1 - (T_c/T_h) (dS + D_U) / (dS - D_V)``.
+
+        Returns ``-inf`` when the hot-side penalty is infinite (the
+        protocol family cannot run a cycle at all) and raises
+        ``UndefinedResultError`` when the denominator ``dS - D_V`` is
+        not positive.
+        """
+        if math.isinf(self.d_v) or self.delta_s - self.d_v <= 0:
+            raise UndefinedResultError("bound undefined: dS - D_V must be positive")
+        if math.isinf(self.d_u):
+            return -math.inf
+        return 1.0 - (betas.t_c / betas.t_h) * (self.delta_s + self.d_u) \
+            / (self.delta_s - self.d_v)
+
 
 def bound_terms(inputs: BoundInputs) -> BoundTerms:
     """Entropy gain and the two corner dissipation penalties of the bound."""
@@ -282,16 +297,6 @@ def bound_terms(inputs: BoundInputs) -> BoundTerms:
 
 
 def efficiency_bound(inputs: BoundInputs) -> float:
-    """Upper bound on cycle efficiency from the corner dissipation penalties.
-
-    Returns ``-inf`` when the hot-side penalty is infinite (the protocol
-    family cannot run a cycle at all) and raises ``UndefinedResultError``
-    when the denominator ``dS - D_V`` is not positive.
-    """
-    betas = inputs.betas
-    delta_s, d_u, d_v = bound_terms(inputs)
-    if math.isinf(d_v) or delta_s - d_v <= 0:
-        raise UndefinedResultError("bound undefined: dS - D_V must be positive")
-    if math.isinf(d_u):
-        return -math.inf
-    return 1.0 - (betas.t_c / betas.t_h) * (delta_s + d_u) / (delta_s - d_v)
+    """Upper bound on cycle efficiency from the corner dissipation penalties
+    (see :meth:`BoundTerms.efficiency`)."""
+    return bound_terms(inputs).efficiency(inputs.betas)

@@ -179,25 +179,10 @@ def ising_diagonal(params: IsingParams) -> DiagonalHamiltonian:
 
 
 def ising_composite(params: IsingParams) -> CompositeHamiltonian:
-    """Dense chain Hamiltonian assembled from sigma_z fields and ZZ bonds."""
+    """Dense chain Hamiltonian: sigma_z fields plus the diagonal ZZ ring."""
     if params.n_sites is None:
         raise ValueError("finite n_sites required for a dense operator")
     n = params.n_sites
     fields = [LocalField(j, -params.field * SIGMA_Z) for j in range(n)]
-    dim = 1 << n
-    interaction = np.zeros((dim, dim), dtype=complex)
-    if n == 1:
-        # single site: the periodic bond degenerates to sigma_z^2 = identity
-        interaction -= params.coupling * np.eye(dim, dtype=complex)
-    else:
-        bonds = {(j, (j + 1) % n) for j in range(n)}
-        for a, b in sorted(bonds):
-            za = embed_site_operator(SIGMA_Z, a, n)
-            zb = embed_site_operator(SIGMA_Z, b, n)
-            interaction -= params.coupling * (za @ zb)
+    interaction = np.diag(kernels.ising_energies(n, params.coupling, 0.0)).astype(complex)
     return compose(fields, interaction, n_sites=n)
-
-
-def chain_hamiltonian(n_sites: int, coupling: float, field: float) -> np.ndarray:
-    """Dense matrix of the finite chain; thin wrapper used by engine setups."""
-    return ising_composite(IsingParams(n_sites, coupling, field)).matrix

@@ -294,10 +294,11 @@ def transfer_matrix_logZ(n_sites: int, j, h, beta):
 
 def ground_state_degeneracy(n_sites: int, j: float, h: float,
                             tol: float = None) -> tuple[int, float]:
-    """Exact ground-state degeneracy and ground energy by full enumeration.
+    """Exact ground-state degeneracy and ground energy of the N-ring (N <= 24).
 
-    Enumerates all 2^N configurations (N <= 24); energies within ``tol``
-    of the minimum count as degenerate.  The default tolerance scales
+    Scans the chain's (magnetization, bond) classes with their exact
+    degeneracies (``kernels.levels``); energies within ``tol`` of the
+    minimum count as degenerate.  The default tolerance scales
     with the parameter magnitude so integer-valued spectra at integer
     (J, h) never split under rounding.
     """
@@ -305,48 +306,3 @@ def ground_state_degeneracy(n_sites: int, j: float, h: float,
         tol = 1e-9 * max(1.0, abs(j), abs(h))
     e0, count = kernels.ground_state_stats(n_sites, j, h, tol)
     return count, e0
-
-
-# ---------------------------------------------------------------------------
-# finite-chain Gibbs tables
-# ---------------------------------------------------------------------------
-
-def chain_table(n_sites: int, j: float, h: float) -> np.ndarray:
-    """Energy table of the finite chain, indexed by spin bitmask."""
-    return kernels.ising_energies(n_sites, j, h)
-
-
-def table_logz(energies: np.ndarray, beta: float) -> float:
-    logz_shift, _, _ = kernels.gibbs_table_stats(energies, beta)
-    return logz_shift - beta * float(np.min(energies))
-
-
-def table_entropy(energies: np.ndarray, beta: float) -> float:
-    _, _, entropy = kernels.gibbs_table_stats(energies, beta)
-    return entropy
-
-
-def table_internal_energy(energies: np.ndarray, beta: float) -> float:
-    _, u_shift, _ = kernels.gibbs_table_stats(energies, beta)
-    return float(np.min(energies)) + u_shift
-
-
-def diag_relative_entropy(energies_state: np.ndarray, beta_state: float,
-                          energies_ref: np.ndarray, beta_ref: float) -> float:
-    """``D(omega_state || omega_ref)`` for two aligned diagonal Hamiltonians.
-
-    Uses ``D = beta_ref (Tr rho H_ref - F_ref) - S(rho)`` with both terms
-    shifted by the reference ground energy, so the extensive parts cancel
-    before any subtraction happens.
-    """
-    es = np.asarray(energies_state, dtype=np.float64)
-    er = np.asarray(energies_ref, dtype=np.float64)
-    if es.shape != er.shape:
-        raise ValueError("energy tables must be aligned")
-    ws = np.exp(-beta_state * (es - np.min(es)))
-    populations = ws / np.sum(ws)
-    er_shift = er - np.min(er)
-    logz_shift_r, _, _ = kernels.gibbs_table_stats(er, beta_ref)
-    _, _, entropy_s = kernels.gibbs_table_stats(es, beta_state)
-    cross = float(np.dot(populations, er_shift))
-    return max(beta_ref * cross + logz_shift_r - entropy_s, 0.0)

@@ -40,7 +40,6 @@ class DensityState:
 
     populations: np.ndarray
     basis: np.ndarray | None = None
-    provenance: dict | None = None
 
     def __post_init__(self):
         p = np.asarray(self.populations, dtype=np.float64)
@@ -138,13 +137,11 @@ def gibbs(hamiltonian, beta: float) -> DensityState:
     if isinstance(hamiltonian, DiagonalHamiltonian):
         shifted = hamiltonian.energies - np.min(hamiltonian.energies)
         weights = np.exp(-beta * shifted)
-        return DensityState(populations=weights / np.sum(weights), basis=None,
-                            provenance={"beta": beta})
+        return DensityState(populations=weights / np.sum(weights), basis=None)
     spec = eigendecompose(hamiltonian)
     shifted = spec.values - spec.values[0]
     weights = np.exp(-beta * shifted)
-    return DensityState(populations=weights / np.sum(weights), basis=spec.vectors,
-                        provenance={"beta": beta})
+    return DensityState(populations=weights / np.sum(weights), basis=spec.vectors)
 
 
 def von_neumann_entropy(state) -> float:

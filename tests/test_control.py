@@ -7,8 +7,8 @@ from spinengine.control import (COMMUTING, FULL, INTERMEDIATE, GeneratorSet,
                                 classify_unitary_class, heisenberg_chain_drift,
                                 ising_chain_drift, lie_algebra_dimension,
                                 site_controls)
-from spinengine.hamiltonians import (SIGMA_X, SIGMA_Y, SIGMA_Z,
-                                     embed_site_operator)
+from spinengine.hamiltonians import (SIGMA_X, SIGMA_Y, SIGMA_Z, IsingParams,
+                                     embed_site_operator, ising_composite)
 
 
 def random_two_local_drift(rng, n_sites=3):
@@ -65,6 +65,16 @@ def test_ising_drift_with_z_controls_commutes():
     result = classify_unitary_class(gens)
     assert result.kind == COMMUTING
     assert result.dimension == 3
+
+
+def test_ising_drift_is_the_engine_interaction():
+    # the two-site ring has two bonds, as in the engine's medium
+    for n in (1, 2, 3, 4):
+        np.testing.assert_array_equal(
+            ising_chain_drift(n, 0.7),
+            ising_composite(IsingParams(n, 0.7, 0.0)).interaction)
+    np.testing.assert_array_equal(np.diag(ising_chain_drift(2, 1.0)).real,
+                                  [-2.0, 2.0, 2.0, -2.0])
 
 
 def test_drift_only_is_intermediate():

@@ -1,8 +1,7 @@
-"""Bitmask kernels: brute-force oracles and backend agreement."""
+"""Ising ring kernels: the bitmask table and the (M, B) level classes,
+checked against brute-force enumeration."""
 
-import os
-import subprocess
-import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,62 +35,30 @@ def test_all_up_is_index_zero():
     assert e[0] == -6 * 1.0 - 6 * 2.0
 
 
+def test_levels_match_enumerated_histogram():
+    for n in range(1, 17):
+        msum = -kernels.ising_energies(n, 0.0, 1.0)
+        bsum = -kernels.ising_energies(n, 1.0, 0.0)
+        counts = Counter(zip(msum.astype(int).tolist(), bsum.astype(int).tolist()))
+        classes = kernels.levels(n)
+        assert len(classes) == len(counts)
+        assert {(m, b): g for m, b, g in classes} == counts
+        assert sum(g for _, _, g in classes) == 2 ** n
+
+
 def test_ground_state_stats_agrees_with_table():
     rng = np.random.default_rng(12)
-    for _ in range(20):
-        n = int(rng.integers(2, 11))
-        j, h = rng.uniform(-2, 2, size=2)
+    cases = [(n, *rng.uniform(-2, 2, size=2)) for n in range(1, 17)]
+    # integer couplings and fields put whole classes at the same energy
+    cases += [(n, float(rng.integers(-3, 4)), float(rng.integers(-4, 5)))
+              for n in range(1, 17)]
+    # odd antiferromagnetic rings: frustrated, 2N ground states at h = 0
+    cases += [(n, -1.0, 0.0) for n in range(3, 17, 2)]
+    for n, j, h in cases:
         table = kernels.ising_energies(n, j, h)
         e0, count = kernels.ground_state_stats(n, j, h, 1e-9)
         assert e0 == pytest.approx(float(np.min(table)), abs=1e-12)
         assert count == int(np.sum(table <= np.min(table) + 1e-9))
-
-
-def test_gibbs_table_stats_against_direct_sums():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        energies = rng.normal(scale=3.0, size=64)
-        beta = rng.uniform(0.05, 4.0)
-        logz_shift, u_shift, entropy = kernels.gibbs_table_stats(energies, beta)
-        shifted = energies - energies.min()
-        w = np.exp(-beta * shifted)
-        z = w.sum()
-        assert logz_shift == pytest.approx(np.log(z), rel=1e-12)
-        assert u_shift == pytest.approx(float(w @ shifted) / z, rel=1e-10, abs=1e-12)
-        p = w / z
-        assert entropy == pytest.approx(float(-(p * np.log(p)).sum()),
-                                        rel=1e-10, abs=1e-12)
-
-
-def test_backends_agree_when_compiled():
-    if not kernels.NUMBA_IMPLS:
-        pytest.skip("compiled backend not available")
-    rng = np.random.default_rng(14)
-    for _ in range(10):
-        n = int(rng.integers(1, 13))
-        j, h = rng.uniform(-5, 5, size=2)
-        a = kernels.NUMPY_IMPLS["ising_energies"](n, j, h)
-        b = kernels.NUMBA_IMPLS["ising_energies"](n, j, h)
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-        sa = kernels.NUMPY_IMPLS["ground_state_stats"](n, j, h, 1e-9)
-        sb = kernels.NUMBA_IMPLS["ground_state_stats"](n, j, h, 1e-9)
-        assert sa[0] == pytest.approx(sb[0], abs=1e-12) and sa[1] == sb[1]
-        beta = rng.uniform(0.1, 3.0)
-        ga = kernels.NUMPY_IMPLS["gibbs_table_stats"](a, beta)
-        gb = kernels.NUMBA_IMPLS["gibbs_table_stats"](a, beta)
-        np.testing.assert_allclose(ga, gb, rtol=1e-12, atol=1e-12)
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, SPINENGINE_NO_NUMBA="1")
-    code = ("from spinengine import kernels; "
-            "print(kernels.ACTIVE_BACKEND); "
-            "print(kernels.ising_energies(4, -1.0, 2.0).min())")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    lines = out.stdout.split()
-    assert lines[0] == "numpy"
-    assert float(lines[1]) == -4.0
 
 
 def test_chain_length_bounds():
@@ -99,3 +66,5 @@ def test_chain_length_bounds():
         kernels.ising_energies(0, 1.0, 0.0)
     with pytest.raises(ValueError):
         kernels.ising_energies(25, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        kernels.levels(0)

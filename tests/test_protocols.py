@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinengine import ising, protocols
+from spinengine import ising, kernels, protocols
 from spinengine.engine import Betas, UndefinedResultError
 from spinengine.protocols import (FREE_FIELDS, PAPER_PROTOCOL, ProtocolFields,
                                   chain_efficiency_at_max_work,
@@ -231,6 +231,38 @@ def test_chain_field_floor_lowers_efficiency():
     floored = chain_efficiency_at_max_work(6, 30.0, BETAS, epsilon=0.5)
     assert floored.efficiency < free.efficiency
     assert floored.h_opt >= 0.5
+
+
+def enumerated_chain_point(n, j, h, betas):
+    """Work per site and efficiency of the shared-field finite cycle at
+    field h, summed over all 2^N configurations of the bitmask table."""
+    energies = kernels.ising_energies(n, j, h)
+    shifted = energies - np.min(energies)
+
+    def logz_entropy(beta):
+        x = -beta * shifted
+        logz = math.log(np.sum(np.exp(x)))
+        p = np.exp(x - logz)
+        return logz, float(-np.sum(p * (x - logz)))
+
+    logz_h, s_h = logz_entropy(betas.beta_h)
+    logz_c, _ = logz_entropy(betas.beta_c)
+    gap = betas.t_h * logz_h - betas.t_c * logz_c
+    return gap / n, gap / (betas.t_h * s_h)
+
+
+def test_chain_matches_enumeration():
+    for n in range(1, 9):
+        for j, eps in ((-2.0, 0.0), (0.7, 0.3), (30.0, 0.0), (-1.0, 0.5)):
+            point = chain_efficiency_at_max_work(n, j, BETAS, epsilon=eps)
+            w, eta = enumerated_chain_point(n, j, point.h_opt, BETAS)
+            assert point.work_density == pytest.approx(w, rel=1e-10)
+            assert point.efficiency == pytest.approx(eta, rel=1e-10)
+            # no field on the search interval does better
+            h_max = 4.0 * max(1.0, abs(j))
+            for h in np.linspace(eps, h_max, 41):
+                assert enumerated_chain_point(n, j, h, BETAS)[0] \
+                    <= point.work_density * (1 + 1e-10) + 1e-15
 
 
 def test_chain_validation():

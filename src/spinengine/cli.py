@@ -32,7 +32,7 @@ from . import control as control_lib
 from . import ising, protocols
 from .engine import (Betas, BoundInputs, UndefinedResultError, bound_terms,
                      carnot_like_cycle, efficiency_bound, run_cycle)
-from .hamiltonians import IsingParams, ising_composite
+from .hamiltonians import IsingParams, ising_diagonal
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -235,6 +235,14 @@ def cmd_optimal_field(args) -> int:
     return EXIT_OK
 
 
+def _resolve_n(args, config, default):
+    """Chain length of the exact Ising table commands (``2**n`` entries)."""
+    n = int(_resolve(args, config, "n", default))
+    if not (1 <= n <= 24):
+        raise ConfigError("-N must be between 1 and 24")
+    return n
+
+
 def _corner_fields(args, config):
     h_b = float(_resolve(args, config, "h_b", 1.0))
     beta_h = float(_resolve(args, config, "beta_h", 0.5))
@@ -254,7 +262,7 @@ def _corner_fields(args, config):
 def cmd_bound(args) -> int:
     config = _load_config(args.config)
     betas = _resolve_betas(args, config)
-    n = int(_resolve(args, config, "n", 2))
+    n = _resolve_n(args, config, 2)
     j = float(_resolve(args, config, "j", 0.0))
     h_a, h_b, h_c, h_d = _corner_fields(args, config)
     u_class = _resolve(args, config, "u_class", "identity")
@@ -264,7 +272,7 @@ def cmd_bound(args) -> int:
             raise ConfigError(f"{label} must be identity, commuting, or full")
 
     def corner(h):
-        return ising_composite(IsingParams(n, j, h))
+        return ising_diagonal(IsingParams(n, j, h))
 
     inputs = BoundInputs(corner(h_a), corner(h_b), corner(h_c), corner(h_d),
                          betas, u=u_class, v=v_class)
@@ -282,7 +290,7 @@ def cmd_bound(args) -> int:
 def cmd_cycle(args) -> int:
     config = _load_config(args.config)
     betas = _resolve_betas(args, config)
-    n = int(_resolve(args, config, "n", 2))
+    n = _resolve_n(args, config, 2)
     j = float(_resolve(args, config, "j", 0.0))
     h_a, h_b, h_c, h_d = _corner_fields(args, config)
     steps = int(_resolve(args, config, "steps", 1000))
@@ -290,7 +298,7 @@ def cmd_cycle(args) -> int:
         raise ConfigError("--steps must be at least 1")
 
     def corner(h):
-        return ising_composite(IsingParams(n, j, h))
+        return ising_diagonal(IsingParams(n, j, h))
 
     c_a, c_b, c_c, c_d = corner(h_a), corner(h_b), corner(h_c), corner(h_d)
     protocol = carnot_like_cycle(c_d, c_a, c_b, c_c, betas, steps)
@@ -314,11 +322,9 @@ def cmd_cycle(args) -> int:
 
 def cmd_gs_deg(args) -> int:
     config = _load_config(args.config)
-    n = int(_resolve(args, config, "n", 8))
+    n = _resolve_n(args, config, 8)
     j = float(_resolve(args, config, "j", -1.0))
     h = float(_resolve(args, config, "field", 2.0))
-    if not (1 <= n <= 24):
-        raise ConfigError("-N must be between 1 and 24")
     g0, e0 = ising.ground_state_degeneracy(n, j, h)
     report = {"command": "gs-deg", "n": n, "j": j, "h": h,
               "e0": float(e0), "g0": int(g0)}

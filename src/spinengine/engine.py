@@ -5,6 +5,14 @@ changes), and idealized thermal contacts that reset the medium to the
 bath's Gibbs state at the current Hamiltonian.  Work is positive when
 extracted, heat is positive when absorbed by the medium; in those
 conventions every closed steady cycle satisfies W = Q_hot + Q_cold.
+
+Hamiltonians may be energy tables (``DiagonalHamiltonian``) or dense
+operators (matrices, ``CompositeHamiltonian``); see
+:func:`thermo.as_operator`.  Local fields commute with the Ising
+coupling, so Ising cycles and bounds run on tables in O(2^N) per step.
+:func:`run_cycle` validates every operator and unitary of a protocol
+once, before it iterates; :func:`apply_step` validates its own
+arguments on each call.
 """
 
 from __future__ import annotations
@@ -16,9 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import thermo
-from .hamiltonians import CompositeHamiltonian, check_hermitian
-from .thermo import DensityState, gibbs, min_relative_entropy, relative_entropy, \
-    trace_distance, von_neumann_entropy
+from .hamiltonians import CompositeHamiltonian, DiagonalHamiltonian
+from .thermo import DenseOperator, DensityState, EnergyTable, as_operator, gibbs, \
+    min_relative_entropy, relative_entropy, trace_distance, von_neumann_entropy
 
 CYCLE_CLOSURE_TOL = 1e-10
 STEADY_STATE_TOL = 1e-10
@@ -58,14 +66,14 @@ class Unitary:
     """Apply ``matrix`` to the state while the field moves to ``hamiltonian_after``."""
 
     matrix: np.ndarray
-    hamiltonian_after: np.ndarray
+    hamiltonian_after: object
 
 
 @dataclass(frozen=True)
 class Quench:
     """Instantaneous Hamiltonian change, identity action on the state."""
 
-    hamiltonian_after: np.ndarray
+    hamiltonian_after: object
 
 
 @dataclass(frozen=True)
@@ -90,7 +98,7 @@ class StepRecord:
 @dataclass(frozen=True)
 class StepResult:
     state: DensityState
-    hamiltonian: np.ndarray
+    hamiltonian: EnergyTable | DenseOperator
     record: StepRecord
 
 
@@ -106,43 +114,63 @@ class CycleReport:
     steps: tuple[StepRecord, ...] = field(repr=False, default=())
 
 
-def _dense(hamiltonian) -> np.ndarray:
-    if isinstance(hamiltonian, CompositeHamiltonian):
-        return hamiltonian.matrix
-    return check_hermitian(hamiltonian)
+def _prepare(step):
+    """Validate a protocol step; its operators come back in accepted form."""
+    if isinstance(step, Unitary):
+        u = np.asarray(step.matrix, dtype=complex)
+        square = u.ndim == 2 and u.shape[0] == u.shape[1]
+        if not square or np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) \
+                > thermo.BASIS_UNITARY_TOL:
+            raise ValueError("step matrix is not unitary")
+        return Unitary(u, as_operator(step.hamiltonian_after))
+    if isinstance(step, Quench):
+        return Quench(as_operator(step.hamiltonian_after))
+    if isinstance(step, ThermalContact):
+        return step
+    raise TypeError(f"unknown step type {type(step).__name__}")
+
+
+def _advance(state: DensityState, h, step, betas: Betas) -> StepResult:
+    """One step of an already prepared protocol; validates nothing."""
+    if isinstance(step, Unitary):
+        basis = state.basis if state.basis is not None else np.eye(state.dim, dtype=complex)
+        new_state = DensityState(populations=state.populations, basis=step.matrix @ basis)
+        work = state.energy(h) - new_state.energy(step.hamiltonian_after)
+        return StepResult(new_state, step.hamiltonian_after, StepRecord("unitary", work, 0.0))
+    if isinstance(step, Quench):
+        h_next = step.hamiltonian_after
+        work = state.energy(h) - state.energy(h_next)
+        return StepResult(state, h_next, StepRecord("quench", work, 0.0))
+    beta = betas.beta_h if step.bath == "hot" else betas.beta_c
+    new_state = gibbs(h, beta)
+    heat = new_state.energy(h) - state.energy(h)
+    return StepResult(new_state, h, StepRecord("contact", 0.0, heat, step.bath))
 
 
 def apply_step(state: DensityState, hamiltonian, step, betas: Betas) -> StepResult:
     """Advance one protocol step, accounting work and heat."""
-    h = _dense(hamiltonian)
-    if isinstance(step, Unitary):
-        u = np.asarray(step.matrix, dtype=complex)
-        if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > thermo.BASIS_UNITARY_TOL:
-            raise ValueError("step matrix is not unitary")
-        h_next = _dense(step.hamiltonian_after)
-        basis = state.basis if state.basis is not None else np.eye(state.dim, dtype=complex)
-        new_state = DensityState(populations=state.populations, basis=u @ basis)
-        work = state.energy(h) - new_state.energy(h_next)
-        return StepResult(new_state, h_next, StepRecord("unitary", work, 0.0))
-    if isinstance(step, Quench):
-        h_next = _dense(step.hamiltonian_after)
-        work = state.energy(h) - state.energy(h_next)
-        return StepResult(state, h_next, StepRecord("quench", work, 0.0))
-    if isinstance(step, ThermalContact):
-        beta = betas.beta_h if step.bath == "hot" else betas.beta_c
-        new_state = gibbs(h, beta)
-        heat = new_state.energy(h) - state.energy(h)
-        return StepResult(new_state, h, StepRecord("contact", 0.0, heat, step.bath))
-    raise TypeError(f"unknown step type {type(step).__name__}")
+    return _advance(state, as_operator(hamiltonian), _prepare(step), betas)
 
 
-def _check_cyclic(hamiltonian0: np.ndarray, steps) -> None:
+def _arrays(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two operator forms as arrays of one kind: tables if both are tables."""
+    if isinstance(a, EnergyTable) and isinstance(b, EnergyTable):
+        return a.energies, b.energies
+    return a.matrix, b.matrix
+
+
+def _check_protocol(hamiltonian0, steps) -> None:
+    """Every operator acts on one space and the protocol ends where it began."""
     h = hamiltonian0
     for step in steps:
         if isinstance(step, (Unitary, Quench)):
-            h = _dense(step.hamiltonian_after)
-    scale = max(1.0, float(np.max(np.abs(hamiltonian0))))
-    if np.max(np.abs(h - hamiltonian0)) > CYCLE_CLOSURE_TOL * scale:
+            h = step.hamiltonian_after
+            if h.dim != hamiltonian0.dim or (isinstance(step, Unitary)
+                                             and step.matrix.shape[0] != h.dim):
+                raise ValueError("protocol operators act on different spaces")
+    first, last = _arrays(hamiltonian0, h)
+    scale = max(1.0, float(np.max(np.abs(first))))
+    if np.max(np.abs(last - first)) > CYCLE_CLOSURE_TOL * scale:
         raise ValueError("protocol does not return to the initial Hamiltonian")
 
 
@@ -154,9 +182,9 @@ def run_cycle(hamiltonian0, steps, betas: Betas, *, initial_state: DensityState 
     The protocol must restore the initial Hamiltonian and touch the hot
     bath at least once, otherwise the cycle efficiency is undefined.
     """
-    steps = list(steps)
-    h0 = _dense(hamiltonian0)
-    _check_cyclic(h0, steps)
+    steps = [_prepare(s) for s in steps]
+    h0 = as_operator(hamiltonian0)
+    _check_protocol(h0, steps)
     if not any(isinstance(s, ThermalContact) and s.bath == "hot" for s in steps):
         raise UndefinedResultError("cycle never touches the hot bath")
 
@@ -172,7 +200,7 @@ def run_cycle(hamiltonian0, steps, betas: Betas, *, initial_state: DensityState 
         records = []
         work = heat_hot = heat_cold = 0.0
         for step in steps:
-            result = apply_step(state, h, step, betas)
+            result = _advance(state, h, step, betas)
             state, h = result.state, result.hamiltonian
             records.append(result.record)
             work += result.record.work
@@ -194,19 +222,20 @@ def isothermal_staircase(h_from, h_to, bath: str, n_steps: int) -> list:
     """Discretized isotherm: ``n_steps`` quench-contact pairs ending at ``h_to``."""
     if n_steps < 1:
         raise ValueError("need at least one staircase step")
-    a, b = _dense(h_from), _dense(h_to)
+    a, b = _arrays(as_operator(h_from), as_operator(h_to))
+    form = EnergyTable if a.ndim == 1 else DenseOperator
     steps: list = []
     for k in range(1, n_steps + 1):
-        steps.append(Quench(a + (k / n_steps) * (b - a)))
+        steps.append(Quench(form(a + (k / n_steps) * (b - a))))
         steps.append(ThermalContact(bath))
     return steps
 
 
 def carnot_like_cycle(h_d, h_a, h_b, h_c, betas: Betas, n_steps: int) -> list:
     """Quench D->A, hot staircase A->B, quench B->C, cold staircase C->D."""
-    return ([Quench(_dense(h_a))]
+    return ([Quench(as_operator(h_a))]
             + isothermal_staircase(h_a, h_b, "hot", n_steps)
-            + [Quench(_dense(h_c))]
+            + [Quench(as_operator(h_c))]
             + isothermal_staircase(h_c, h_d, "cold", n_steps))
 
 
@@ -240,7 +269,9 @@ class BoundInputs:
     ``h_b`` is the Hamiltonian at the last hot contact, ``h_c`` right
     after the following adiabat, ``h_d`` at the last cold contact, and
     ``h_a`` right after the adiabat closing the cycle.  All four must
-    share the same interaction part; ``u``/``v`` name the unitary class
+    share the same interaction part (for ``CompositeHamiltonian``
+    corners the interaction matrix, for ``DiagonalHamiltonian`` corners
+    the coupling and chain length); ``u``/``v`` name the unitary class
     available on each adiabat ("full", "commuting", "identity") or give
     the rotation explicitly.
     """
@@ -255,11 +286,17 @@ class BoundInputs:
 
     def __post_init__(self):
         corners = (self.h_a, self.h_b, self.h_c, self.h_d)
+        ref = corners[0]
         if all(isinstance(h, CompositeHamiltonian) for h in corners):
-            ref = corners[0].interaction
-            for h in corners[1:]:
-                if np.max(np.abs(h.interaction - ref)) > 1e-12:
-                    raise ValueError("corner Hamiltonians do not share the interaction")
+            shared = all(np.max(np.abs(h.interaction - ref.interaction)) <= 1e-12
+                         for h in corners[1:])
+        elif all(isinstance(h, DiagonalHamiltonian) for h in corners):
+            shared = all(h.n_sites == ref.n_sites and h.coupling == ref.coupling
+                         for h in corners[1:])
+        else:
+            shared = True
+        if not shared:
+            raise ValueError("corner Hamiltonians do not share the interaction")
 
 
 class BoundTerms(NamedTuple):

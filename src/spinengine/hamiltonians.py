@@ -153,9 +153,6 @@ class DiagonalHamiltonian:
         if not np.all(np.isfinite(self.energies)):
             raise ValueError("energy table has non-finite entries")
 
-    def to_dense(self) -> np.ndarray:
-        return np.diag(self.energies).astype(complex)
-
     def is_translation_invariant(self, tol: float = 1e-12) -> bool:
         """Check invariance of the table under a cyclic bit rotation."""
         n = self.n_sites

@@ -5,6 +5,21 @@ States are (populations, eigenbasis) pairs; ``basis=None`` marks the
 computational basis so large diagonal chains never materialize a dense
 eigenvector matrix.  An infinite relative entropy (state mass outside
 the reference support) is reported as ``math.inf``, never an exception.
+
+Every Hamiltonian goes through :func:`as_operator` once, at the API
+boundary, and comes out in one of two validated forms with the same
+small interface (levels, spectrum, Gibbs state, energy of a state):
+
+* :class:`EnergyTable`, the energies of an operator that is diagonal
+  in the computational basis (a ``DiagonalHamiltonian``).  Its Gibbs
+  state keeps ``basis=None`` and its energies cost O(d), or O(d^2)
+  against a rotated state;
+* :class:`DenseOperator`, a Hermitian complex matrix (a raw matrix or
+  a ``CompositeHamiltonian``).  Its Gibbs state needs ``eigh`` and its
+  energies cost O(d^3) against a rotated state.
+
+Forms pass through :func:`as_operator` unchanged, so code that holds a
+form (the engine's cycle loop) never validates it again.
 """
 
 from __future__ import annotations
@@ -65,22 +80,94 @@ class DensityState:
         return (self.basis * self.populations) @ self.basis.conj().T
 
     def energy(self, hamiltonian) -> float:
-        """Mean energy ``Tr(rho H)``."""
-        if isinstance(hamiltonian, DiagonalHamiltonian) and self.basis is None:
-            return float(np.dot(self.populations, hamiltonian.energies))
-        h = _as_matrix(hamiltonian)
-        if self.basis is None:
-            return float(np.real(np.dot(self.populations, np.diag(h))))
-        return float(np.real(np.einsum("ij,j,kj,ki->", self.basis, self.populations,
-                                       self.basis.conj(), h)))
+        """Mean energy ``Tr(rho H)`` (see :meth:`EnergyTable.energy` and
+        :meth:`DenseOperator.energy` for the cost)."""
+        return as_operator(hamiltonian).energy(self)
 
 
-def _as_matrix(hamiltonian) -> np.ndarray:
-    if isinstance(hamiltonian, CompositeHamiltonian):
-        return hamiltonian.matrix
+def _boltzmann(levels: np.ndarray, beta: float) -> np.ndarray:
+    """Normalized ``exp(-beta E)`` via exponentials shifted by the minimum."""
+    weights = np.exp(-beta * (levels - np.min(levels)))
+    return weights / np.sum(weights)
+
+
+@dataclass(frozen=True, eq=False)
+class EnergyTable:
+    """A Hamiltonian diagonal in the computational basis, as its energies."""
+
+    energies: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.energies)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense diagonal matrix, for pairing a table with a dense operator."""
+        return np.diag(self.energies).astype(complex)
+
+    def levels(self) -> np.ndarray:
+        return self.energies
+
+    def spectrum(self) -> Spectrum:
+        order = np.argsort(self.energies, kind="stable")
+        vectors = np.eye(len(order), dtype=complex)[:, order]
+        return Spectrum(values=self.energies[order].copy(), vectors=vectors)
+
+    def gibbs(self, beta: float) -> DensityState:
+        return DensityState(populations=_boltzmann(self.energies, beta), basis=None)
+
+    def energy(self, state: DensityState) -> float:
+        """``p . E`` in the computational basis (O(d)), else ``E . |B|^2 p`` (O(d^2))."""
+        if state.basis is None:
+            return float(np.dot(state.populations, self.energies))
+        return float(self.energies @ (np.abs(state.basis) ** 2 @ state.populations))
+
+
+@dataclass(frozen=True, eq=False)
+class DenseOperator:
+    """A Hermitian complex matrix."""
+
+    matrix: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    def levels(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.matrix)
+
+    def spectrum(self) -> Spectrum:
+        values, vectors = np.linalg.eigh(self.matrix)
+        return Spectrum(values=values, vectors=vectors)
+
+    def gibbs(self, beta: float) -> DensityState:
+        spec = self.spectrum()
+        return DensityState(populations=_boltzmann(spec.values, beta), basis=spec.vectors)
+
+    def energy(self, state: DensityState) -> float:
+        """``sum_j p_j <b_j|H|b_j>``: O(d) in the computational basis, else
+        one matrix product, O(d^3)."""
+        if state.basis is None:
+            return float(np.dot(state.populations, np.diag(self.matrix).real))
+        b = state.basis
+        diag = np.einsum("ij,ij->j", b.conj(), self.matrix @ b).real
+        return float(np.dot(diag, state.populations))
+
+
+def as_operator(hamiltonian) -> EnergyTable | DenseOperator:
+    """The accepted form of a Hamiltonian: a ``DiagonalHamiltonian`` becomes
+    its :class:`EnergyTable`, a ``CompositeHamiltonian`` its
+    :class:`DenseOperator`, and any other matrix a :class:`DenseOperator`
+    once :func:`check_hermitian` accepts it.  A form is returned
+    unchanged: forms are trusted, so build them with this function."""
+    if isinstance(hamiltonian, (EnergyTable, DenseOperator)):
+        return hamiltonian
     if isinstance(hamiltonian, DiagonalHamiltonian):
-        return hamiltonian.to_dense()
-    return check_hermitian(hamiltonian)
+        return EnergyTable(hamiltonian.energies)
+    if isinstance(hamiltonian, CompositeHamiltonian):
+        return DenseOperator(hamiltonian.matrix)
+    return DenseOperator(check_hermitian(hamiltonian))
 
 
 def _as_state(state) -> DensityState:
@@ -94,19 +181,7 @@ def _as_state(state) -> DensityState:
 
 def eigendecompose(hamiltonian) -> Spectrum:
     """Ascending eigendecomposition of a Hermitian operator."""
-    if isinstance(hamiltonian, DiagonalHamiltonian):
-        order = np.argsort(hamiltonian.energies, kind="stable")
-        vectors = np.eye(len(order), dtype=complex)[:, order]
-        return Spectrum(values=hamiltonian.energies[order].copy(), vectors=vectors)
-    h = _as_matrix(hamiltonian)
-    values, vectors = np.linalg.eigh(h)
-    return Spectrum(values=values, vectors=vectors)
-
-
-def _level_table(hamiltonian) -> np.ndarray:
-    if isinstance(hamiltonian, DiagonalHamiltonian):
-        return hamiltonian.energies
-    return np.linalg.eigvalsh(_as_matrix(hamiltonian))
+    return as_operator(hamiltonian).spectrum()
 
 
 def _check_beta(beta: float, allow_zero: bool = False) -> float:
@@ -122,7 +197,7 @@ def _check_beta(beta: float, allow_zero: bool = False) -> float:
 def log_partition(hamiltonian, beta: float) -> float:
     """log-sum-exp stable ``log Tr exp(-beta H)``."""
     beta = _check_beta(beta, allow_zero=True)
-    energies = _level_table(hamiltonian)
+    energies = as_operator(hamiltonian).levels()
     emin = float(np.min(energies))
     return float(np.log(np.sum(np.exp(-beta * (energies - emin)))) - beta * emin)
 
@@ -133,15 +208,7 @@ def free_energy(hamiltonian, beta: float) -> float:
 
 def gibbs(hamiltonian, beta: float) -> DensityState:
     """Thermal state ``exp(-beta H)/Z`` via shifted exponentials."""
-    beta = _check_beta(beta, allow_zero=True)
-    if isinstance(hamiltonian, DiagonalHamiltonian):
-        shifted = hamiltonian.energies - np.min(hamiltonian.energies)
-        weights = np.exp(-beta * shifted)
-        return DensityState(populations=weights / np.sum(weights), basis=None)
-    spec = eigendecompose(hamiltonian)
-    shifted = spec.values - spec.values[0]
-    weights = np.exp(-beta * shifted)
-    return DensityState(populations=weights / np.sum(weights), basis=spec.vectors)
+    return as_operator(hamiltonian).gibbs(_check_beta(beta, allow_zero=True))
 
 
 def von_neumann_entropy(state) -> float:

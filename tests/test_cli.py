@@ -146,6 +146,27 @@ def test_cycle_json_respects_bound(tmp_path):
     assert report["n_passes"] >= 1
 
 
+def test_cycle_and_bound_run_on_tables_at_n16(tmp_path):
+    # 2**16 levels: a dense operator would take 64 GiB, the tables 512 KiB
+    out = tmp_path / "cycle.json"
+    assert main(["cycle", "-N", "16", "--steps", "20", "-o", str(out)]) == EXIT_OK
+    cycle = read_json(out)
+    assert cycle["steady"] is True
+    assert cycle["energy_closure"] < 1e-9
+    assert cycle["efficiency"] <= cycle["eta_bound"] <= cycle["carnot"]
+    assert main(["bound", "-N", "16", "--u-class", "full", "--v-class", "full",
+                 "-o", str(out)]) == EXIT_OK
+    bound = read_json(out)
+    assert bound["n"] == 16 and bound["eta_bound"] <= bound["carnot"]
+
+
+@pytest.mark.parametrize("command", ["cycle", "bound", "gs-deg"])
+def test_chain_length_range(command, capsys):
+    for n in ("0", "25"):
+        assert main([command, "-N", n]) == EXIT_CONFIG
+        assert "-N must be between 1 and 24" in capsys.readouterr().err
+
+
 def test_gs_deg_json_field_flag(tmp_path):
     out = tmp_path / "gs.json"
     assert main(["gs-deg", "-o", str(out), "-N", "8", "-J", "-1", "-h", "2"]) == EXIT_OK

@@ -10,7 +10,8 @@ from spinengine.engine import (Betas, BoundInputs, Quench, ThermalContact,
                                bound_terms, carnot_like_cycle,
                                carnot_like_work_bound, efficiency_bound,
                                isothermal_staircase, run_cycle)
-from spinengine.hamiltonians import SIGMA_X, SIGMA_Z, IsingParams, ising_composite
+from spinengine.hamiltonians import (SIGMA_X, SIGMA_Z, IsingParams, ising_composite,
+                                     ising_diagonal)
 from spinengine.thermo import (DensityState, gibbs, relative_entropy,
                                von_neumann_entropy)
 
@@ -106,6 +107,54 @@ def test_non_cyclic_protocol_rejected():
     steps = [Quench(field(2.0)), ThermalContact("hot")]
     with pytest.raises(ValueError):
         run_cycle(field(1.0), steps, BETAS)
+
+
+@pytest.mark.parametrize("bad_step, reason", [
+    (Unitary(np.diag([1.0, 2.0, 1.0, 1.0]), np.diag([-4.0, 0.0, 0.0, 0.0])), "not unitary"),
+    (Quench(np.diag([1.0, 0.0, 0.0, 0.0]) + np.eye(4, k=1)), "not Hermitian"),
+    (Quench(np.diag([1.0, np.nan, 0.0, 0.0])), "non-finite"),
+    (Quench(np.zeros((8, 8))), "different spaces"),
+    (Quench(ising_diagonal(IsingParams(3, 1.0, 1.0))), "different spaces"),
+], ids=["non-unitary", "non-hermitian", "non-finite", "larger-matrix", "longer-chain"])
+def test_run_cycle_rejects_bad_protocol_input(bad_step, reason):
+    h0 = ising_diagonal(IsingParams(2, 1.0, 1.0))
+    steps = [ThermalContact("hot"), bad_step, ThermalContact("cold"), Quench(h0)]
+    with pytest.raises(ValueError, match=reason):
+        run_cycle(h0, steps, BETAS)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_tables_match_dense_corners(n):
+    # the Ising corners are diagonal, so the table path must reproduce the
+    # dense one: same cycle books and same bound terms
+    for j, h_b in ((0.0, 1.0), (0.7, 1.3), (-0.3, 0.8), (1.5, 2.5)):
+        fields = (4.0 * h_b, h_b, 0.5 * h_b, 2.0 * h_b)  # A, B, C, D
+        results = []
+        for build in (ising_composite, ising_diagonal):
+            c_a, c_b, c_c, c_d = (build(IsingParams(n, j, h)) for h in fields)
+            report = run_cycle(c_d, carnot_like_cycle(c_d, c_a, c_b, c_c, BETAS, 8), BETAS)
+            terms = [bound_terms(BoundInputs(c_a, c_b, c_c, c_d, BETAS, u=cls, v=cls))
+                     for cls in ("identity", "full")]
+            results.append((report, terms))
+        (dense, dense_terms), (table, table_terms) = results
+        assert table.n_passes == dense.n_passes and table.steady
+        for name in ("total_work", "heat_hot", "heat_cold", "efficiency"):
+            assert getattr(table, name) == pytest.approx(getattr(dense, name), rel=1e-12)
+        assert table.energy_closure < 1e-12
+        for got, want in zip(table_terms, dense_terms):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_protocol_may_mix_tables_and_matrices():
+    # a table and the equal dense matrix close the cycle and give the same books
+    table = {h: ising_diagonal(IsingParams(2, 0.5, h)) for h in (1.0, 0.4)}
+    dense = {h: ising_composite(IsingParams(2, 0.5, h)) for h in (1.0, 0.4)}
+    mixed = run_cycle(table[1.0], [ThermalContact("hot"), Quench(dense[0.4]),
+                                   ThermalContact("cold"), Quench(dense[1.0])], BETAS)
+    pure = run_cycle(dense[1.0], [ThermalContact("hot"), Quench(dense[0.4]),
+                                  ThermalContact("cold"), Quench(dense[1.0])], BETAS)
+    assert mixed.total_work == pytest.approx(pure.total_work, rel=1e-12)
+    assert mixed.heat_hot == pytest.approx(pure.heat_hot, rel=1e-12)
 
 
 def test_matched_quench_cycle_is_degenerate():
@@ -289,7 +338,10 @@ def test_interacting_medium_stays_below_carnot():
 
 
 def test_bound_inputs_require_shared_interaction():
-    good = ising_composite(IsingParams(2, 1.0, 1.0))
-    bad = ising_composite(IsingParams(2, 2.0, 1.0))
-    with pytest.raises(ValueError):
-        BoundInputs(h_a=good, h_b=good, h_c=good, h_d=bad, betas=BETAS)
+    for build in (ising_composite, ising_diagonal):
+        good = build(IsingParams(2, 1.0, 1.0))
+        BoundInputs(h_a=good, h_b=build(IsingParams(2, 1.0, 3.0)), h_c=good, h_d=good,
+                    betas=BETAS)
+        for bad in (build(IsingParams(2, 2.0, 1.0)), build(IsingParams(3, 1.0, 1.0))):
+            with pytest.raises(ValueError):
+                BoundInputs(h_a=good, h_b=good, h_c=good, h_d=bad, betas=BETAS)

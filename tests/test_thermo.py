@@ -151,6 +151,20 @@ def test_free_energy_identity():
         assert direct == pytest.approx(identity, abs=1e-10)
 
 
+@pytest.mark.parametrize("dim", [16, 64])
+def test_energy_matches_trace(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = 0.5 * (a + a.conj().T)
+    table = ising_diagonal(IsingParams(int(np.log2(dim)), 0.7, -1.3))
+    p = rng.dirichlet(np.ones(dim))
+    for state in (DensityState(populations=p, basis=random_unitary(rng, dim)),
+                  DensityState(populations=p)):
+        for op, dense in ((h, h), (table, np.diag(table.energies))):
+            expected = np.trace(state.matrix() @ dense).real
+            assert state.energy(op) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
 def test_gibbs_maximizes_entropy_at_fixed_energy():
     # move along a trace- and energy-preserving direction: entropy must drop
     rng = np.random.default_rng(36)

@@ -165,12 +165,7 @@ def cmd_sweep_j(args) -> int:
               "j_min": j_min, "j_max": j_max, "j_step": j_step,
               "mode": mode, "grid_step": grid_step}
 
-    def point(j):
-        p = protocols.efficiency_at_max_work(j, betas, mode, grid_step=grid_step)
-        return (float(p.j), float(p.h_opt), float(p.work_density),
-                float(p.efficiency), p.mode)
-
-    rows = [point(j) for j in js]
+    rows = protocols.sweep_j(js, betas, mode, grid_step=grid_step)
     _emit_csv(args.output, "J,h_opt,work_density,efficiency,mode", params, rows)
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import thermo
+from . import kernels, thermo
 from .hamiltonians import CompositeHamiltonian, DiagonalHamiltonian
 from .thermo import DenseOperator, DensityState, EnergyTable, as_operator, gibbs, \
     min_relative_entropy, relative_entropy, trace_distance, von_neumann_entropy
@@ -269,9 +269,10 @@ class BoundInputs:
     ``h_b`` is the Hamiltonian at the last hot contact, ``h_c`` right
     after the following adiabat, ``h_d`` at the last cold contact, and
     ``h_a`` right after the adiabat closing the cycle.  All four must
-    share the same interaction part (for ``CompositeHamiltonian``
-    corners the interaction matrix, for ``DiagonalHamiltonian`` corners
-    the coupling and chain length); ``u``/``v`` name the unitary class
+    share the same interaction part: the interaction matrix of a
+    ``CompositeHamiltonian``, the coupling and chain length of a
+    ``DiagonalHamiltonian`` (its field-free energies on the diagonal when
+    mixed with composites); ``u``/``v`` name the unitary class
     available on each adiabat ("full", "commuting", "identity") or give
     the rotation explicitly.
     """
@@ -286,14 +287,18 @@ class BoundInputs:
 
     def __post_init__(self):
         corners = (self.h_a, self.h_b, self.h_c, self.h_d)
-        ref = corners[0]
-        if all(isinstance(h, CompositeHamiltonian) for h in corners):
-            shared = all(np.max(np.abs(h.interaction - ref.interaction)) <= 1e-12
-                         for h in corners[1:])
-        elif all(isinstance(h, DiagonalHamiltonian) for h in corners):
-            shared = all(h.n_sites == ref.n_sites and h.coupling == ref.coupling
-                         for h in corners[1:])
+        if all(isinstance(h, DiagonalHamiltonian) for h in corners):
+            shared = len({(h.n_sites, h.coupling) for h in corners}) == 1
+        elif all(isinstance(h, (CompositeHamiltonian, DiagonalHamiltonian))
+                 for h in corners):
+            # a table's interaction is its field-free energy table on the diagonal
+            mats = [h.interaction if isinstance(h, CompositeHamiltonian)
+                    else np.diag(kernels.ising_energies(h.n_sites, h.coupling, 0.0))
+                    for h in corners]
+            shared = all(m.shape == mats[0].shape
+                         and np.max(np.abs(m - mats[0])) <= 1e-12 for m in mats[1:])
         else:
+            # a raw matrix does not split off its interaction
             shared = True
         if not shared:
             raise ValueError("corner Hamiltonians do not share the interaction")

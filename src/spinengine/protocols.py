@@ -26,7 +26,7 @@ magnitude below the ground-state term).
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ PAPER_PROTOCOL = "paper"
 FREE_FIELDS = "free"
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SCAN_BLOCK = 8192  # grid points per evaluation in _grid_argmax
 
 
 class ProtocolFields(NamedTuple):
@@ -109,34 +110,67 @@ def efficiency_thermo_limit(j: float, fields: ProtocolFields, betas: Betas) -> f
 def _golden_max(f, lo, hi, tol: float, iters: int = 160):
     """Deterministic golden-section maximization, elementwise over arrays.
 
-    Two probes per iteration; assumes unimodality on [lo, hi] (all uses
-    here refine around a grid argmax or minimize a convex penalty).
+    Two probes per iteration; assumes unimodality on [lo, hi] (every use
+    here refines around a grid argmax).  Each element freezes once its
+    own bracket is within ``tol`` and later probes leave it untouched,
+    so a batch of brackets follows each element's scalar path exactly.
     """
     lo = np.asarray(lo, dtype=np.float64) + 0.0
     hi = np.asarray(hi, dtype=np.float64) + 0.0
     for _ in range(iters):
         gap = hi - lo
-        if np.all(gap <= tol):
+        live = gap > tol
+        if not np.any(live):
             break
         c = hi - _INVPHI * gap
         d = lo + _INVPHI * gap
         keep_left = f(c) >= f(d)
-        hi = np.where(keep_left, d, hi)
-        lo = np.where(keep_left, lo, c)
+        hi = np.where(live & keep_left, d, hi)
+        lo = np.where(live & ~keep_left, c, lo)
     return 0.5 * (lo + hi)
 
 
-def _paper_work_eta(j: float, h, betas: Betas):
+def _grid_argmax(w_of, lo: float, hi: float, step: float):
+    """Best point of ``w_of`` on the grid lo, lo + step, ..., hi.
+
+    Returns the bracket (the grid neighbours of the argmax), the grid
+    field and the grid work.  The grid lives only inside this call, so
+    consecutive scans never hold two grids at once.  ``w_of`` sees it in
+    blocks of ``_SCAN_BLOCK`` points to keep the temporaries of each
+    evaluation small: a strong-coupling grid has 2e5 points.
+    """
+    grid = np.arange(lo, hi + 0.5 * step, step)
+    w_grid = np.concatenate([w_of(grid[i:i + _SCAN_BLOCK])
+                             for i in range(0, len(grid), _SCAN_BLOCK)])
+    k = int(np.argmax(w_grid))
+    return grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], grid[k], w_grid[k]
+
+
+def _refine(w_of, scans, tol: float) -> np.ndarray:
+    """One golden-section refinement of every ``_grid_argmax`` bracket.
+
+    Keeps the grid point wherever it beats the refined one: the maximum
+    may sit in an exponentially narrow spike at a bracket end that
+    refinement steps over.
+    """
+    lo, hi, h_grid, w_grid = np.array(scans, dtype=np.float64).reshape(-1, 4).T
+    h_ref = _golden_max(w_of, lo, hi, tol)
+    return np.where(w_of(h_ref) >= w_grid, h_ref, h_grid)
+
+
+def _paper_work_eta(j, h, betas: Betas):
     """Vectorized (w, eta, s_h) for the shared-field family h_C = h_B = h.
 
-    With matched pure corners the ledger collapses to the exact identity
+    ``j`` is a scalar or broadcasts against ``h``.  With matched pure
+    corners the ledger collapses to the exact identity
     w = T_h*delta_h - T_c*delta_c on the reduced log-corrections, which
     stays fully accurate when both terms are ~1e-18.
     """
+    j = np.asarray(j, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     bh, bc = betas.beta_h, betas.beta_c
-    core_h = _core(np.full_like(h, bh * j), bh * np.abs(h))
-    core_c = _core(np.full_like(h, bc * j), bc * np.abs(h))
+    core_h = _core(bh * j, bh * np.abs(h))
+    core_c = _core(bc * j, bc * np.abs(h))
     w = core_h.delta / bh - core_c.delta / bc
     s_h = core_h.delta - bh * j * core_h.delta_a - bh * np.abs(h) * core_h.delta_b
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -144,44 +178,58 @@ def _paper_work_eta(j: float, h, betas: Betas):
     return w, eta, s_h
 
 
-def _free_penalty_min(j: float, h_b, betas: Betas, tol: float = 1e-10):
-    """Minimal cold-entry penalty min over h_C of D(hot B || cold C), per
-    site, elementwise over an h_b array.  Convex in h_C (second
-    derivative is beta_c times a susceptibility), so golden section is
-    exact enough."""
+def _free_penalty_min(j, h_b, betas: Betas):
+    """Minimal cold-entry penalty min over h_C >= 0 of D(hot B || cold C)
+    per site, and the h_C that attains it, elementwise over ``h_b``
+    (``j`` is a scalar or broadcasts against it).
+
+    The minimizer is the I-projection of the hot state onto the cold
+    Gibbs family: the penalty is convex in h_C and stationary where the
+    cold magnetization matches the hot one.  The magnetization rises
+    with h, so h_C is bisected on the exact complement ``one_minus_m``
+    over [0, max(4*max(1, |J|), h_B) + 1]; an element stops once its
+    midpoint rounds to an endpoint, or after 100 halvings.
+
+    The exact candidates 0, h_B and (beta_h/beta_c)*h_B compete with the
+    root, and win ties: where one of them is the exact minimizer (h_C = 0,
+    which the halvings only approach, or a structural zero such as the
+    scaled field at J = 0), the float-resolution root leaves an excess of
+    up to ~5e-14 per site.
+    """
+    j = np.asarray(j, dtype=np.float64)
     h_b = np.asarray(h_b, dtype=np.float64)
     bh, bc = betas.beta_h, betas.beta_c
-    core_s = _core(np.full_like(h_b, bh * j), bh * np.abs(h_b))
+    core_s = _core(bh * j, bh * np.abs(h_b))
     u_excess = -j * core_s.delta_a - np.abs(h_b) * core_s.delta_b
     s_s = core_s.delta - bh * j * core_s.delta_a - bh * np.abs(h_b) * core_s.delta_b
 
     def d_of(h_c):
-        core_r = _core(np.full_like(h_c, bc * j), bc * np.abs(h_c))
+        core_r = _core(bc * j, bc * np.abs(h_c))
         offset = -j * (core_s.ra - core_r.ra) + h_c * (core_r.rb - core_s.rb)
         val = bc * (offset + u_excess + (h_b - h_c) * core_s.delta_b) \
             + core_r.delta - s_s
         return np.maximum(val, 0.0)
 
-    hi = np.maximum(4.0 * max(1.0, abs(j)), h_b) + 1.0
-    h_c_ref = _golden_max(lambda x: -d_of(x), np.zeros_like(h_b), hi,
-                          tol * max(1.0, abs(j)))
-    # the minimum can sit in an exponentially narrow well at a candidate
-    # field (degenerate corner, matched field, or scaled field); golden
-    # section alone cannot resolve those, so compare explicitly
-    candidates = np.stack([
-        np.asarray(h_c_ref, dtype=np.float64),
-        np.zeros_like(h_b),
-        h_b,
-        (betas.beta_h / betas.beta_c) * h_b,
-    ])
+    hi = np.maximum(4.0 * np.maximum(1.0, np.abs(j)), h_b) + 1.0
+    lo = np.zeros_like(hi)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not np.any(live):
+            break
+        # cold magnetization still below the hot one: the root lies above
+        below = _core(bc * j, bc * mid).one_minus_m > core_s.one_minus_m
+        lo = np.where(live & below, mid, lo)
+        hi = np.where(live & ~below, mid, hi)
+    candidates = np.stack(np.broadcast_arrays(
+        0.0, h_b, (bh / bc) * h_b, 0.5 * (lo + hi)))
     values = np.stack([d_of(c) for c in candidates])
     pick = np.argmin(values, axis=0)
     return np.take_along_axis(values, pick[None], 0)[0], \
         np.take_along_axis(candidates, pick[None], 0)[0]
 
 
-def _free_work_eta(j: float, h, betas: Betas):
-    h = np.asarray(h, dtype=np.float64)
+def _free_work_eta(j, h, betas: Betas):
     _, _, s_h = _paper_work_eta(j, h, betas)
     d_min, _ = _free_penalty_min(j, h, betas)
     w = (betas.t_h - betas.t_c) * s_h - betas.t_c * d_min
@@ -190,42 +238,33 @@ def _free_work_eta(j: float, h, betas: Betas):
     return w, eta, s_h
 
 
-def efficiency_at_max_work(j: float, betas: Betas, mode: str = PAPER_PROTOCOL,
-                           grid_step: float = 1e-2,
-                           refine_tol: float = 1e-8) -> SweepPoint:
-    """Maximize the cycle work density over the corner field h_B >= 0.
+def sweep_j(j_values: Sequence[float], betas: Betas,
+            mode: str = PAPER_PROTOCOL, grid_step: float = 1e-2,
+            refine_tol: float = 1e-8) -> list[SweepPoint]:
+    """Maximize the cycle work density over the corner field h_B >= 0 at
+    every coupling in ``j_values``.
 
-    Coarse grid on [0, 4*max(1, |J|)] followed by golden-section
-    refinement around the best grid point; reports the optimal field,
-    the work density, and the efficiency there.
+    Each J gets a coarse grid on [0, 4*max(1, |J|)]; one golden-section
+    refinement then runs around all the grid argmaxes at once.  Reports
+    the optimal field, the work density, and the efficiency there.
     """
     if mode not in (PAPER_PROTOCOL, FREE_FIELDS):
         raise ValueError(f"unknown protocol mode: {mode!r}")
     evaluate = _paper_work_eta if mode == PAPER_PROTOCOL else _free_work_eta
-
-    hi = 4.0 * max(1.0, abs(j))
-    grid = np.arange(0.0, hi + 0.5 * grid_step, grid_step)
-    w_grid, _, _ = evaluate(j, grid, betas)
-    k = int(np.argmax(w_grid))
-    lo_b = grid[max(k - 1, 0)]
-    hi_b = grid[min(k + 1, len(grid) - 1)]
-
-    def w_of(h):
-        return evaluate(j, h, betas)[0]
-
-    # keep the grid argmax as a candidate: the maximum may sit in an
-    # exponentially narrow spike at a boundary that refinement steps over
-    h_ref = float(_golden_max(w_of, lo_b, hi_b, refine_tol))
-    h_opt = h_ref if float(w_of(h_ref)) >= float(w_grid[k]) else float(grid[k])
-    w_opt, eta_opt, _ = evaluate(j, h_opt, betas)
-    return SweepPoint(float(j), h_opt, float(w_opt), float(eta_opt), mode)
+    js = np.array(j_values, dtype=np.float64).reshape(-1)
+    scans = [_grid_argmax(lambda h: evaluate(j, h, betas)[0],
+                          0.0, 4.0 * max(1.0, abs(j)), grid_step) for j in js]
+    h_opt = _refine(lambda h: evaluate(js, h, betas)[0], scans, refine_tol)
+    w_opt, eta_opt, _ = evaluate(js, h_opt, betas)
+    return [SweepPoint(float(j), float(h), float(w), float(eta), mode)
+            for j, h, w, eta in zip(js, h_opt, w_opt, eta_opt)]
 
 
-def sweep_j(j_values: Sequence[float], betas: Betas,
-            mode: str = PAPER_PROTOCOL, grid_step: float = 1e-2,
-            refine_tol: float = 1e-8) -> list[SweepPoint]:
-    return [efficiency_at_max_work(float(j), betas, mode, grid_step, refine_tol)
-            for j in j_values]
+def efficiency_at_max_work(j: float, betas: Betas, mode: str = PAPER_PROTOCOL,
+                           grid_step: float = 1e-2,
+                           refine_tol: float = 1e-8) -> SweepPoint:
+    """:func:`sweep_j` at a single coupling."""
+    return sweep_j([j], betas, mode, grid_step, refine_tol)[0]
 
 
 def ferro_efficiency_limit(epsilon: float, n: int, betas: Betas) -> float:
@@ -304,7 +343,6 @@ def chain_efficiency_at_max_work(n: int, j: float, betas: Betas,
     t_h, t_c = betas.t_h, betas.t_c
 
     def evaluate(hs):
-        hs = np.atleast_1d(np.asarray(hs, dtype=np.float64))
         logz_h, s_h = _chain_stats(classes, j, betas.beta_h, hs)
         logz_c, _ = _chain_stats(classes, j, betas.beta_c, hs)
         gap = t_h * logz_h - t_c * logz_c
@@ -312,13 +350,11 @@ def chain_efficiency_at_max_work(n: int, j: float, betas: Betas,
             eta = np.where(s_h > 0.0, gap / (t_h * np.where(s_h > 0, s_h, 1.0)), 0.0)
         return gap / n, eta
 
-    grid = np.arange(epsilon, h_max + 0.5 * grid_step, grid_step)
-    w_grid, _ = evaluate(grid)
-    k = int(np.argmax(w_grid))
-    lo_b = grid[max(k - 1, 0)]
-    hi_b = grid[min(k + 1, len(grid) - 1)]
-    h_ref = float(_golden_max(lambda h: evaluate(h)[0][0], lo_b, hi_b, refine_tol))
-    h_opt = h_ref if float(evaluate(h_ref)[0][0]) >= float(w_grid[k]) else float(grid[k])
+    def w_of(hs):
+        return evaluate(hs)[0]
+
+    scan = _grid_argmax(w_of, epsilon, h_max, grid_step)
+    h_opt = _refine(w_of, [scan], refine_tol)
     w_opt, eta_opt = evaluate(h_opt)
-    return ChainPoint(float(j), float(epsilon), h_opt,
+    return ChainPoint(float(j), float(epsilon), float(h_opt[0]),
                       float(w_opt[0]), float(eta_opt[0]))

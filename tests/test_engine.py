@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from spinengine import kernels
 from spinengine.engine import (Betas, BoundInputs, Quench, ThermalContact,
                                UndefinedResultError, Unitary, apply_step,
                                bound_terms, carnot_like_cycle,
                                carnot_like_work_bound, efficiency_bound,
                                isothermal_staircase, run_cycle)
-from spinengine.hamiltonians import (SIGMA_X, SIGMA_Z, IsingParams, ising_composite,
-                                     ising_diagonal)
+from spinengine.hamiltonians import (SIGMA_X, SIGMA_Z, IsingParams, compose,
+                                     ising_composite, ising_diagonal)
 from spinengine.thermo import (DensityState, gibbs, relative_entropy,
                                von_neumann_entropy)
 
@@ -345,3 +346,16 @@ def test_bound_inputs_require_shared_interaction():
         for bad in (build(IsingParams(2, 2.0, 1.0)), build(IsingParams(3, 1.0, 1.0))):
             with pytest.raises(ValueError):
                 BoundInputs(h_a=good, h_b=good, h_c=good, h_d=bad, betas=BETAS)
+
+
+def test_bound_inputs_compare_mixed_corners_by_interaction_energies():
+    table = ising_diagonal(IsingParams(2, 1.0, 1.0))
+    BoundInputs(h_a=table, h_b=ising_composite(IsingParams(2, 1.0, 3.0)),
+                h_c=table, h_d=table, betas=BETAS)
+    # the table's interaction energies on the diagonal, plus an XX coupling
+    flip = compose([], np.diag(kernels.ising_energies(2, 1.0, 0.0))
+                   + np.kron(SIGMA_X, SIGMA_X), n_sites=2)
+    for bad in (ising_composite(IsingParams(2, 2.0, 1.0)),
+                ising_composite(IsingParams(3, 1.0, 1.0)), flip):
+        with pytest.raises(ValueError):
+            BoundInputs(h_a=table, h_b=bad, h_c=table, h_d=table, betas=BETAS)

@@ -133,6 +133,56 @@ def test_sweep_reproduces_efficiency_curve_shape():
     assert all(p.efficiency <= 0.5 + 1e-12 for p in points.values())
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_sweep_matches_pointwise_optimizer():
+    # one batched refinement follows every J's own scalar path exactly
+    # (J = 200 includes the nan rows of the h = 0 underflow); the free
+    # mode runs on a coarser field grid to keep the J = -500 scan short
+    j_values = [-500.0, -3.0, 0.0, 1.0, 200.0]
+    for mode, step in ((PAPER_PROTOCOL, 1e-2), (FREE_FIELDS, 1e-1)):
+        batch = sweep_j(j_values, BETAS, mode, grid_step=step)
+        single = [efficiency_at_max_work(j, BETAS, mode, grid_step=step)
+                  for j in j_values]
+        assert [p.mode for p in batch] == [p.mode for p in single]
+        np.testing.assert_array_equal([p[:4] for p in batch], [p[:4] for p in single])
+
+
+def test_golden_max_batch_matches_scalar_calls():
+    def peak(x):
+        return -np.abs(x - 1.25)
+
+    lo = np.array([0.0, 1.0, 0.5, 1.2, 1.2])
+    hi = np.array([3.0, 2.0, 2.5, 1.3, 1.2 + 5e-9])
+    batch = protocols._golden_max(peak, lo, hi, 1e-8)
+    for k in range(len(lo)):
+        assert batch[k] == protocols._golden_max(peak, lo[k], hi[k], 1e-8)
+    assert np.all(np.abs(batch[:4] - 1.25) <= 1e-8)
+
+
+@pytest.mark.parametrize("beta_h,beta_c", [(0.5, 1.0), (0.4, 1.4), (0.1, 3.0), (0.9, 1.0)])
+def test_free_penalty_min_against_scalar_scan(beta_h, beta_c):
+    # oracle: the scalar relative-entropy density on a dense h_C grid
+    # plus the exact candidates 0, h_B and (beta_h/beta_c) h_B
+    betas = Betas(beta_h, beta_c)
+    for j in (-500.0, -50.0, -5.0, -1.0, 0.0, 1.0, 5.0, 50.0):
+        top = 4.0 * max(1.0, abs(j))
+        h_bs = np.unique(np.concatenate([[0.0, 1e-12, 2.0 * abs(j) + 1e-9],
+                                         np.linspace(0.0, top, 5)]))
+        d_min, h_c = protocols._free_penalty_min(j, h_bs, betas)
+        for h_b, d, h in zip(h_bs, d_min, h_c):
+            exact = (0.0, h_b, (beta_h / beta_c) * h_b)
+            scan = np.linspace(0.0, max(top, h_b) + 1.0, 61)
+            ref = min(ising.relative_entropy_density(beta_h, beta_c, j, h_b, x)
+                      for x in (*scan, *exact))
+            assert d <= ref + 1e-12 * max(1.0, abs(j))
+            assert d == pytest.approx(
+                ising.relative_entropy_density(beta_h, beta_c, j, h_b, h), abs=1e-12)
+            if h not in exact:
+                m_cold = ising.magnetization_density(beta_c, j, h)
+                m_hot = ising.magnetization_density(beta_h, j, h_b)
+                assert abs(m_cold - m_hot) <= 1e-12
+
+
 # --------------------------------------------------------------------------
 # ferromagnetic precision limit
 

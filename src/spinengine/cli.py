@@ -39,6 +39,9 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_UNDEFINED = 4
 
+# largest staircase a ``cycle`` may hold: one 2^N float64 table per step
+_STAIRCASE_BYTES_MAX = 2 << 30
+
 
 class ConfigError(ValueError):
     """Invalid flag or config-file value; maps to exit code 2."""
@@ -173,11 +176,7 @@ def cmd_sweep_j(args) -> int:
 def cmd_precision(args) -> int:
     config = _load_config(args.config)
     betas = _resolve_betas(args, config)
-    n = int(_resolve(args, config, "n", 6))
-    if n > 12:
-        raise ConfigError("-N above 12 is not supported")
-    if n < 1:
-        raise ConfigError("-N must be at least 1")
+    n = _resolve_n(args, config, 6)
     epsilons = _resolve(args, config, "epsilon", None)
     if not epsilons:
         raise ConfigError("--epsilon list must not be empty")
@@ -193,15 +192,10 @@ def cmd_precision(args) -> int:
               "n": n, "epsilon": epsilons, "j_min": j_min, "j_max": j_max,
               "j_step": j_step, "grid_step": grid_step}
 
-    tasks = [(eps, j) for eps in epsilons for j in js]
-
-    def point(task):
-        eps, j = task
-        p = protocols.chain_efficiency_at_max_work(n, j, betas, epsilon=eps,
-                                                   grid_step=grid_step)
-        return (float(p.j), float(p.epsilon), float(p.efficiency))
-
-    rows = [point(task) for task in tasks]
+    points = (protocols.chain_efficiency_at_max_work(n, j, betas, epsilon=eps,
+                                                     grid_step=grid_step)
+              for eps in epsilons for j in js)
+    rows = [(p.j, p.epsilon, p.efficiency) for p in points]
     _emit_csv(args.output, "J,epsilon,efficiency", params, rows)
     return EXIT_OK
 
@@ -219,19 +213,13 @@ def cmd_optimal_field(args) -> int:
     params = {"command": "optimal-field", "beta": betas,
               "j_min": j_min, "j_max": j_max, "j_step": j_step}
 
-    tasks = [(b, j) for b in betas for j in js]
-
-    def point(task):
-        b, j = task
-        return (b, float(j), float(ising.optimal_field(b, j)))
-
-    rows = [point(task) for task in tasks]
+    rows = [(b, j, ising.optimal_field(b, j)) for b in betas for j in js]
     _emit_csv(args.output, "beta,J,h_opt", params, rows)
     return EXIT_OK
 
 
 def _resolve_n(args, config, default):
-    """Chain length of the exact Ising table commands (``2**n`` entries)."""
+    """Chain length of the finite Ising ring commands."""
     n = int(_resolve(args, config, "n", default))
     if not (1 <= n <= 24):
         raise ConfigError("-N must be between 1 and 24")
@@ -254,6 +242,10 @@ def _corner_fields(args, config):
     return h_a, h_b, h_c, h_d
 
 
+def _corner_tables(n, j, fields):
+    return [ising_diagonal(IsingParams(n, j, h)) for h in fields]
+
+
 def cmd_bound(args) -> int:
     config = _load_config(args.config)
     betas = _resolve_betas(args, config)
@@ -265,11 +257,7 @@ def cmd_bound(args) -> int:
     for label, cls in (("--u-class", u_class), ("--v-class", v_class)):
         if cls not in ("identity", "commuting", "full"):
             raise ConfigError(f"{label} must be identity, commuting, or full")
-
-    def corner(h):
-        return ising_diagonal(IsingParams(n, j, h))
-
-    inputs = BoundInputs(corner(h_a), corner(h_b), corner(h_c), corner(h_d),
+    inputs = BoundInputs(*_corner_tables(n, j, (h_a, h_b, h_c, h_d)),
                          betas, u=u_class, v=v_class)
     terms = bound_terms(inputs)
     eta = terms.efficiency(betas)
@@ -291,11 +279,12 @@ def cmd_cycle(args) -> int:
     steps = int(_resolve(args, config, "steps", 1000))
     if steps < 1:
         raise ConfigError("--steps must be at least 1")
-
-    def corner(h):
-        return ising_diagonal(IsingParams(n, j, h))
-
-    c_a, c_b, c_c, c_d = corner(h_a), corner(h_b), corner(h_c), corner(h_d)
+    staircase_bytes = (2 * steps * 8) << n
+    if staircase_bytes > _STAIRCASE_BYTES_MAX:
+        raise ConfigError(f"-N {n} --steps {steps} needs {staircase_bytes} bytes of "
+                          f"staircase tables, above the {_STAIRCASE_BYTES_MAX}-byte cap; "
+                          "lower --steps or -N")
+    c_a, c_b, c_c, c_d = _corner_tables(n, j, (h_a, h_b, h_c, h_d))
     protocol = carnot_like_cycle(c_d, c_a, c_b, c_c, betas, steps)
     report_obj = run_cycle(c_d, protocol, betas)
     try:
@@ -438,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_betas(sp)
     _add_j_grid(sp)
     sp.add_argument("-N", dest="n", type=int, default=None,
-                    help="chain length (at most 12)")
+                    help="chain length (1 to 24)")
     sp.add_argument("--epsilon", action="append", type=float, default=None,
                     help="field floor; repeat for several curves")
     sp.add_argument("--grid-step", dest="grid_step", type=float, default=None,

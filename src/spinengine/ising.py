@@ -44,6 +44,14 @@ class _Core(NamedTuple):
     delta_b: np.ndarray
     one_minus_m: np.ndarray
 
+    def entropy(self, a, babs):
+        """Entropy per site at the (a, |b|) this core was built from."""
+        return self.delta - a * self.delta_a - babs * self.delta_b
+
+    def ground_energy(self, j, habs):
+        """Energy per site of the reference configuration at (J, |h|)."""
+        return -(j * self.ra + habs * self.rb)
+
 
 def _core(a, babs) -> _Core:
     a = np.asarray(a, dtype=np.float64)
@@ -127,8 +135,7 @@ def free_energy_density(beta, j, h):
     a = beta * np.asarray(j, dtype=np.float64)
     b = beta * np.asarray(h, dtype=np.float64)
     core = _core(a, np.abs(b))
-    e0 = -(np.asarray(j, dtype=np.float64) * core.ra + np.abs(h) * core.rb)
-    out = e0 - core.delta / beta
+    out = core.ground_energy(np.asarray(j, dtype=np.float64), np.abs(h)) - core.delta / beta
     return _maybe_float(out, beta, j, h)
 
 
@@ -137,8 +144,7 @@ def entropy_density(beta, j, h):
     beta = _check_beta(beta)
     a = beta * np.asarray(j, dtype=np.float64)
     babs = beta * np.abs(np.asarray(h, dtype=np.float64))
-    core = _core(a, babs)
-    out = core.delta - a * core.delta_a - babs * core.delta_b
+    out = _core(a, babs).entropy(a, babs)
     return _maybe_float(out, beta, j, h)
 
 
@@ -148,8 +154,7 @@ def internal_energy_density(beta, j, h):
     j = np.asarray(j, dtype=np.float64)
     habs = np.abs(np.asarray(h, dtype=np.float64))
     core = _core(beta * j, beta * habs)
-    e0 = -(j * core.ra + habs * core.rb)
-    out = e0 - j * core.delta_a - habs * core.delta_b
+    out = core.ground_energy(j, habs) - j * core.delta_a - habs * core.delta_b
     return _maybe_float(out, beta, j, h)
 
 
@@ -214,13 +219,32 @@ def optimal_field(beta: float, j: float, tol: float = 1e-13) -> float:
     return 0.5 * (lo + hi)
 
 
+def _relative_entropy(bs, br, j, hs, hr):
+    """Per-site ``D(omega_state || omega_ref)`` at finite fields of either
+    sign, elementwise over broadcast arguments.  The state side is built
+    on the broadcast of ``j`` and ``hs`` only, so a block of reference
+    fields against one state evaluates that state once."""
+    core_s = _core(bs * j, bs * np.abs(hs))
+    core_r = _core(br * j, br * np.abs(hr))
+    sgn_s = np.copysign(1.0, hs)
+    # exact O(1) offset from differing reference phases; zero when they match
+    offset = -j * (core_s.ra - core_r.ra) \
+        + hr * (core_r.rb * np.copysign(1.0, hr) - core_s.rb * sgn_s)
+    u_excess = -j * core_s.delta_a - np.abs(hs) * core_s.delta_b
+    dm = core_s.delta_b * sgn_s
+    value = br * (offset + u_excess + (hs - hr) * dm + core_r.delta / br) \
+        - core_s.entropy(bs * j, bs * np.abs(hs))
+    return np.maximum(value, 0.0)
+
+
 def relative_entropy_density(beta_state, beta_ref, j, h_state, h_ref):
     """Per-site ``D(omega_state || omega_ref)`` between infinite-chain Gibbs states.
 
     Both states share the coupling ``j``; the reference fixes its own
     inverse temperature and field.  ``math.inf`` fields mark a fully
     polarized (pure product) state: matched markers contribute zero,
-    a pure reference against a mixed state gives ``math.inf``.
+    a pure reference against a mixed state gives ``math.inf``.  Finite
+    fields go through :func:`_relative_entropy`.
     """
     bs = float(_check_beta(beta_state))
     br = float(_check_beta(beta_ref))
@@ -240,25 +264,9 @@ def relative_entropy_density(beta_state, beta_ref, j, h_state, h_ref):
         # fully polarized product state: energy density -hr*sign(hs) - j,
         # zero entropy, so D/N = beta_ref*(u_pure - f_ref)
         core_r = _core(br * j, br * abs(hr))
-        e0_r = -(j * float(core_r.ra) + abs(hr) * float(core_r.rb))
-        sgn = 1.0 if hs > 0 else -1.0
-        e_pure = -hr * sgn - j
-        return br * (e_pure - e0_r) + float(core_r.delta)
-
-    core_s = _core(bs * j, bs * abs(hs))
-    core_r = _core(br * j, br * abs(hr))
-    sgn_s = math.copysign(1.0, hs)
-    ra_s, rb_s = float(core_s.ra), float(core_s.rb) * sgn_s
-    ra_r, rb_r = float(core_r.ra), float(core_r.rb) * math.copysign(1.0, hr)
-    # exact O(1) offset from differing reference phases; zero when they match
-    offset = -j * (ra_s - ra_r) + hr * (rb_r - rb_s)
-    u_excess = -j * float(core_s.delta_a) - abs(hs) * float(core_s.delta_b)
-    dm = float(core_s.delta_b) * sgn_s
-    entropy_s = float(core_s.delta) - bs * j * float(core_s.delta_a) \
-        - bs * abs(hs) * float(core_s.delta_b)
-    value = br * (offset + u_excess + (hs - hr) * dm + float(core_r.delta) / br) \
-        - entropy_s
-    return max(value, 0.0)
+        e_pure = -hr * math.copysign(1.0, hs) - j
+        return br * (e_pure - float(core_r.ground_energy(j, abs(hr)))) + float(core_r.delta)
+    return float(_relative_entropy(bs, br, j, hs, hr))
 
 
 def transfer_matrix_logZ(n_sites: int, j, h, beta):

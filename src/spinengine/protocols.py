@@ -75,35 +75,32 @@ def _entropy_density(beta: float, j: float, h: float) -> float:
     return ising.entropy_density(beta, j, h)
 
 
-def _penalties(j: float, fields: ProtocolFields, betas: Betas):
+def _ledger(j: float, fields: ProtocolFields, betas: Betas):
+    """(w, q_h) per site.  The penalties are >= 0 or ``math.inf`` (pure
+    reference against a mixed state), so an infinite one gives w = -inf
+    by IEEE rules, and an infinite d_DA also q_h = -inf."""
     ds = _entropy_density(betas.beta_h, j, fields.h_b) \
         - _entropy_density(betas.beta_c, j, fields.h_d)
     d_da = ising.relative_entropy_density(
         betas.beta_c, betas.beta_h, j, fields.h_d, fields.h_a)
     d_bc = ising.relative_entropy_density(
         betas.beta_h, betas.beta_c, j, fields.h_b, fields.h_c)
-    return ds, d_da, d_bc
+    w = (betas.t_h - betas.t_c) * ds - betas.t_h * d_da - betas.t_c * d_bc
+    return w, betas.t_h * (ds - d_da)
 
 
 def work_density(j: float, fields: ProtocolFields, betas: Betas) -> float:
     """Extracted work per site of the four-corner cycle; ``-inf`` when a
     mismatch penalty is infinite (pure reference against a mixed state)."""
-    ds, d_da, d_bc = _penalties(j, fields, betas)
-    if math.isinf(d_da) or math.isinf(d_bc):
-        return -math.inf
-    return (betas.t_h - betas.t_c) * ds - betas.t_h * d_da - betas.t_c * d_bc
+    return _ledger(j, fields, betas)[0]
 
 
 def efficiency_thermo_limit(j: float, fields: ProtocolFields, betas: Betas) -> float:
     """Work over hot heat for the cycle; raises when no heat is drawn."""
-    ds, d_da, d_bc = _penalties(j, fields, betas)
-    q_h = betas.t_h * (ds - d_da)
+    w, q_h = _ledger(j, fields, betas)
     if not q_h > 0.0:
         raise UndefinedResultError(
             "no positive heat intake on the hot isotherm; efficiency undefined")
-    if math.isinf(d_bc):
-        return -math.inf
-    w = (betas.t_h - betas.t_c) * ds - betas.t_h * d_da - betas.t_c * d_bc
     return w / q_h
 
 
@@ -158,8 +155,14 @@ def _refine(w_of, scans, tol: float) -> np.ndarray:
     return np.where(w_of(h_ref) >= w_grid, h_ref, h_grid)
 
 
+def _eta(w, s_h, beta_h: float):
+    """Efficiency w / (T_h s_h) of the matched cycles, 0 where s_h <= 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(s_h > 0.0, w * beta_h / np.where(s_h > 0.0, s_h, 1.0), 0.0)
+
+
 def _paper_work_eta(j, h, betas: Betas):
-    """Vectorized (w, eta, s_h) for the shared-field family h_C = h_B = h.
+    """Vectorized (w, eta) for the shared-field family h_C = h_B = h.
 
     ``j`` is a scalar or broadcasts against ``h``.  With matched pure
     corners the ledger collapses to the exact identity
@@ -169,13 +172,11 @@ def _paper_work_eta(j, h, betas: Betas):
     j = np.asarray(j, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     bh, bc = betas.beta_h, betas.beta_c
-    core_h = _core(bh * j, bh * np.abs(h))
+    a_h, b_h = bh * j, bh * np.abs(h)
+    core_h = _core(a_h, b_h)
     core_c = _core(bc * j, bc * np.abs(h))
     w = core_h.delta / bh - core_c.delta / bc
-    s_h = core_h.delta - bh * j * core_h.delta_a - bh * np.abs(h) * core_h.delta_b
-    with np.errstate(invalid="ignore", divide="ignore"):
-        eta = np.where(s_h > 0.0, w * bh / np.where(s_h > 0.0, s_h, 1.0), 0.0)
-    return w, eta, s_h
+    return w, _eta(w, core_h.entropy(a_h, b_h), bh)
 
 
 def _free_penalty_min(j, h_b, betas: Betas):
@@ -185,57 +186,46 @@ def _free_penalty_min(j, h_b, betas: Betas):
 
     The minimizer is the I-projection of the hot state onto the cold
     Gibbs family: the penalty is convex in h_C and stationary where the
-    cold magnetization matches the hot one.  The magnetization rises
-    with h, so h_C is bisected on the exact complement ``one_minus_m``
-    over [0, max(4*max(1, |J|), h_B) + 1]; an element stops once its
-    midpoint rounds to an endpoint, or after 100 halvings.
+    cold magnetization matches the hot one, m.  The chain's
+    m = sinh b / sqrt(sinh^2 b + e^{-4a}) inverts in closed form,
+    sinh(beta_c h_C) = m e^{-2 beta_c J} / sqrt((1 - m)(1 + m)), taken in
+    logs with the exact complement ``one_minus_m``; where m rounds to 1
+    the root is not finite and h_B takes its place.
 
     The exact candidates 0, h_B and (beta_h/beta_c)*h_B compete with the
-    root, and win ties: where one of them is the exact minimizer (h_C = 0,
-    which the halvings only approach, or a structural zero such as the
-    scaled field at J = 0), the float-resolution root leaves an excess of
-    up to ~5e-14 per site.
+    root, come first and win ties: where one of them is the exact
+    minimizer (a structural zero such as the scaled field at J = 0, or
+    an exponentially steep well) the rounded root leaves a small excess.
+    All four go through one broadcast :func:`ising._relative_entropy`.
     """
     j = np.asarray(j, dtype=np.float64)
     h_b = np.asarray(h_b, dtype=np.float64)
     bh, bc = betas.beta_h, betas.beta_c
     core_s = _core(bh * j, bh * np.abs(h_b))
-    u_excess = -j * core_s.delta_a - np.abs(h_b) * core_s.delta_b
-    s_s = core_s.delta - bh * j * core_s.delta_a - bh * np.abs(h_b) * core_s.delta_b
-
-    def d_of(h_c):
-        core_r = _core(bc * j, bc * np.abs(h_c))
-        offset = -j * (core_s.ra - core_r.ra) + h_c * (core_r.rb - core_s.rb)
-        val = bc * (offset + u_excess + (h_b - h_c) * core_s.delta_b) \
-            + core_r.delta - s_s
-        return np.maximum(val, 0.0)
-
-    hi = np.maximum(4.0 * np.maximum(1.0, np.abs(j)), h_b) + 1.0
-    lo = np.zeros_like(hi)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        live = (lo < mid) & (mid < hi)
-        if not np.any(live):
-            break
-        # cold magnetization still below the hot one: the root lies above
-        below = _core(bc * j, bc * mid).one_minus_m > core_s.one_minus_m
-        lo = np.where(live & below, mid, lo)
-        hi = np.where(live & ~below, mid, hi)
-    candidates = np.stack(np.broadcast_arrays(
-        0.0, h_b, (bh / bc) * h_b, 0.5 * (lo + hi)))
-    values = np.stack([d_of(c) for c in candidates])
-    pick = np.argmin(values, axis=0)
-    return np.take_along_axis(values, pick[None], 0)[0], \
-        np.take_along_axis(candidates, pick[None], 0)[0]
+    m = core_s.rb + core_s.delta_b
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_sinh = np.log(m) - 2.0 * bc * j \
+            - 0.5 * (np.log(core_s.one_minus_m) + np.log1p(m))
+        # asinh(e^L), in log form where e^L would overflow
+        asinh = np.where(log_sinh > 0.0,
+                         log_sinh + np.log1p(np.sqrt(1.0 + np.exp(-2.0 * log_sinh))),
+                         np.arcsinh(np.exp(log_sinh)))
+    root = np.where(np.isfinite(asinh), asinh / bc, h_b)
+    candidates = np.stack(np.broadcast_arrays(0.0, h_b, (bh / bc) * h_b, root))
+    values = ising._relative_entropy(bh, bc, j, h_b, candidates)
+    pick = np.argmin(values, axis=0)[None]
+    return np.take_along_axis(values, pick, 0)[0], np.take_along_axis(candidates, pick, 0)[0]
 
 
 def _free_work_eta(j, h, betas: Betas):
-    _, _, s_h = _paper_work_eta(j, h, betas)
+    """Vectorized (w, eta) with h_B = h and each matching field relaxed."""
+    j = np.asarray(j, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)
+    a_h, b_h = betas.beta_h * j, betas.beta_h * np.abs(h)
+    s_h = _core(a_h, b_h).entropy(a_h, b_h)
     d_min, _ = _free_penalty_min(j, h, betas)
     w = (betas.t_h - betas.t_c) * s_h - betas.t_c * d_min
-    with np.errstate(invalid="ignore", divide="ignore"):
-        eta = np.where(s_h > 0.0, w * betas.beta_h / np.where(s_h > 0.0, s_h, 1.0), 0.0)
-    return w, eta, s_h
+    return w, _eta(w, s_h, betas.beta_h)
 
 
 def sweep_j(j_values: Sequence[float], betas: Betas,
@@ -255,7 +245,7 @@ def sweep_j(j_values: Sequence[float], betas: Betas,
     scans = [_grid_argmax(lambda h: evaluate(j, h, betas)[0],
                           0.0, 4.0 * max(1.0, abs(j)), grid_step) for j in js]
     h_opt = _refine(lambda h: evaluate(js, h, betas)[0], scans, refine_tol)
-    w_opt, eta_opt, _ = evaluate(js, h_opt, betas)
+    w_opt, eta_opt = evaluate(js, h_opt, betas)
     return [SweepPoint(float(j), float(h), float(w), float(eta), mode)
             for j, h, w, eta in zip(js, h_opt, w_opt, eta_opt)]
 

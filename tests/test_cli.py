@@ -160,7 +160,7 @@ def test_cycle_and_bound_run_on_tables_at_n16(tmp_path):
     assert bound["n"] == 16 and bound["eta_bound"] <= bound["carnot"]
 
 
-@pytest.mark.parametrize("command", ["cycle", "bound", "gs-deg"])
+@pytest.mark.parametrize("command", ["cycle", "bound", "gs-deg", "precision"])
 def test_chain_length_range(command, capsys):
     for n in ("0", "25"):
         assert main([command, "-N", n]) == EXIT_CONFIG
@@ -228,6 +228,12 @@ def test_config_file_invalid_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_cycle_rejects_oversized_staircase(capsys):
+    # 2 * 1000 steps * 2**24 levels * 8 bytes: refused before any table exists
+    assert main(["cycle", "-N", "24"]) == EXIT_CONFIG
+    assert str(2 * 1000 * 8 << 24) in capsys.readouterr().err
+
+
 def test_config_file_missing_is_io_error(tmp_path):
     assert main(["sweep-j", "--config", str(tmp_path / "none.json")]) == EXIT_IO
 
@@ -242,7 +248,7 @@ def test_bad_grid_step_names_the_flag(capsys):
 
 
 def test_config_exit_codes(tmp_path):
-    assert main(["precision", "-N", "13", "--epsilon", "0"]) == EXIT_CONFIG
+    assert main(["precision", "-N", "25", "--epsilon", "0"]) == EXIT_CONFIG
     assert main(["precision"]) == EXIT_CONFIG  # no epsilon given
     assert main(["precision", "-N", "4", "--epsilon", "-1"]) == EXIT_CONFIG
     assert main(["optimal-field", "--beta", "-1"]) == EXIT_CONFIG

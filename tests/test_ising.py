@@ -230,6 +230,21 @@ def test_relative_entropy_density_matches_finite_chain():
     got2 = ising.relative_entropy_density(0.5, 1.0, -1.0, 3.1, 2.6)
     ref2 = finite_relative_entropy_per_site(14, 0.5, 1.0, -1.0, 3.1, 2.6)
     assert got2 == pytest.approx(ref2, abs=1e-4)
+    # signed fields, including states polarized against the reference
+    for h_s, h_r, tol in ((-3.1, -2.6, 1e-10), (3.1, -2.6, 1e-7), (-2.6, 3.1, 1e-7)):
+        got = ising.relative_entropy_density(0.5, 1.0, -1.0, h_s, h_r)
+        ref = finite_relative_entropy_per_site(14, 0.5, 1.0, -1.0, h_s, h_r)
+        assert got == pytest.approx(ref, abs=tol)
+
+
+def test_relative_entropy_broadcast_matches_scalar():
+    rng = np.random.default_rng(7)
+    bs, br = rng.uniform(0.05, 3.0, size=(2, 400))
+    j = rng.uniform(-50.0, 50.0, size=400)
+    h_s, h_r = rng.uniform(-60.0, 60.0, size=(2, 400))
+    got = ising._relative_entropy(bs, br, j, h_s, h_r)
+    ref = [ising.relative_entropy_density(*p) for p in zip(bs, br, j, h_s, h_r)]
+    np.testing.assert_array_equal(got, ref)
 
 
 def test_relative_entropy_density_strong_coupling_corner():

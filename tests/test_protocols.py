@@ -169,6 +169,8 @@ def test_free_penalty_min_against_scalar_scan(beta_h, beta_c):
         h_bs = np.unique(np.concatenate([[0.0, 1e-12, 2.0 * abs(j) + 1e-9],
                                          np.linspace(0.0, top, 5)]))
         d_min, h_c = protocols._free_penalty_min(j, h_bs, betas)
+        # includes the points where the hot magnetization rounds to 1
+        assert np.all(np.isfinite(d_min)) and np.all(np.isfinite(h_c))
         for h_b, d, h in zip(h_bs, d_min, h_c):
             exact = (0.0, h_b, (beta_h / beta_c) * h_b)
             scan = np.linspace(0.0, max(top, h_b) + 1.0, 61)
@@ -274,6 +276,14 @@ def test_chain_matches_thermodynamic_limit():
     limit = efficiency_at_max_work(-1.0, BETAS)
     assert chain.efficiency == pytest.approx(limit.efficiency, abs=1e-3)
     assert chain.h_opt == pytest.approx(limit.h_opt, abs=5e-2)
+
+
+def test_long_chain_work_converges_to_closed_form():
+    # the finite-N gap shrinks exponentially; slowest near J = 0
+    for j, tol in ((-2.0, 1e-11), (-0.5, 1e-9), (0.5, 1e-9)):
+        chain = chain_efficiency_at_max_work(24, j, BETAS)
+        limit = efficiency_at_max_work(j, BETAS)
+        assert chain.work_density == pytest.approx(limit.work_density, abs=tol)
 
 
 def test_chain_field_floor_lowers_efficiency():

@@ -213,7 +213,7 @@ def cmd_optimal_field(args) -> int:
     params = {"command": "optimal-field", "beta": betas,
               "j_min": j_min, "j_max": j_max, "j_step": j_step}
 
-    rows = [(b, j, ising.optimal_field(b, j)) for b in betas for j in js]
+    rows = [(b, j, float(h)) for b in betas for j, h in zip(js, ising.optimal_field(b, js))]
     _emit_csv(args.output, "beta,J,h_opt", params, rows)
     return EXIT_OK
 

@@ -53,57 +53,78 @@ class _Core(NamedTuple):
         return -(j * self.ra + habs * self.rb)
 
 
-def _core(a, babs) -> _Core:
-    a = np.asarray(a, dtype=np.float64)
-    babs = np.asarray(babs, dtype=np.float64)
-    a, babs = np.broadcast_arrays(a, babs)
+def _branchwise(a, babs, polarized, staggered):
+    """Evaluate ``polarized`` where 2a + |b| >= 0 and ``staggered``
+    elsewhere, elementwise over broadcast (a, |b|).  Each branch maps flat
+    arrays to a tuple of equally long arrays; the merged tuple comes back
+    in the broadcast shape."""
+    a, babs = np.broadcast_arrays(np.asarray(a, dtype=np.float64),
+                                  np.asarray(babs, dtype=np.float64))
     shape = a.shape
-    a = np.ravel(a).astype(np.float64)
-    babs = np.ravel(babs).astype(np.float64)
-    ra = np.empty_like(a)
-    rb = np.empty_like(a)
-    delta = np.empty_like(a)
-    delta_a = np.empty_like(a)
-    delta_b = np.empty_like(a)
-    omm = np.empty_like(a)
-
+    a, babs = np.ravel(a), np.ravel(babs)
     pol = (2.0 * a + babs) >= 0.0
-    if np.any(pol):
-        ap, bp = a[pol], babs[pol]
-        q = np.exp(-2.0 * bp)
-        p = np.exp(-2.0 * (2.0 * ap + bp))
-        omq = -np.expm1(-2.0 * bp)
-        root = np.sqrt(0.25 * omq * omq + p)
-        inner = 0.5 * (1.0 + q) + root
-        half = root + 0.5 * omq
-        delta[pol] = np.log1p(p / half)
-        delta_a[pol] = -2.0 * p / (root * inner)
-        # subtraction-free magnetization complement: equals
-        # (q + (p - q*omq/2)/root)/inner but stays exact when p << omq^2
-        one_minus_m = p * (q + half) / (root * half * inner)
-        omm[pol] = one_minus_m
-        delta_b[pol] = -one_minus_m
-        ra[pol] = 1.0
-        rb[pol] = 1.0
+    if pol.all():
+        parts = polarized(a, babs)
+    elif not pol.any():
+        parts = staggered(a, babs)
+    else:
+        stag = ~pol
+        pol_parts = polarized(a[pol], babs[pol])
+        parts = tuple(np.empty_like(a) for _ in pol_parts)
+        for out, xp, xs in zip(parts, pol_parts, staggered(a[stag], babs[stag])):
+            out[pol] = xp
+            out[stag] = xs
+    return tuple(x.reshape(shape) for x in parts)
 
-    stag = ~pol
-    if np.any(stag):
-        an, bn = a[stag], babs[stag]
-        q = np.exp(-2.0 * bn)
-        g1 = np.exp(2.0 * an + bn + np.log1p(q) - _LOG2)
-        with np.errstate(divide="ignore"):
-            log_sinh = bn + np.log(-np.expm1(-2.0 * bn)) - _LOG2
-        g2 = np.exp(2.0 * an + log_sinh)
-        hyp = np.hypot(g2, 1.0)
-        inner = g1 + hyp
-        delta[stag] = np.log1p(g1 + g2 * g2 / (1.0 + hyp))
-        delta_a[stag] = (2.0 * g1 + 2.0 * g2 * g2 / hyp) / inner
-        delta_b[stag] = g2 * (1.0 + g1 / hyp) / inner
-        omm[stag] = 1.0 - delta_b[stag]
-        ra[stag] = -1.0
-        rb[stag] = 0.0
 
-    return _Core(*(x.reshape(shape) for x in (ra, rb, delta, delta_a, delta_b, omm)))
+def _polarized(a, babs):
+    """delta and the terms (p, root, half) of the polarized reference."""
+    p = np.exp(-2.0 * (2.0 * a + babs))
+    omq = -np.expm1(-2.0 * babs)
+    root = np.sqrt(0.25 * omq * omq + p)
+    half = root + 0.5 * omq
+    return np.log1p(p / half), p, root, half
+
+
+def _staggered(a, babs):
+    """delta and the terms (g1, g2, hyp) of the staggered reference."""
+    q = np.exp(-2.0 * babs)
+    g1 = np.exp(2.0 * a + babs + np.log1p(q) - _LOG2)
+    with np.errstate(divide="ignore"):
+        log_sinh = babs + np.log(-np.expm1(-2.0 * babs)) - _LOG2
+    g2 = np.exp(2.0 * a + log_sinh)
+    hyp = np.hypot(g2, 1.0)
+    return np.log1p(g1 + g2 * g2 / (1.0 + hyp)), g1, g2, hyp
+
+
+def _core_polarized(a, babs):
+    delta, p, root, half = _polarized(a, babs)
+    q = np.exp(-2.0 * babs)
+    inner = 0.5 * (1.0 + q) + root
+    # subtraction-free magnetization complement: equals
+    # (q + (p - q*omq/2)/root)/inner but stays exact when p << omq^2
+    one_minus_m = p * (q + half) / (root * half * inner)
+    return (np.ones_like(a), np.ones_like(a), delta, -2.0 * p / (root * inner),
+            -one_minus_m, one_minus_m)
+
+
+def _core_staggered(a, babs):
+    delta, g1, g2, hyp = _staggered(a, babs)
+    inner = g1 + hyp
+    delta_b = g2 * (1.0 + g1 / hyp) / inner
+    return (np.full_like(a, -1.0), np.zeros_like(a), delta,
+            (2.0 * g1 + 2.0 * g2 * g2 / hyp) / inner, delta_b, 1.0 - delta_b)
+
+
+def _core(a, babs) -> _Core:
+    return _Core(*_branchwise(a, babs, _core_polarized, _core_staggered))
+
+
+def _log_excess(a, babs) -> np.ndarray:
+    """``_core(a, babs).delta`` alone, bit for bit: the work of the matched
+    cycles needs no partials."""
+    return _branchwise(a, babs, lambda *ab: _polarized(*ab)[:1],
+                       lambda *ab: _staggered(*ab)[:1])[0]
 
 
 def _check_beta(beta) -> np.ndarray:
@@ -190,41 +211,42 @@ def entropy_density_dh(beta, j, h):
     return _maybe_float(out, beta, j, h)
 
 
-def optimal_field(beta: float, j: float, tol: float = 1e-13) -> float:
-    """Entropy-maximizing field of the infinite chain at fixed (beta, J).
+def optimal_field(beta: float, j, tol: float = 1e-13):
+    """Entropy-maximizing field of the infinite chain at fixed (beta, J),
+    elementwise over ``j``.
 
     Zero unless the coupling is antiferromagnetic with ``2|J|beta > 1``;
     then the unique positive solution of ``h = 2|J| tanh(beta h)``,
-    located by bisection.
+    located by one bisection for all of ``j``: each element freezes once
+    its own bracket is within ``tol``, so a batch follows each element's
+    scalar path exactly.
     """
     beta = float(_check_beta(beta))
-    j = float(j)
-    if j >= 0 or 2.0 * abs(j) * beta <= 1.0:
-        return 0.0
-    jj = 2.0 * abs(j)
-    lo, hi = 0.0, jj
-
-    def shifted(x):
-        return x - jj * math.tanh(beta * x)
-
+    j = np.asarray(j, dtype=np.float64)
+    jj = 2.0 * np.abs(j)
     # slope at 0 is 1 - 2|J|beta < 0, slope at 2|J| positive: root bracketed
+    live = ~((j >= 0) | (jj * beta <= 1.0))
+    lo = np.zeros(jj.shape)
+    hi = np.where(live, jj, 0.0)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if shifted(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
+        if not live.any():
             break
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        below = mid - jj * np.tanh(beta * mid) < 0.0
+        np.copyto(lo, mid, where=live & below)
+        np.copyto(hi, mid, where=live & ~below)
+        live &= hi - lo >= tol
+    return _maybe_float(0.5 * (lo + hi), j)
 
 
-def _relative_entropy(bs, br, j, hs, hr):
+def _relative_entropy(bs, br, j, hs, hr, core_s=None):
     """Per-site ``D(omega_state || omega_ref)`` at finite fields of either
     sign, elementwise over broadcast arguments.  The state side is built
     on the broadcast of ``j`` and ``hs`` only, so a block of reference
-    fields against one state evaluates that state once."""
-    core_s = _core(bs * j, bs * np.abs(hs))
+    fields against one state evaluates that state once; ``core_s`` is
+    that state's ``_core`` at (bs*j, bs*|hs|) when the caller holds it."""
+    if core_s is None:
+        core_s = _core(bs * j, bs * np.abs(hs))
     core_r = _core(br * j, br * np.abs(hr))
     sgn_s = np.copysign(1.0, hs)
     # exact O(1) offset from differing reference phases; zero when they match

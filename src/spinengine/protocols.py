@@ -161,28 +161,27 @@ def _eta(w, s_h, beta_h: float):
         return np.where(s_h > 0.0, w * beta_h / np.where(s_h > 0.0, s_h, 1.0), 0.0)
 
 
-def _paper_work_eta(j, h, betas: Betas):
-    """Vectorized (w, eta) for the shared-field family h_C = h_B = h.
+def _paper_work(j, h, betas: Betas, core_h=None):
+    """Vectorized work density of the shared-field family h_C = h_B = h.
 
     ``j`` is a scalar or broadcasts against ``h``.  With matched pure
     corners the ledger collapses to the exact identity
     w = T_h*delta_h - T_c*delta_c on the reduced log-corrections, which
-    stays fully accurate when both terms are ~1e-18.
+    stays fully accurate when both terms are ~1e-18.  ``core_h`` is the
+    hot ``_core`` at (beta_h*J, beta_h*|h|) when the caller holds it.
     """
     j = np.asarray(j, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     bh, bc = betas.beta_h, betas.beta_c
-    a_h, b_h = bh * j, bh * np.abs(h)
-    core_h = _core(a_h, b_h)
-    core_c = _core(bc * j, bc * np.abs(h))
-    w = core_h.delta / bh - core_c.delta / bc
-    return w, _eta(w, core_h.entropy(a_h, b_h), bh)
+    delta_h = ising._log_excess(bh * j, bh * np.abs(h)) if core_h is None else core_h.delta
+    return delta_h / bh - ising._log_excess(bc * j, bc * np.abs(h)) / bc
 
 
-def _free_penalty_min(j, h_b, betas: Betas):
+def _free_penalty_min(j, h_b, betas: Betas, core_s=None):
     """Minimal cold-entry penalty min over h_C >= 0 of D(hot B || cold C)
     per site, and the h_C that attains it, elementwise over ``h_b``
-    (``j`` is a scalar or broadcasts against it).
+    (``j`` is a scalar or broadcasts against it).  ``core_s`` is the hot
+    ``_core`` at (beta_h*J, beta_h*|h_B|) when the caller holds it.
 
     The minimizer is the I-projection of the hot state onto the cold
     Gibbs family: the penalty is convex in h_C and stationary where the
@@ -201,7 +200,8 @@ def _free_penalty_min(j, h_b, betas: Betas):
     j = np.asarray(j, dtype=np.float64)
     h_b = np.asarray(h_b, dtype=np.float64)
     bh, bc = betas.beta_h, betas.beta_c
-    core_s = _core(bh * j, bh * np.abs(h_b))
+    if core_s is None:
+        core_s = _core(bh * j, bh * np.abs(h_b))
     m = core_s.rb + core_s.delta_b
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_sinh = np.log(m) - 2.0 * bc * j \
@@ -212,20 +212,21 @@ def _free_penalty_min(j, h_b, betas: Betas):
                          np.arcsinh(np.exp(log_sinh)))
     root = np.where(np.isfinite(asinh), asinh / bc, h_b)
     candidates = np.stack(np.broadcast_arrays(0.0, h_b, (bh / bc) * h_b, root))
-    values = ising._relative_entropy(bh, bc, j, h_b, candidates)
+    values = ising._relative_entropy(bh, bc, j, h_b, candidates, core_s)
     pick = np.argmin(values, axis=0)[None]
     return np.take_along_axis(values, pick, 0)[0], np.take_along_axis(candidates, pick, 0)[0]
 
 
-def _free_work_eta(j, h, betas: Betas):
-    """Vectorized (w, eta) with h_B = h and each matching field relaxed."""
+def _free_work(j, h, betas: Betas, core_h=None):
+    """Vectorized work density with h_B = h and each matching field
+    relaxed; ``core_h`` as in :func:`_paper_work`."""
     j = np.asarray(j, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     a_h, b_h = betas.beta_h * j, betas.beta_h * np.abs(h)
-    s_h = _core(a_h, b_h).entropy(a_h, b_h)
-    d_min, _ = _free_penalty_min(j, h, betas)
-    w = (betas.t_h - betas.t_c) * s_h - betas.t_c * d_min
-    return w, _eta(w, s_h, betas.beta_h)
+    if core_h is None:
+        core_h = _core(a_h, b_h)
+    d_min, _ = _free_penalty_min(j, h, betas, core_h)
+    return (betas.t_h - betas.t_c) * core_h.entropy(a_h, b_h) - betas.t_c * d_min
 
 
 def sweep_j(j_values: Sequence[float], betas: Betas,
@@ -235,17 +236,21 @@ def sweep_j(j_values: Sequence[float], betas: Betas,
     every coupling in ``j_values``.
 
     Each J gets a coarse grid on [0, 4*max(1, |J|)]; one golden-section
-    refinement then runs around all the grid argmaxes at once.  Reports
-    the optimal field, the work density, and the efficiency there.
+    refinement then runs around all the grid argmaxes at once.  Both
+    search on the work alone.  Reports the optimal field, the work
+    density, and the efficiency there.
     """
     if mode not in (PAPER_PROTOCOL, FREE_FIELDS):
         raise ValueError(f"unknown protocol mode: {mode!r}")
-    evaluate = _paper_work_eta if mode == PAPER_PROTOCOL else _free_work_eta
+    work = _paper_work if mode == PAPER_PROTOCOL else _free_work
     js = np.array(j_values, dtype=np.float64).reshape(-1)
-    scans = [_grid_argmax(lambda h: evaluate(j, h, betas)[0],
+    scans = [_grid_argmax(lambda h: work(j, h, betas),
                           0.0, 4.0 * max(1.0, abs(j)), grid_step) for j in js]
-    h_opt = _refine(lambda h: evaluate(js, h, betas)[0], scans, refine_tol)
-    w_opt, eta_opt = evaluate(js, h_opt, betas)
+    h_opt = _refine(lambda h: work(js, h, betas), scans, refine_tol)
+    a_h, b_h = betas.beta_h * js, betas.beta_h * np.abs(h_opt)
+    core_h = _core(a_h, b_h)
+    w_opt = work(js, h_opt, betas, core_h)
+    eta_opt = _eta(w_opt, core_h.entropy(a_h, b_h), betas.beta_h)
     return [SweepPoint(float(j), float(h), float(w), float(eta), mode)
             for j, h, w, eta in zip(js, h_opt, w_opt, eta_opt)]
 

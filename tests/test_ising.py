@@ -172,6 +172,39 @@ def test_entropy_field_derivative_closed_form():
     assert ising.entropy_density_dh(beta, j, 2.5) < 0
 
 
+def test_log_excess_matches_core_delta():
+    # the work-only path must be the delta of _core bit for bit, in both
+    # branches and at the extremes: |a| up to 500*beta, b = 0, and the
+    # polarized h = 0 underflow (nan) past beta*J ~ 186
+    rng = np.random.default_rng(11)
+    a = np.concatenate([rng.uniform(-700.0, 700.0, 4000), rng.normal(0.0, 3.0, 4000),
+                        [500.0, -500.0, 700.0, -700.0, 0.0, 186.0, 186.5, 200.0, 250.0]])
+    b = np.concatenate([rng.uniform(0.0, 1400.0, 4000), np.abs(rng.normal(0.0, 3.0, 4000)),
+                        [0.0, 1000.0, 0.0, 1400.0, 0.0, 0.0, 0.0, 0.0, 1e-300]])
+    b[::5] = 0.0
+    pol = 2.0 * a + b >= 0.0
+    assert pol.any() and not pol.all()
+    with np.errstate(invalid="ignore"):
+        mixed = ising._core(a, b)
+        assert np.isnan(mixed.delta).any()
+        np.testing.assert_array_equal(ising._log_excess(a, b), mixed.delta)  # nan == nan
+        # single-branch inputs skip the masked merge; every field agrees
+        for mask in (pol, ~pol):
+            for x, y in zip(mixed, ising._core(a[mask], b[mask])):
+                np.testing.assert_array_equal(x[mask], y)
+        # single-branch blocks, a scalar coupling against a field row, and
+        # the shape of broadcast inputs
+        for beta in (0.5, 1.0, 1.4):
+            for j in (-500.0, -3.0, 0.0, 1.0, 200.0):
+                h = np.arange(0.0, 4.0 * max(1.0, abs(j)), 0.37)
+                np.testing.assert_array_equal(ising._log_excess(beta * j, beta * h),
+                                              ising._core(beta * j, beta * h).delta)
+        grid = ising._log_excess(a[:6, None], b[None, :4])
+        assert grid.shape == (6, 4)
+        np.testing.assert_array_equal(grid, ising._core(a[:6, None], b[None, :4]).delta)
+    assert np.shape(ising._log_excess(0.3, 0.2)) == ()
+
+
 def test_optimal_field_phase_boundary():
     assert ising.optimal_field(1.0, -0.4) == 0.0
     assert ising.optimal_field(1.0, 0.0) == 0.0
@@ -199,6 +232,47 @@ def test_optimal_field_slope_jump_at_threshold():
     right = (ising.optimal_field(1.0, -0.502) - ising.optimal_field(1.0, -0.501)) / step
     assert left == 0.0
     assert right > 0.5
+
+
+def bisect_optimal_field(beta, j, tol=1e-13):
+    # the scalar math.tanh bisection the array path replaced
+    jj = 2.0 * abs(j)
+    if j >= 0 or jj * beta <= 1.0:
+        return 0.0
+    lo, hi = 0.0, jj
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid - jj * math.tanh(beta * mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < tol:
+            break
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+def test_optimal_field_array_path(beta):
+    rng = np.random.default_rng(int(10 * beta))
+    threshold = -0.5 / beta
+    js = np.concatenate([
+        rng.uniform(-500.0, 500.0, 200), rng.uniform(-3.0, 0.0, 200),
+        [0.0, -0.0, 1.0, threshold, -500.0],
+        # within 1e-9 of 2|J|beta = 1, on both sides
+        threshold + np.linspace(-1e-9, 1e-9, 21)])
+    got = ising.optimal_field(beta, js)
+    assert got.shape == js.shape
+    single = [ising.optimal_field(beta, float(j)) for j in js]
+    assert all(isinstance(h, float) for h in single)
+    np.testing.assert_array_equal(got, single)
+    off = (js >= 0) | (2.0 * np.abs(js) * beta <= 1.0)
+    assert np.all(got[off] == 0.0)
+    assert np.all(got[~off] > 0.0)
+    jj = 2.0 * np.abs(js)
+    residual = np.abs(got - jj * np.tanh(beta * got))
+    assert np.all(residual <= 1e-12 * np.maximum(1.0, jj))
+    ref = np.array([bisect_optimal_field(beta, float(j)) for j in js])
+    assert np.max(np.abs(got - ref)) <= 1e-10
 
 
 # --------------------------------------------------------------------------

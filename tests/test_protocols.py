@@ -147,6 +147,31 @@ def test_sweep_matches_pointwise_optimizer():
         np.testing.assert_array_equal([p[:4] for p in batch], [p[:4] for p in single])
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_paper_sweep_matches_full_core_scan():
+    # the paper search runs on the work-only log excess; the same search
+    # built on the full _core, efficiency at every probe, gives the same rows
+    bh, bc = BETAS.beta_h, BETAS.beta_c
+
+    def work_eta(j, h):
+        a_h, b_h = bh * j, bh * np.abs(h)
+        core_h = ising._core(a_h, b_h)
+        w = core_h.delta / bh - ising._core(bc * j, bc * np.abs(h)).delta / bc
+        s_h = core_h.entropy(a_h, b_h)
+        with np.errstate(divide="ignore"):
+            eta = np.where(s_h > 0.0, w * bh / np.where(s_h > 0.0, s_h, 1.0), 0.0)
+        return w, eta
+
+    js = np.array([-500.0, -3.0, 0.0, 1.0, 200.0])
+    scans = [protocols._grid_argmax(lambda h: work_eta(j, h)[0],
+                                    0.0, 4.0 * max(1.0, abs(j)), 1e-2) for j in js]
+    h_ref = protocols._refine(lambda h: work_eta(js, h)[0], scans, 1e-8)
+    w_ref, eta_ref = work_eta(js, h_ref)
+    got = sweep_j(js, BETAS, PAPER_PROTOCOL)
+    np.testing.assert_array_equal([p[:4] for p in got],
+                                  np.column_stack([js, h_ref, w_ref, eta_ref]))
+
+
 def test_golden_max_batch_matches_scalar_calls():
     def peak(x):
         return -np.abs(x - 1.25)

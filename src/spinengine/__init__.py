@@ -26,9 +26,8 @@ from .protocols import (FREE_FIELDS, PAPER_PROTOCOL, ProtocolFields,
                         chain_efficiency_at_max_work, efficiency_at_max_work,
                         efficiency_thermo_limit, entropy_ratio_limit_check,
                         ferro_efficiency_limit, sweep_j, work_density)
-from .thermo import (DensityState, free_energy, gibbs, log_partition,
-                     min_relative_entropy, relative_entropy,
-                     relative_entropy_down, trace_distance,
+from .thermo import (DensityState, gibbs, log_partition, min_relative_entropy,
+                     relative_entropy, relative_entropy_down, trace_distance,
                      von_neumann_entropy)
 
 __version__ = "0.1.0"
@@ -44,7 +43,7 @@ __all__ = [
     "classify_unitary_class", "compose",
     "efficiency_at_max_work", "efficiency_bound", "efficiency_thermo_limit",
     "entropy_density", "entropy_ratio_limit_check", "ferro_efficiency_limit",
-    "free_energy", "free_energy_density", "gibbs", "ground_state_degeneracy",
+    "free_energy_density", "gibbs", "ground_state_degeneracy",
     "heisenberg_chain_drift", "internal_energy_density", "ising_chain_drift",
     "ising_composite", "ising_diagonal", "isothermal_staircase",
     "lie_algebra_dimension", "log_lambda_plus", "log_partition",

@@ -153,8 +153,7 @@ def _emit_json(path, report: dict) -> None:
 # subcommands
 
 
-def cmd_sweep_j(args) -> int:
-    config = _load_config(args.config)
+def cmd_sweep_j(args, config) -> int:
     betas = _resolve_betas(args, config)
     js, j_min, j_max, j_step = _resolve_grid(args, config, -5.0, 5.0, 0.1)
     mode = _resolve(args, config, "mode", protocols.PAPER_PROTOCOL)
@@ -163,7 +162,6 @@ def cmd_sweep_j(args) -> int:
     grid_step = float(_resolve(args, config, "grid_step", 1e-2))
     if not (grid_step > 0):
         raise ConfigError("--grid-step must be positive")
-    _check_threads(args, config)
     params = {"command": "sweep-j", "beta_h": betas.beta_h, "beta_c": betas.beta_c,
               "j_min": j_min, "j_max": j_max, "j_step": j_step,
               "mode": mode, "grid_step": grid_step}
@@ -173,8 +171,7 @@ def cmd_sweep_j(args) -> int:
     return EXIT_OK
 
 
-def cmd_precision(args) -> int:
-    config = _load_config(args.config)
+def cmd_precision(args, config) -> int:
     betas = _resolve_betas(args, config)
     n = _resolve_n(args, config, 6)
     epsilons = _resolve(args, config, "epsilon", None)
@@ -187,7 +184,6 @@ def cmd_precision(args) -> int:
     grid_step = float(_resolve(args, config, "grid_step", 1e-2))
     if not (grid_step > 0):
         raise ConfigError("--grid-step must be positive")
-    _check_threads(args, config)
     params = {"command": "precision", "beta_h": betas.beta_h, "beta_c": betas.beta_c,
               "n": n, "epsilon": epsilons, "j_min": j_min, "j_max": j_max,
               "j_step": j_step, "grid_step": grid_step}
@@ -200,8 +196,7 @@ def cmd_precision(args) -> int:
     return EXIT_OK
 
 
-def cmd_optimal_field(args) -> int:
-    config = _load_config(args.config)
+def cmd_optimal_field(args, config) -> int:
     betas = _resolve(args, config, "beta", None)
     if not betas:
         betas = [1.0, 2.0, 3.0]
@@ -209,7 +204,6 @@ def cmd_optimal_field(args) -> int:
     if any(b <= 0 for b in betas):
         raise ConfigError("--beta values must be positive")
     js, j_min, j_max, j_step = _resolve_grid(args, config, -3.0, 0.0, 0.01)
-    _check_threads(args, config)
     params = {"command": "optimal-field", "beta": betas,
               "j_min": j_min, "j_max": j_max, "j_step": j_step}
 
@@ -246,8 +240,7 @@ def _corner_tables(n, j, fields):
     return [ising_diagonal(IsingParams(n, j, h)) for h in fields]
 
 
-def cmd_bound(args) -> int:
-    config = _load_config(args.config)
+def cmd_bound(args, config) -> int:
     betas = _resolve_betas(args, config)
     n = _resolve_n(args, config, 2)
     j = float(_resolve(args, config, "j", 0.0))
@@ -270,8 +263,7 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def cmd_cycle(args) -> int:
-    config = _load_config(args.config)
+def cmd_cycle(args, config) -> int:
     betas = _resolve_betas(args, config)
     n = _resolve_n(args, config, 2)
     j = float(_resolve(args, config, "j", 0.0))
@@ -304,8 +296,7 @@ def cmd_cycle(args) -> int:
     return EXIT_OK
 
 
-def cmd_gs_deg(args) -> int:
-    config = _load_config(args.config)
+def cmd_gs_deg(args, config) -> int:
     n = _resolve_n(args, config, 8)
     j = float(_resolve(args, config, "j", -1.0))
     h = float(_resolve(args, config, "field", 2.0))
@@ -342,8 +333,7 @@ def _parse_controls(specs, n: int):
     return ops, parsed
 
 
-def cmd_control(args) -> int:
-    config = _load_config(args.config)
+def cmd_control(args, config) -> int:
     model = _resolve(args, config, "model", "heisenberg-chain")
     n = int(_resolve(args, config, "n", 2))
     if not (2 <= n <= 6):
@@ -497,10 +487,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags and 0 on --help; pass both through
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"spinengine: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        config = _load_config(args.config)
+        _check_threads(args, config)
+        return args.func(args, config)
     except UndefinedResultError as exc:
         print(f"spinengine: undefined result: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED

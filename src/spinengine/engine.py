@@ -18,15 +18,15 @@ arguments on each call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels, thermo
+from . import kernels
 from .hamiltonians import CompositeHamiltonian, DiagonalHamiltonian
-from .thermo import DenseOperator, DensityState, EnergyTable, as_operator, gibbs, \
-    min_relative_entropy, relative_entropy, trace_distance, von_neumann_entropy
+from .thermo import DenseOperator, DensityState, EnergyTable, as_operator, check_unitary, \
+    gibbs, min_relative_entropy, relative_entropy, trace_distance, von_neumann_entropy
 
 CYCLE_CLOSURE_TOL = 1e-10
 STEADY_STATE_TOL = 1e-10
@@ -111,18 +111,13 @@ class CycleReport:
     steady: bool
     n_passes: int
     energy_closure: float
-    steps: tuple[StepRecord, ...] = field(repr=False, default=())
 
 
 def _prepare(step):
     """Validate a protocol step; its operators come back in accepted form."""
     if isinstance(step, Unitary):
-        u = np.asarray(step.matrix, dtype=complex)
-        square = u.ndim == 2 and u.shape[0] == u.shape[1]
-        if not square or np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) \
-                > thermo.BASIS_UNITARY_TOL:
-            raise ValueError("step matrix is not unitary")
-        return Unitary(u, as_operator(step.hamiltonian_after))
+        return Unitary(check_unitary(step.matrix, "step matrix"),
+                       as_operator(step.hamiltonian_after))
     if isinstance(step, Quench):
         return Quench(as_operator(step.hamiltonian_after))
     if isinstance(step, ThermalContact):
@@ -133,8 +128,8 @@ def _prepare(step):
 def _advance(state: DensityState, h, step, betas: Betas) -> StepResult:
     """One step of an already prepared protocol; validates nothing."""
     if isinstance(step, Unitary):
-        basis = state.basis if state.basis is not None else np.eye(state.dim, dtype=complex)
-        new_state = DensityState(populations=state.populations, basis=step.matrix @ basis)
+        new_state = DensityState(populations=state.populations,
+                                 basis=step.matrix @ state.basis_matrix())
         work = state.energy(h) - new_state.energy(step.hamiltonian_after)
         return StepResult(new_state, step.hamiltonian_after, StepRecord("unitary", work, 0.0))
     if isinstance(step, Quench):
@@ -191,18 +186,15 @@ def run_cycle(hamiltonian0, steps, betas: Betas, *, initial_state: DensityState 
     state = initial_state if initial_state is not None else gibbs(h0, betas.beta_c)
     steady = False
     n_passes = 0
-    records: list[StepRecord] = []
     work = heat_hot = heat_cold = 0.0
     for _ in range(max_passes):
         n_passes += 1
         start = state
         h = h0
-        records = []
         work = heat_hot = heat_cold = 0.0
         for step in steps:
             result = _advance(state, h, step, betas)
             state, h = result.state, result.hamiltonian
-            records.append(result.record)
             work += result.record.work
             if result.record.bath == "hot":
                 heat_hot += result.record.heat
@@ -215,7 +207,7 @@ def run_cycle(hamiltonian0, steps, betas: Betas, *, initial_state: DensityState 
     closure = abs(work - (heat_hot + heat_cold))
     return CycleReport(total_work=work, heat_hot=heat_hot, heat_cold=heat_cold,
                        efficiency=efficiency, steady=steady, n_passes=n_passes,
-                       energy_closure=closure, steps=tuple(records))
+                       energy_closure=closure)
 
 
 def isothermal_staircase(h_from, h_to, bath: str, n_steps: int) -> list:

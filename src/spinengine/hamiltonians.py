@@ -19,9 +19,6 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENT2 = np.eye(2, dtype=complex)
 
-#: Marker for ``IsingParams.n_sites`` meaning the thermodynamic limit.
-THERMO_LIMIT = None
-
 HERMITICITY_TOL = 1e-12
 
 
@@ -120,20 +117,16 @@ def compose(local_fields, interaction=None, n_sites=None) -> CompositeHamiltonia
 
 @dataclass(frozen=True)
 class IsingParams:
-    """Parameters of the periodic chain ``H = -h sum Z_j - J sum Z_j Z_j+1``.
+    """Parameters of the finite periodic chain ``H = -h sum Z_j - J sum Z_j Z_j+1``;
+    ``coupling > 0`` is ferromagnetic."""
 
-    ``n_sites=THERMO_LIMIT`` (i.e. ``None``) selects the infinite chain;
-    ``coupling > 0`` is ferromagnetic.
-    """
-
-    n_sites: int | None
+    n_sites: int
     coupling: float
     field: float
 
     def __post_init__(self):
-        if self.n_sites is not None:
-            if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 1:
-                raise ValueError("n_sites must be a positive integer or THERMO_LIMIT")
+        if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 1:
+            raise ValueError("n_sites must be a positive integer")
         if not (np.isfinite(self.coupling) and np.isfinite(self.field)):
             raise ValueError("coupling and field must be finite")
 
@@ -153,19 +146,9 @@ class DiagonalHamiltonian:
         if not np.all(np.isfinite(self.energies)):
             raise ValueError("energy table has non-finite entries")
 
-    def is_translation_invariant(self, tol: float = 1e-12) -> bool:
-        """Check invariance of the table under a cyclic bit rotation."""
-        n = self.n_sites
-        mask = np.uint64((1 << n) - 1)
-        c = np.arange(1 << n, dtype=np.uint64)
-        rot = ((c >> np.uint64(1)) | ((c & np.uint64(1)) << np.uint64(n - 1))) & mask
-        return bool(np.max(np.abs(self.energies[rot] - self.energies)) <= tol)
-
 
 def ising_diagonal(params: IsingParams) -> DiagonalHamiltonian:
     """Energy table of the finite periodic chain (bit set = spin down)."""
-    if params.n_sites is None:
-        raise ValueError("finite n_sites required; THERMO_LIMIT has no table")
     energies = kernels.ising_energies(params.n_sites, params.coupling, params.field)
     return DiagonalHamiltonian(
         n_sites=params.n_sites,
@@ -177,8 +160,6 @@ def ising_diagonal(params: IsingParams) -> DiagonalHamiltonian:
 
 def ising_composite(params: IsingParams) -> CompositeHamiltonian:
     """Dense chain Hamiltonian: sigma_z fields plus the diagonal ZZ ring."""
-    if params.n_sites is None:
-        raise ValueError("finite n_sites required for a dense operator")
     n = params.n_sites
     fields = [LocalField(j, -params.field * SIGMA_Z) for j in range(n)]
     interaction = np.diag(kernels.ising_energies(n, params.coupling, 0.0)).astype(complex)

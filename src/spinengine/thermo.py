@@ -3,12 +3,19 @@
 Energies are in units with k_B = hbar = 1 and entropies in nats.
 States are (populations, eigenbasis) pairs; ``basis=None`` marks the
 computational basis so large diagonal chains never materialize a dense
-eigenvector matrix.  An infinite relative entropy (state mass outside
-the reference support) is reported as ``math.inf``, never an exception.
+eigenvector matrix.
+
+Every relative entropy, for each unitary class, is one sum over paired
+populations (:func:`_divergence`).  A population is in the support iff
+it is positive.  The divergence is ``math.inf``, never an exception,
+iff more than ``LEAKED_MASS_TOL`` of the state's mass sits on zero
+reference populations; otherwise that mass is dropped.  The eigenvalues
+of a raw density matrix within ``SUPPORT_TOL`` of zero are ``eigh``
+roundoff and are set to zero when the matrix is decomposed.
 
 Every Hamiltonian goes through :func:`as_operator` once, at the API
 boundary, and comes out in one of two validated forms with the same
-small interface (levels, spectrum, Gibbs state, energy of a state):
+small interface (levels, Gibbs state, energy of a state):
 
 * :class:`EnergyTable`, the energies of an operator that is diagonal
   in the computational basis (a ``DiagonalHamiltonian``).  Its Gibbs
@@ -37,12 +44,15 @@ POPULATION_SUM_TOL = 1e-12
 BASIS_UNITARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues in ascending order with matching eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
+def check_unitary(matrix, name: str) -> np.ndarray:
+    """Validate a square matrix with ``U+ U = 1`` within ``BASIS_UNITARY_TOL``
+    (max-norm) and return it as complex."""
+    u = np.asarray(matrix, dtype=complex)
+    # "not <=" so that a NaN entry fails the check
+    if u.ndim != 2 or u.shape[0] != u.shape[1] \
+            or not np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= BASIS_UNITARY_TOL:
+        raise ValueError(f"{name} is not unitary")
+    return u
 
 
 @dataclass(frozen=True)
@@ -64,15 +74,15 @@ class DensityState:
             raise ValueError("populations do not sum to one")
         object.__setattr__(self, "populations", np.clip(p, 0.0, None))
         if self.basis is not None:
-            b = np.asarray(self.basis, dtype=complex)
-            gram = b.conj().T @ b
-            if np.max(np.abs(gram - np.eye(b.shape[1]))) > BASIS_UNITARY_TOL:
-                raise ValueError("basis columns are not orthonormal")
-            object.__setattr__(self, "basis", b)
+            object.__setattr__(self, "basis", check_unitary(self.basis, "basis"))
 
     @property
     def dim(self) -> int:
         return len(self.populations)
+
+    def basis_matrix(self) -> np.ndarray:
+        """The basis columns; the identity for the computational basis."""
+        return self.basis if self.basis is not None else np.eye(self.dim, dtype=complex)
 
     def matrix(self) -> np.ndarray:
         if self.basis is None:
@@ -109,11 +119,6 @@ class EnergyTable:
     def levels(self) -> np.ndarray:
         return self.energies
 
-    def spectrum(self) -> Spectrum:
-        order = np.argsort(self.energies, kind="stable")
-        vectors = np.eye(len(order), dtype=complex)[:, order]
-        return Spectrum(values=self.energies[order].copy(), vectors=vectors)
-
     def gibbs(self, beta: float) -> DensityState:
         return DensityState(populations=_boltzmann(self.energies, beta), basis=None)
 
@@ -137,13 +142,9 @@ class DenseOperator:
     def levels(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
-    def spectrum(self) -> Spectrum:
-        values, vectors = np.linalg.eigh(self.matrix)
-        return Spectrum(values=values, vectors=vectors)
-
     def gibbs(self, beta: float) -> DensityState:
-        spec = self.spectrum()
-        return DensityState(populations=_boltzmann(spec.values, beta), basis=spec.vectors)
+        values, vectors = np.linalg.eigh(self.matrix)
+        return DensityState(populations=_boltzmann(values, beta), basis=vectors)
 
     def energy(self, state: DensityState) -> float:
         """``sum_j p_j <b_j|H|b_j>``: O(d) in the computational basis, else
@@ -173,15 +174,16 @@ def as_operator(hamiltonian) -> EnergyTable | DenseOperator:
 def _as_state(state) -> DensityState:
     if isinstance(state, DensityState):
         return state
-    rho = np.asarray(state, dtype=complex)
-    check_hermitian(rho)
-    vals, vecs = np.linalg.eigh(rho)
+    vals, vecs = np.linalg.eigh(check_hermitian(state))
+    vals = np.where(np.abs(vals) > SUPPORT_TOL, vals, 0.0)
     return DensityState(populations=vals[::-1], basis=vecs[:, ::-1])
 
 
-def eigendecompose(hamiltonian) -> Spectrum:
-    """Ascending eigendecomposition of a Hermitian operator."""
-    return as_operator(hamiltonian).spectrum()
+def _as_states(rho, sigma) -> tuple[DensityState, DensityState]:
+    r, s = _as_state(rho), _as_state(sigma)
+    if r.dim != s.dim:
+        raise ValueError("states act on different spaces")
+    return r, s
 
 
 def _check_beta(beta: float, allow_zero: bool = False) -> float:
@@ -202,46 +204,45 @@ def log_partition(hamiltonian, beta: float) -> float:
     return float(np.log(np.sum(np.exp(-beta * (energies - emin)))) - beta * emin)
 
 
-def free_energy(hamiltonian, beta: float) -> float:
-    return -log_partition(hamiltonian, beta) / _check_beta(beta)
-
-
 def gibbs(hamiltonian, beta: float) -> DensityState:
     """Thermal state ``exp(-beta H)/Z`` via shifted exponentials."""
     return as_operator(hamiltonian).gibbs(_check_beta(beta, allow_zero=True))
 
 
 def von_neumann_entropy(state) -> float:
-    """``-sum p log p`` in nats; populations at or below support cutoff drop out."""
-    if isinstance(state, DensityState):
-        p = state.populations
-    else:
-        p = _as_state(state).populations
-    live = p > SUPPORT_TOL
-    return max(float(-np.sum(p[live] * np.log(p[live]))), 0.0)
+    """``-sum p log p`` in nats over the positive populations."""
+    p = _as_state(state).populations
+    p = p[p > 0]
+    return max(float(-np.sum(p * np.log(p))), 0.0)
+
+
+def _divergence(p: np.ndarray, q: np.ndarray, overlap: np.ndarray | None = None) -> float:
+    """``D(rho || sigma)`` from the populations ``p`` of rho and ``q`` of sigma.
+
+    Without ``overlap`` the populations pair index by index (one basis, or
+    two sorted spectra): ``sum p (log p - log q)``, exactly 0 where they
+    are equal.  Across two bases, ``overlap[i, j] = |<sigma_i|rho_j>|^2``
+    and the two sums ``sum p log p - sum (overlap p) log q`` are taken.
+    See the module docstring for the support rule.
+    """
+    mass = p if overlap is None else overlap @ p
+    live = q > 0
+    if float(np.sum(mass[~live])) > LEAKED_MASS_TOL:
+        return math.inf
+    if overlap is None:
+        live &= p > 0
+        return max(float(np.sum(p[live] * (np.log(p[live]) - np.log(q[live])))), 0.0)
+    own = p[p > 0]
+    return max(float(np.sum(own * np.log(own)) - np.dot(mass[live], np.log(q[live]))), 0.0)
 
 
 def relative_entropy(rho, sigma) -> float:
     """``D(rho || sigma)`` in nats, ``math.inf`` outside the reference support."""
-    r, s = _as_state(rho), _as_state(sigma)
-    if r.dim != s.dim:
-        raise ValueError("states act on different spaces")
-    p, q = r.populations, s.populations
+    r, s = _as_states(rho, sigma)
     if r.basis is None and s.basis is None:
-        mass_on = p
-    else:
-        rb = r.basis if r.basis is not None else np.eye(r.dim, dtype=complex)
-        sb = s.basis if s.basis is not None else np.eye(s.dim, dtype=complex)
-        overlap = np.abs(sb.conj().T @ rb) ** 2
-        mass_on = overlap @ p
-    dead = q <= SUPPORT_TOL
-    if np.any(mass_on[dead] > LEAKED_MASS_TOL):
-        return math.inf
-    live_p = p > SUPPORT_TOL
-    entropy_part = float(np.sum(p[live_p] * np.log(p[live_p])))
-    live_q = ~dead
-    cross_part = float(np.dot(mass_on[live_q], np.log(q[live_q])))
-    return max(entropy_part - cross_part, 0.0)
+        return _divergence(r.populations, s.populations)
+    overlap = np.abs(s.basis_matrix().conj().T @ r.basis_matrix()) ** 2
+    return _divergence(r.populations, s.populations, overlap)
 
 
 def relative_entropy_down(rho, sigma) -> float:
@@ -250,16 +251,8 @@ def relative_entropy_down(rho, sigma) -> float:
     Achieved by pairing both spectra sorted non-increasingly, i.e. the
     largest population with the reference's largest population.
     """
-    r, s = _as_state(rho), _as_state(sigma)
-    if r.dim != s.dim:
-        raise ValueError("states act on different spaces")
-    p = np.sort(r.populations)[::-1]
-    q = np.sort(s.populations)[::-1]
-    dead = q <= SUPPORT_TOL
-    if np.any(p[dead] > SUPPORT_TOL):
-        return math.inf
-    live = p > SUPPORT_TOL
-    return max(float(np.sum(p[live] * (np.log(p[live]) - np.log(q[live])))), 0.0)
+    r, s = _as_states(rho, sigma)
+    return _divergence(np.sort(r.populations)[::-1], np.sort(s.populations)[::-1])
 
 
 def min_relative_entropy(rho, sigma, unitary="identity") -> float:
@@ -275,13 +268,9 @@ def min_relative_entropy(rho, sigma, unitary="identity") -> float:
         if unitary in ("commuting", "identity"):
             return relative_entropy(rho, sigma)
         raise ValueError(f"unknown unitary class {unitary!r}")
-    u = np.asarray(unitary, dtype=complex)
-    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > BASIS_UNITARY_TOL:
-        raise ValueError("explicit rotation is not unitary")
+    u = check_unitary(unitary, "explicit rotation")
     r = _as_state(rho)
-    rb = r.basis if r.basis is not None else np.eye(r.dim, dtype=complex)
-    rotated = DensityState(populations=r.populations, basis=u @ rb)
-    return relative_entropy(rotated, sigma)
+    return relative_entropy(DensityState(r.populations, u @ r.basis_matrix()), sigma)
 
 
 def trace_distance(rho, sigma) -> float:

@@ -5,9 +5,10 @@ import math
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
-from spinengine import cli, ising
+from spinengine import cli, ising, kernels
 from spinengine.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_UNDEFINED, main
 
 
@@ -160,6 +161,28 @@ def test_cycle_and_bound_run_on_tables_at_n16(tmp_path):
     assert bound["n"] == 16 and bound["eta_bound"] <= bound["carnot"]
 
 
+@pytest.mark.parametrize("j, h_b", [
+    (0.6758858317695918, 1.0070509389481337), (-0.3623227141006672, 1.420573876514643),
+    (-0.36585528742730117, 1.3774364966890704), (-0.37109089361812353, 1.452717255971364),
+    (-0.3598805456830678, 1.6529716754824693), (-0.20934268624938024, 1.7156770805837507),
+])
+def test_full_class_bound_on_tiny_populations(tmp_path, j, h_b):
+    # the smallest Gibbs populations at corner A are 1e-14 down to 1e-24,
+    # and the sorted pairing puts larger corner-D populations on them
+    out = tmp_path / "bound.json"
+    assert main(["bound", "-N", "8", "-J", repr(j), "--h-b", repr(h_b),
+                 "--u-class", "full", "--v-class", "full", "-o", str(out)]) == EXIT_OK
+    report = read_json(out)
+
+    def log_gibbs(h, beta):
+        x = -beta * kernels.ising_energies(8, j, h)
+        return np.sort(x - np.logaddexp.reduce(x))
+
+    lp = log_gibbs(report["h_d"], report["beta_c"])
+    lq = log_gibbs(report["h_a"], report["beta_h"])
+    assert report["d_v"] == pytest.approx(float(np.sum(np.exp(lp) * (lp - lq))), abs=1e-10)
+
+
 @pytest.mark.parametrize("command", ["cycle", "bound", "gs-deg", "precision"])
 def test_chain_length_range(command, capsys):
     for n in ("0", "25"):
@@ -259,6 +282,12 @@ def test_config_exit_codes(tmp_path):
     assert main(["control", "--controls", "bogus"]) == EXIT_CONFIG
     assert main(["control", "--controls", "site9:x"]) == EXIT_CONFIG
     assert main(["sweep-j", "--mode", "bogus"]) == EXIT_CONFIG  # argparse choice
+
+
+@pytest.mark.parametrize("command", ["sweep-j", "precision", "optimal-field", "bound",
+                                     "cycle", "gs-deg", "control"])
+def test_every_command_validates_threads(command):
+    assert main([command, "--threads", "0"]) == EXIT_CONFIG
 
 
 def test_io_exit_code(tmp_path):

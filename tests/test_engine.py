@@ -112,11 +112,12 @@ def test_non_cyclic_protocol_rejected():
 
 @pytest.mark.parametrize("bad_step, reason", [
     (Unitary(np.diag([1.0, 2.0, 1.0, 1.0]), np.diag([-4.0, 0.0, 0.0, 0.0])), "not unitary"),
+    (Unitary(np.diag([np.nan, 1.0, 1.0, 1.0]), np.diag([-4.0, 0.0, 0.0, 0.0])), "not unitary"),
     (Quench(np.diag([1.0, 0.0, 0.0, 0.0]) + np.eye(4, k=1)), "not Hermitian"),
     (Quench(np.diag([1.0, np.nan, 0.0, 0.0])), "non-finite"),
     (Quench(np.zeros((8, 8))), "different spaces"),
     (Quench(ising_diagonal(IsingParams(3, 1.0, 1.0))), "different spaces"),
-], ids=["non-unitary", "non-hermitian", "non-finite", "larger-matrix", "longer-chain"])
+], ids=["non-unitary", "nan-unitary", "non-hermitian", "non-finite", "larger-matrix", "longer-chain"])
 def test_run_cycle_rejects_bad_protocol_input(bad_step, reason):
     h0 = ising_diagonal(IsingParams(2, 1.0, 1.0))
     steps = [ThermalContact("hot"), bad_step, ThermalContact("cold"), Quench(h0)]

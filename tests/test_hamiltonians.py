@@ -52,10 +52,6 @@ def test_spectrum_symmetries():
         np.testing.assert_allclose(table, table[rotated], atol=1e-12)
 
 
-def test_translation_invariance_flag():
-    assert ising_diagonal(IsingParams(5, 1.3, -0.2)).is_translation_invariant()
-
-
 def test_compose_single_site():
     built = compose([LocalField(0, SIGMA_Z)], n_sites=1)
     np.testing.assert_allclose(built.matrix, SIGMA_Z)

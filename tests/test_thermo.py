@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from spinengine import kernels
 from spinengine.hamiltonians import SIGMA_Z, IsingParams, ising_diagonal
 from spinengine.ising import transfer_matrix_logZ
-from spinengine.thermo import (DensityState, eigendecompose, free_energy,
-                               gibbs, log_partition, min_relative_entropy,
-                               relative_entropy, relative_entropy_down,
-                               trace_distance, von_neumann_entropy)
+from spinengine.thermo import (DensityState, gibbs, log_partition,
+                               min_relative_entropy, relative_entropy,
+                               relative_entropy_down, trace_distance,
+                               von_neumann_entropy)
 
 
 def random_state(rng, dim):
@@ -25,30 +26,6 @@ def random_unitary(rng, dim):
     q, r = np.linalg.qr(rng.normal(size=(dim, dim))
                         + 1j * rng.normal(size=(dim, dim)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-# --------------------------------------------------------------------------
-# eigendecompose
-
-
-def test_eigendecompose_pauli_z():
-    spec = eigendecompose(SIGMA_Z)
-    np.testing.assert_allclose(spec.values, [-1.0, 1.0])
-
-
-def test_eigendecompose_sorts_diagonal():
-    spec = eigendecompose(np.diag([3.0, 1.0, 2.0]))
-    np.testing.assert_allclose(spec.values, [1.0, 2.0, 3.0])
-    assert np.max(np.abs(np.abs(spec.vectors) - np.eye(3)[:, [1, 2, 0]])) < 1e-12
-
-
-def test_eigendecompose_reconstruction():
-    rng = np.random.default_rng(31)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    h = a + a.conj().T
-    spec = eigendecompose(h)
-    rebuilt = (spec.vectors * spec.values) @ spec.vectors.conj().T
-    assert np.max(np.abs(rebuilt - h)) < 1e-9 * np.max(np.abs(h))
 
 
 # --------------------------------------------------------------------------
@@ -134,6 +111,36 @@ def test_relative_entropy_support_violation_is_infinite():
     rho = DensityState(populations=[0.5, 0.5])
     sigma = DensityState(populations=[1.0, 0.0])
     assert relative_entropy(rho, sigma) == math.inf
+
+
+def test_support_is_every_positive_population():
+    # smallest populations ~1e-24 lie inside the support: both divergences
+    # are finite and equal sums over exact log-populations
+    def log_gibbs(j, h):
+        x = -kernels.ising_energies(5, j, h)
+        return x - np.logaddexp.reduce(x)
+
+    lp, lq = log_gibbs(-2.8, 4.9), log_gibbs(5.6, -1.4)
+    rho = gibbs(ising_diagonal(IsingParams(5, -2.8, 4.9)), 1.0)
+    sigma = gibbs(ising_diagonal(IsingParams(5, 5.6, -1.4)), 1.0)
+    assert 1e-25 < min(rho.populations) < 1e-23
+    assert 1e-25 < min(sigma.populations) < 1e-23
+    same_basis = float(np.sum(np.exp(lp) * (lp - lq)))
+    lp, lq = np.sort(lp), np.sort(lq)
+    sorted_pairs = float(np.sum(np.exp(lp) * (lp - lq)))
+    assert relative_entropy(rho, sigma) == pytest.approx(same_basis, abs=1e-12)
+    assert relative_entropy_down(rho, sigma) == pytest.approx(sorted_pairs, abs=1e-12)
+
+
+def test_pure_raw_matrix_reference_keeps_its_support():
+    # eigh leaves ~1e-17 positive eigenvalues off a rotated pure state;
+    # they are roundoff, so mass there is outside the support
+    v = random_unitary(np.random.default_rng(0), 4)[:, 0]
+    sigma = np.outer(v, v.conj())
+    assert np.max(np.linalg.eigvalsh(sigma)[:3]) > 0
+    rho = DensityState(populations=[0.5, 0.5, 0.0, 0.0])
+    assert relative_entropy(rho, sigma) == math.inf
+    assert relative_entropy_down(rho, sigma) == math.inf
 
 
 def test_free_energy_identity():

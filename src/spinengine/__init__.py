@@ -23,9 +23,10 @@ from .ising import (entropy_density, free_energy_density,
                     log_lambda_plus, magnetization_density, optimal_field,
                     relative_entropy_density, transfer_matrix_logZ)
 from .protocols import (FREE_FIELDS, PAPER_PROTOCOL, ProtocolFields,
-                        chain_efficiency_at_max_work, efficiency_at_max_work,
-                        efficiency_thermo_limit, entropy_ratio_limit_check,
-                        ferro_efficiency_limit, sweep_j, work_density)
+                        chain_efficiency_at_max_work, chain_sweep,
+                        efficiency_at_max_work, efficiency_thermo_limit,
+                        entropy_ratio_limit_check, ferro_efficiency_limit,
+                        sweep_j, work_density)
 from .thermo import (DensityState, gibbs, log_partition, min_relative_entropy,
                      relative_entropy, relative_entropy_down, trace_distance,
                      von_neumann_entropy)
@@ -39,7 +40,7 @@ __all__ = [
     "LocalField", "PAPER_PROTOCOL", "ProtocolFields", "Quench",
     "ThermalContact", "UndefinedResultError", "Unitary", "UnitaryClass",
     "apply_step", "bound_terms", "carnot_like_cycle",
-    "carnot_like_work_bound", "chain_efficiency_at_max_work",
+    "carnot_like_work_bound", "chain_efficiency_at_max_work", "chain_sweep",
     "classify_unitary_class", "compose",
     "efficiency_at_max_work", "efficiency_bound", "efficiency_thermo_limit",
     "entropy_density", "entropy_ratio_limit_check", "ferro_efficiency_limit",

@@ -188,9 +188,7 @@ def cmd_precision(args, config) -> int:
               "n": n, "epsilon": epsilons, "j_min": j_min, "j_max": j_max,
               "j_step": j_step, "grid_step": grid_step}
 
-    points = (protocols.chain_efficiency_at_max_work(n, j, betas, epsilon=eps,
-                                                     grid_step=grid_step)
-              for eps in epsilons for j in js)
+    points = protocols.chain_sweep(n, js, betas, epsilons, grid_step=grid_step)
     rows = [(p.j, p.epsilon, p.efficiency) for p in points]
     _emit_csv(args.output, "J,epsilon,efficiency", params, rows)
     return EXIT_OK

@@ -301,55 +301,70 @@ def entropy_ratio_limit_check(hamiltonian, betas: Betas, j_grid) -> np.ndarray:
 # finite chains
 # ---------------------------------------------------------------------------
 
-def _chain_stats(levels: np.ndarray, j: float, beta: float, hs: np.ndarray):
-    """(logZ-shift, entropy) rows at each field in ``hs``.
+def _chain_gap(classes: np.ndarray, j, hs: np.ndarray, betas: Betas):
+    """Free-energy gap T_h*logZ_h - T_c*logZ_c of the ring at each field.
 
-    ``levels`` holds the chain's (M, B, g) classes as columns, so each
-    row is a log-sum-exp over the classes weighted by degeneracy.
+    ``classes`` holds the chain's (M, B, g) classes as columns; ``j`` is
+    a scalar or one coupling per field.  The class energies and their
+    ground shift are built once and shared by both temperatures, so
+    strong couplings do not cancel away the signal.  Also returns the
+    shifted energies, the hot weights and the hot partition sum, from
+    which the hot entropy follows.
+
+    A scan block makes each array ``_SCAN_BLOCK`` rows by the number of
+    classes, so the shift is made in place and the cold sum is taken
+    before the hot weights exist: the scan holds no more such arrays at
+    once than one temperature needs.
     """
-    m, b, g = levels
-    energies = -j * b[None, :] - hs[:, None] * m[None, :]
-    shifted = energies - energies.min(axis=1, keepdims=True)
-    weights = g * np.exp(-beta * shifted)
-    z = weights.sum(axis=1)
-    logz = np.log(z)
-    return logz, beta * np.einsum("ij,ij->i", shifted, weights) / z + logz
+    m, b, g = classes
+    shifted = -np.multiply.outer(j, b) - np.multiply.outer(hs, m)
+    shifted -= shifted.min(axis=-1, keepdims=True)
+    z_c = (g * np.exp(-betas.beta_c * shifted)).sum(axis=-1)
+    weights_h = g * np.exp(-betas.beta_h * shifted)
+    z_h = weights_h.sum(axis=-1)
+    return betas.t_h * np.log(z_h) - betas.t_c * np.log(z_c), shifted, weights_h, z_h
+
+
+def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
+                epsilons: Sequence[float] = (0.0,), grid_step: float = 1e-2,
+                refine_tol: float = 1e-8) -> list[ChainPoint]:
+    """Finite-chain analogue of :func:`sweep_j` for the shared-field
+    family, with the corner fields constrained to h >= epsilon, at every
+    (epsilon, J) pair; rows are epsilon-major.
+
+    Each pair gets a grid on [epsilon, 4*max(1, |J|)] (on
+    [epsilon, epsilon + 1] when that is empty); one golden-section
+    refinement then runs around all the grid argmaxes at once.  Both
+    search on the work per site alone, gap / N, and the efficiency
+    gap / (T_h*S_h) is computed once, at the optimum.
+    """
+    eps = np.array(epsilons, dtype=np.float64).reshape(-1)
+    if np.any(eps < 0):
+        raise ValueError("field floor must be nonnegative")
+    classes = np.array(kernels.levels(n), dtype=np.float64).T
+    js = np.array(j_values, dtype=np.float64).reshape(-1)
+    eps_rows, j_rows = np.repeat(eps, len(js)), np.tile(js, len(eps))
+
+    def work(j, hs):
+        return _chain_gap(classes, j, hs, betas)[0] / n
+
+    scans = []
+    for floor, j in zip(eps_rows, j_rows):
+        h_max = 4.0 * max(1.0, abs(j))
+        if h_max <= floor:
+            h_max = floor + 1.0
+        scans.append(_grid_argmax(lambda hs: work(j, hs), floor, h_max, grid_step))
+    h_opt = _refine(lambda hs: work(j_rows, hs), scans, refine_tol)
+    gap, shifted, weights_h, z_h = _chain_gap(classes, j_rows, h_opt, betas)
+    s_h = betas.beta_h * np.einsum("ij,ij->i", shifted, weights_h) / z_h + np.log(z_h)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        eta = np.where(s_h > 0.0, gap / (betas.t_h * np.where(s_h > 0, s_h, 1.0)), 0.0)
+    return [ChainPoint(float(j), float(floor), float(h), float(w), float(e))
+            for j, floor, h, w, e in zip(j_rows, eps_rows, h_opt, gap / n, eta)]
 
 
 def chain_efficiency_at_max_work(n: int, j: float, betas: Betas,
-                                 epsilon: float = 0.0, h_max: float = None,
-                                 grid_step: float = 1e-2,
+                                 epsilon: float = 0.0, grid_step: float = 1e-2,
                                  refine_tol: float = 1e-8) -> ChainPoint:
-    """Finite-chain analogue of :func:`efficiency_at_max_work` with the
-    shared-field family and corner fields constrained to h >= epsilon.
-
-    Work per cycle is the exact free-energy gap T_h*logZ_h - T_c*logZ_c
-    evaluated with a shared ground-energy shift, so strong couplings do
-    not cancel away the signal.
-    """
-    if epsilon < 0:
-        raise ValueError("field floor must be nonnegative")
-    if h_max is None:
-        h_max = 4.0 * max(1.0, abs(j))
-    if h_max <= epsilon:
-        h_max = epsilon + 1.0
-
-    classes = np.array(kernels.levels(n), dtype=np.float64).T
-    t_h, t_c = betas.t_h, betas.t_c
-
-    def evaluate(hs):
-        logz_h, s_h = _chain_stats(classes, j, betas.beta_h, hs)
-        logz_c, _ = _chain_stats(classes, j, betas.beta_c, hs)
-        gap = t_h * logz_h - t_c * logz_c
-        with np.errstate(invalid="ignore", divide="ignore"):
-            eta = np.where(s_h > 0.0, gap / (t_h * np.where(s_h > 0, s_h, 1.0)), 0.0)
-        return gap / n, eta
-
-    def w_of(hs):
-        return evaluate(hs)[0]
-
-    scan = _grid_argmax(w_of, epsilon, h_max, grid_step)
-    h_opt = _refine(w_of, [scan], refine_tol)
-    w_opt, eta_opt = evaluate(h_opt)
-    return ChainPoint(float(j), float(epsilon), float(h_opt[0]),
-                      float(w_opt[0]), float(eta_opt[0]))
+    """:func:`chain_sweep` at a single coupling and field floor."""
+    return chain_sweep(n, [j], betas, [epsilon], grid_step, refine_tol)[0]

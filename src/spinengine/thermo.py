@@ -74,7 +74,11 @@ class DensityState:
             raise ValueError("populations do not sum to one")
         object.__setattr__(self, "populations", np.clip(p, 0.0, None))
         if self.basis is not None:
-            object.__setattr__(self, "basis", check_unitary(self.basis, "basis"))
+            u = check_unitary(self.basis, "basis")
+            if len(u) != len(p):
+                raise ValueError(f"basis is {len(u)}x{len(u)} but there are "
+                                 f"{len(p)} populations")
+            object.__setattr__(self, "basis", u)
 
     @property
     def dim(self) -> int:

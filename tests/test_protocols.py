@@ -8,8 +8,8 @@ import pytest
 from spinengine import ising, kernels, protocols
 from spinengine.engine import Betas, UndefinedResultError
 from spinengine.protocols import (FREE_FIELDS, PAPER_PROTOCOL, ProtocolFields,
-                                  chain_efficiency_at_max_work,
-                                  efficiency_at_max_work,
+                                  ChainPoint, chain_efficiency_at_max_work,
+                                  chain_sweep, efficiency_at_max_work,
                                   efficiency_thermo_limit,
                                   entropy_ratio_limit_check,
                                   ferro_efficiency_limit, sweep_j,
@@ -350,6 +350,53 @@ def test_chain_matches_enumeration():
                     <= point.work_density * (1 + 1e-10) + 1e-15
 
 
+def pointwise_chain_optimum(n, j, betas, epsilon):
+    """The per-point finite-chain optimizer: grid scan and golden
+    refinement on the full evaluation (work, efficiency and the cold
+    entropy), each temperature building its own shifted energies."""
+    h_max = 4.0 * max(1.0, abs(j))
+    if h_max <= epsilon:
+        h_max = epsilon + 1.0
+    m, b, g = np.array(kernels.levels(n), dtype=np.float64).T
+
+    def stats(beta, hs):
+        energies = -j * b[None, :] - hs[:, None] * m[None, :]
+        shifted = energies - energies.min(axis=1, keepdims=True)
+        weights = g * np.exp(-beta * shifted)
+        z = weights.sum(axis=1)
+        logz = np.log(z)
+        return logz, beta * np.einsum("ij,ij->i", shifted, weights) / z + logz
+
+    def evaluate(hs):
+        logz_h, s_h = stats(betas.beta_h, hs)
+        logz_c, _ = stats(betas.beta_c, hs)
+        gap = betas.t_h * logz_h - betas.t_c * logz_c
+        with np.errstate(invalid="ignore", divide="ignore"):
+            eta = np.where(s_h > 0.0, gap / (betas.t_h * np.where(s_h > 0, s_h, 1.0)), 0.0)
+        return gap / n, eta
+
+    def w_of(hs):
+        return evaluate(hs)[0]
+
+    scan = protocols._grid_argmax(w_of, epsilon, h_max, 1e-2)
+    h_opt = protocols._refine(w_of, [scan], 1e-8)
+    w_opt, eta_opt = evaluate(h_opt)
+    return ChainPoint(float(j), float(epsilon), float(h_opt[0]),
+                      float(w_opt[0]), float(eta_opt[0]))
+
+
+def test_chain_sweep_matches_pointwise():
+    # epsilon = 100 lies above every 4*max(1, |J|), so it takes the
+    # [epsilon, epsilon + 1] fallback interval
+    js, floors = (-5.0, -0.5, 0.0, 1.0, 20.0), (0.0, 0.1, 100.0)
+    for n in (1, 2, 6, 10):
+        rows = chain_sweep(n, js, BETAS, floors)
+        expected = [pointwise_chain_optimum(n, j, BETAS, eps) for eps in floors for j in js]
+        assert rows == expected
+    assert chain_efficiency_at_max_work(10, 1.0, BETAS, epsilon=0.1) \
+        == expected[floors.index(0.1) * len(js) + js.index(1.0)]
+
+
 def test_chain_validation():
     with pytest.raises(ValueError):
         chain_efficiency_at_max_work(0, 1.0, BETAS)
@@ -357,3 +404,5 @@ def test_chain_validation():
         chain_efficiency_at_max_work(25, 1.0, BETAS)
     with pytest.raises(ValueError):
         chain_efficiency_at_max_work(6, 1.0, BETAS, epsilon=-1.0)
+    with pytest.raises(ValueError):
+        chain_sweep(6, [1.0], BETAS, [0.0, -1.0])

@@ -262,3 +262,11 @@ def test_trace_distance():
     plus = DensityState(populations=[1.0, 0.0],
                         basis=np.array([[1, 1], [1, -1]]) / math.sqrt(2))
     assert trace_distance(up, plus) == pytest.approx(0.5 * math.sqrt(2), abs=1e-12)
+
+
+def test_density_state_basis_must_match_populations():
+    with pytest.raises(ValueError, match="4x4 but there are 2 populations"):
+        DensityState([0.5, 0.5], basis=np.eye(4))
+    with pytest.raises(ValueError, match="2x2 but there are 3 populations"):
+        DensityState([0.2, 0.3, 0.5], basis=np.eye(2))
+    assert DensityState([0.5, 0.5], basis=np.eye(2)).dim == 2

@@ -13,11 +13,9 @@ from .control import (FULL, COMMUTING, INTERMEDIATE, GeneratorSet,
                       lie_algebra_dimension, site_controls)
 from .engine import (Betas, BoundInputs, CycleReport, Quench, ThermalContact,
                      UndefinedResultError, Unitary, apply_step, bound_terms,
-                     carnot_like_cycle, carnot_like_work_bound,
-                     efficiency_bound, isothermal_staircase, run_cycle)
-from .hamiltonians import (CompositeHamiltonian, DiagonalHamiltonian,
-                           IsingParams, LocalField, compose, ising_composite,
-                           ising_diagonal)
+                     carnot_like_cycle, efficiency_bound,
+                     isothermal_staircase, run_cycle)
+from .hamiltonians import IsingParams, ising_composite, ising_diagonal
 from .ising import (entropy_density, free_energy_density,
                     ground_state_degeneracy, internal_energy_density,
                     log_lambda_plus, magnetization_density, optimal_field,
@@ -25,8 +23,7 @@ from .ising import (entropy_density, free_energy_density,
 from .protocols import (FREE_FIELDS, PAPER_PROTOCOL, ProtocolFields,
                         chain_efficiency_at_max_work, chain_sweep,
                         efficiency_at_max_work, efficiency_thermo_limit,
-                        entropy_ratio_limit_check, ferro_efficiency_limit,
-                        sweep_j, work_density)
+                        ferro_efficiency_limit, sweep_j, work_density)
 from .thermo import (DensityState, gibbs, log_partition, min_relative_entropy,
                      relative_entropy, relative_entropy_down, trace_distance,
                      von_neumann_entropy)
@@ -34,16 +31,14 @@ from .thermo import (DensityState, gibbs, log_partition, min_relative_entropy,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Betas", "BoundInputs", "CompositeHamiltonian", "CycleReport",
-    "DensityState", "DiagonalHamiltonian", "FREE_FIELDS", "FULL",
-    "COMMUTING", "INTERMEDIATE", "GeneratorSet", "IsingParams",
-    "LocalField", "PAPER_PROTOCOL", "ProtocolFields", "Quench",
+    "Betas", "BoundInputs", "CycleReport", "DensityState", "FREE_FIELDS",
+    "FULL", "COMMUTING", "INTERMEDIATE", "GeneratorSet", "IsingParams",
+    "PAPER_PROTOCOL", "ProtocolFields", "Quench",
     "ThermalContact", "UndefinedResultError", "Unitary", "UnitaryClass",
     "apply_step", "bound_terms", "carnot_like_cycle",
-    "carnot_like_work_bound", "chain_efficiency_at_max_work", "chain_sweep",
-    "classify_unitary_class", "compose",
+    "chain_efficiency_at_max_work", "chain_sweep", "classify_unitary_class",
     "efficiency_at_max_work", "efficiency_bound", "efficiency_thermo_limit",
-    "entropy_density", "entropy_ratio_limit_check", "ferro_efficiency_limit",
+    "entropy_density", "ferro_efficiency_limit",
     "free_energy_density", "gibbs", "ground_state_degeneracy",
     "heisenberg_chain_drift", "internal_energy_density", "ising_chain_drift",
     "ising_composite", "ising_diagonal", "isothermal_staircase",

@@ -23,8 +23,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .hamiltonians import (SIGMA_X, SIGMA_Y, SIGMA_Z, IsingParams, check_hermitian,
-                           embed_site_operator, ising_composite)
+from . import kernels
+from .hamiltonians import SIGMA_X, SIGMA_Y, SIGMA_Z, embed_site_operator
+from .thermo import check_hermitian
 
 FULL = "FULL"
 COMMUTING = "COMMUTING"
@@ -209,8 +210,8 @@ def heisenberg_chain_drift(n_sites: int, coupling: float = 1.0) -> np.ndarray:
 
 
 def ising_chain_drift(n_sites: int, coupling: float = 1.0) -> np.ndarray:
-    """ZZ ring of the engine's Ising medium: its interaction at zero field."""
-    return ising_composite(IsingParams(n_sites, coupling, 0.0)).interaction
+    """ZZ ring of the engine's Ising medium: its Hamiltonian at zero field."""
+    return np.diag(kernels.ising_energies(n_sites, coupling, 0.0)).astype(complex)
 
 
 def site_controls(n_sites: int, site: int, axes: Sequence[str]) -> list:

@@ -6,10 +6,11 @@ bath's Gibbs state at the current Hamiltonian.  Work is positive when
 extracted, heat is positive when absorbed by the medium; in those
 conventions every closed steady cycle satisfies W = Q_hot + Q_cold.
 
-Hamiltonians may be energy tables (``DiagonalHamiltonian``) or dense
-operators (matrices, ``CompositeHamiltonian``); see
-:func:`thermo.as_operator`.  Local fields commute with the Ising
-coupling, so Ising cycles and bounds run on tables in O(2^N) per step.
+Hamiltonians may be energy tables (``thermo.EnergyTable``, as
+``hamiltonians.ising_diagonal`` builds them) or dense operators
+(matrices, ``thermo.DenseOperator``); see :func:`thermo.as_operator`.
+Local fields commute with the Ising coupling, so Ising cycles and
+bounds run on tables in O(2^N) per step.
 :func:`run_cycle` validates every operator and unitary of a protocol
 once, before it iterates; :func:`apply_step` validates its own
 arguments on each call.
@@ -23,12 +24,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
-from .hamiltonians import CompositeHamiltonian, DiagonalHamiltonian
+from .hamiltonians import embed_site_operator
 from .thermo import DenseOperator, DensityState, EnergyTable, as_operator, check_unitary, \
-    gibbs, min_relative_entropy, relative_entropy, trace_distance, von_neumann_entropy
+    gibbs, min_relative_entropy, trace_distance, von_neumann_entropy
 
 CYCLE_CLOSURE_TOL = 1e-10
+ON_SITE_TOL = 1e-10
 STEADY_STATE_TOL = 1e-10
 MAX_CYCLE_PASSES = 100
 
@@ -107,10 +108,18 @@ class CycleReport:
     total_work: float
     heat_hot: float
     heat_cold: float
-    efficiency: float
     steady: bool
     n_passes: int
     energy_closure: float
+
+    @property
+    def efficiency(self) -> float:
+        """``W / |Q_hot|``; ``UndefinedResultError`` when the steady cycle
+        exchanges no heat with the hot bath."""
+        if self.heat_hot == 0.0:
+            raise UndefinedResultError("cycle efficiency undefined: no heat "
+                                       "exchanged with the hot bath")
+        return self.total_work / abs(self.heat_hot)
 
 
 def _prepare(step):
@@ -203,11 +212,9 @@ def run_cycle(hamiltonian0, steps, betas: Betas, *, initial_state: DensityState 
         if trace_distance(start, state) < steady_tol:
             steady = True
             break
-    efficiency = work / abs(heat_hot) if heat_hot != 0.0 else math.nan
     closure = abs(work - (heat_hot + heat_cold))
     return CycleReport(total_work=work, heat_hot=heat_hot, heat_cold=heat_cold,
-                       efficiency=efficiency, steady=steady, n_passes=n_passes,
-                       energy_closure=closure)
+                       steady=steady, n_passes=n_passes, energy_closure=closure)
 
 
 def isothermal_staircase(h_from, h_to, bath: str, n_steps: int) -> list:
@@ -231,27 +238,34 @@ def carnot_like_cycle(h_d, h_a, h_b, h_c, betas: Betas, n_steps: int) -> list:
             + isothermal_staircase(h_c, h_d, "cold", n_steps))
 
 
-@dataclass(frozen=True)
-class WorkHeatBound:
-    work_max: float
-    heat_min: float
+def _off_site(diff: np.ndarray) -> float:
+    """Max-norm of what is left of a Hamiltonian difference, as a table or
+    a matrix, once its on-site part is removed: 0 iff it is a sum of
+    one-site terms.
 
-
-def carnot_like_work_bound(h_d, h_a, h_b, betas: Betas, rotation="identity") -> WorkHeatBound:
-    """Largest work and smallest hot heat on the cold-corner to hot-corner leg.
-
-    The leg starts at the cold Gibbs state of ``h_d``, applies the
-    adiabatic ``rotation`` while moving to ``h_a``, and ends hot-thermal
-    at ``h_b``.  ``rotation`` is a unitary class name or explicit matrix.
+    A table is on-site iff it is affine in the configuration bits: the
+    fit takes the all-up entry and the n single-flip slopes and spreads
+    them over all 2^n entries by doubling, O(d).  A matrix loses its
+    identity component and, on each site, the traceless part of its
+    one-site partial trace.  A dimension that is not a power of two
+    counts as one site, so everything is on-site there.
     """
-    omega_d = gibbs(h_d, betas.beta_c)
-    omega_b = gibbs(h_b, betas.beta_h)
-    omega_a = gibbs(h_a, betas.beta_h)
-    d_db = relative_entropy(omega_d, omega_b)
-    d_da = min_relative_entropy(omega_d, omega_a, rotation)
-    delta_s = von_neumann_entropy(omega_b) - von_neumann_entropy(omega_d)
-    return WorkHeatBound(work_max=betas.t_h * (d_db - d_da),
-                         heat_min=betas.t_h * (delta_s - d_da))
+    d = len(diff)
+    n = d.bit_length() - 1
+    if d != 1 << n:
+        return 0.0
+    if diff.ndim == 1:
+        fit = diff[:1]
+        for j in range(n):
+            fit = np.concatenate([fit, fit + (diff[1 << j] - diff[0])])
+        return float(np.max(np.abs(diff - fit)))
+    mean = np.trace(diff) / d
+    rest = diff - mean * np.eye(d)
+    for j in range(n):
+        split = diff.reshape(1 << (n - 1 - j), 2, 1 << j, 1 << (n - 1 - j), 2, 1 << j)
+        reduced = np.einsum("iajibj->ab", split) / (d >> 1) - mean * np.eye(2)
+        rest = rest - embed_site_operator(reduced, j, n)
+    return float(np.max(np.abs(rest)))
 
 
 @dataclass(frozen=True)
@@ -260,13 +274,18 @@ class BoundInputs:
 
     ``h_b`` is the Hamiltonian at the last hot contact, ``h_c`` right
     after the following adiabat, ``h_d`` at the last cold contact, and
-    ``h_a`` right after the adiabat closing the cycle.  All four must
-    share the same interaction part: the interaction matrix of a
-    ``CompositeHamiltonian``, the coupling and chain length of a
-    ``DiagonalHamiltonian`` (its field-free energies on the diagonal when
-    mixed with composites); ``u``/``v`` name the unitary class
-    available on each adiabat ("full", "commuting", "identity") or give
-    the rotation explicitly.
+    ``h_a`` right after the adiabat closing the cycle; ``u``/``v`` name
+    the unitary class available on each adiabat ("full", "commuting",
+    "identity") or give the rotation explicitly.
+
+    The corners obey the paper's operation set: each differs from
+    ``h_d`` by on-site terms only, so the interaction stays fixed.  Two
+    tables differ on-site iff their difference is affine in the
+    configuration bits; any other pair is compared as matrices, whose
+    difference must vanish once its one-site partial traces are removed
+    (within ``ON_SITE_TOL`` times the largest entry, at least 1).  Corners
+    on different spaces are rejected.  The corners are stored in their
+    :func:`thermo.as_operator` form.
     """
 
     h_a: object
@@ -278,22 +297,15 @@ class BoundInputs:
     v: object = "identity"
 
     def __post_init__(self):
-        corners = (self.h_a, self.h_b, self.h_c, self.h_d)
-        if all(isinstance(h, DiagonalHamiltonian) for h in corners):
-            shared = len({(h.n_sites, h.coupling) for h in corners}) == 1
-        elif all(isinstance(h, (CompositeHamiltonian, DiagonalHamiltonian))
-                 for h in corners):
-            # a table's interaction is its field-free energy table on the diagonal
-            mats = [h.interaction if isinstance(h, CompositeHamiltonian)
-                    else np.diag(kernels.ising_energies(h.n_sites, h.coupling, 0.0))
-                    for h in corners]
-            shared = all(m.shape == mats[0].shape
-                         and np.max(np.abs(m - mats[0])) <= 1e-12 for m in mats[1:])
-        else:
-            # a raw matrix does not split off its interaction
-            shared = True
-        if not shared:
-            raise ValueError("corner Hamiltonians do not share the interaction")
+        for name in ("h_a", "h_b", "h_c", "h_d"):
+            object.__setattr__(self, name, as_operator(getattr(self, name)))
+        for h in (self.h_a, self.h_b, self.h_c):
+            if h.dim != self.h_d.dim:
+                raise ValueError("corner Hamiltonians act on different spaces")
+            base, other = _arrays(self.h_d, h)
+            scale = max(1.0, float(np.max(np.abs(base))), float(np.max(np.abs(other))))
+            if not _off_site(other - base) <= ON_SITE_TOL * scale:
+                raise ValueError("corner Hamiltonians differ by more than on-site terms")
 
 
 class BoundTerms(NamedTuple):

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import ising, kernels, thermo
+from . import ising, kernels
 from .engine import Betas, UndefinedResultError
 from .ising import _core
 
@@ -278,23 +278,6 @@ def ferro_efficiency_limit(epsilon: float, n: int, betas: Betas) -> float:
         # both logs underflow; use their exact large-x ratio e^{-(x_c - x_h)}
         return betas.carnot * math.exp(x_h - x_c)
     return betas.carnot * math.log1p(math.exp(-x_c)) / math.log1p(math.exp(-x_h))
-
-
-def entropy_ratio_limit_check(hamiltonian, betas: Betas, j_grid) -> np.ndarray:
-    """Ratio S(omega_c(J*H)) / S(omega_h(J*H)) over a coupling grid.
-
-    ``hamiltonian`` is a Hermitian matrix, or a callable J -> matrix for
-    families whose weak perturbation rides on 1/J.  Returns nan where
-    the hot entropy vanishes on its numerical support.
-    """
-    out = []
-    for jv in np.asarray(j_grid, dtype=np.float64):
-        mat = hamiltonian(float(jv)) if callable(hamiltonian) else hamiltonian
-        scaled = float(jv) * np.asarray(mat)
-        s_c = thermo.von_neumann_entropy(thermo.gibbs(scaled, betas.beta_c))
-        s_h = thermo.von_neumann_entropy(thermo.gibbs(scaled, betas.beta_h))
-        out.append(s_c / s_h if s_h > 0.0 else math.nan)
-    return np.asarray(out)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,12 @@ boundary, and comes out in one of two validated forms with the same
 small interface (levels, Gibbs state, energy of a state):
 
 * :class:`EnergyTable`, the energies of an operator that is diagonal
-  in the computational basis (a ``DiagonalHamiltonian``).  Its Gibbs
-  state keeps ``basis=None`` and its energies cost O(d), or O(d^2)
-  against a rotated state;
-* :class:`DenseOperator`, a Hermitian complex matrix (a raw matrix or
-  a ``CompositeHamiltonian``).  Its Gibbs state needs ``eigh`` and its
-  energies cost O(d^3) against a rotated state.
+  in the computational basis (``hamiltonians.ising_diagonal`` builds
+  the Ising ring's).  Its Gibbs state keeps ``basis=None`` and its
+  energies cost O(d), or O(d^2) against a rotated state;
+* :class:`DenseOperator`, a Hermitian complex matrix (a raw matrix
+  once :func:`check_hermitian` accepts it).  Its Gibbs state needs
+  ``eigh`` and its energies cost O(d^3) against a rotated state.
 
 Forms pass through :func:`as_operator` unchanged, so code that holds a
 form (the engine's cycle loop) never validates it again.
@@ -36,12 +36,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import CompositeHamiltonian, DiagonalHamiltonian, check_hermitian
-
 SUPPORT_TOL = 1e-14
 LEAKED_MASS_TOL = 1e-12
 POPULATION_SUM_TOL = 1e-12
 BASIS_UNITARY_TOL = 1e-10
+HERMITICITY_TOL = 1e-12
+
+
+def check_hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """Validate a square, finite, Hermitian matrix and return it as complex."""
+    m = np.asarray(matrix)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"operator must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("operator has non-finite entries")
+    if np.max(np.abs(m - m.conj().T)) > tol:
+        raise ValueError(f"operator is not Hermitian within {tol:g} (max-norm)")
+    return np.asarray(m, dtype=complex)
 
 
 def check_unitary(matrix, name: str) -> np.ndarray:
@@ -68,6 +79,8 @@ class DensityState:
 
     def __post_init__(self):
         p = np.asarray(self.populations, dtype=np.float64)
+        if p.ndim != 1:
+            raise ValueError(f"populations must be one-dimensional, got shape {p.shape}")
         if np.any(p < -POPULATION_SUM_TOL):
             raise ValueError("negative population beyond tolerance")
         if abs(float(np.sum(p)) - 1.0) > POPULATION_SUM_TOL * max(1, len(p)):
@@ -161,17 +174,12 @@ class DenseOperator:
 
 
 def as_operator(hamiltonian) -> EnergyTable | DenseOperator:
-    """The accepted form of a Hamiltonian: a ``DiagonalHamiltonian`` becomes
-    its :class:`EnergyTable`, a ``CompositeHamiltonian`` its
-    :class:`DenseOperator`, and any other matrix a :class:`DenseOperator`
-    once :func:`check_hermitian` accepts it.  A form is returned
-    unchanged: forms are trusted, so build them with this function."""
+    """The accepted form of a Hamiltonian: any matrix becomes a
+    :class:`DenseOperator` once :func:`check_hermitian` accepts it.  A form
+    is returned unchanged: forms are trusted, so build them with this
+    function or with the ``hamiltonians`` builders."""
     if isinstance(hamiltonian, (EnergyTable, DenseOperator)):
         return hamiltonian
-    if isinstance(hamiltonian, DiagonalHamiltonian):
-        return EnergyTable(hamiltonian.energies)
-    if isinstance(hamiltonian, CompositeHamiltonian):
-        return DenseOperator(hamiltonian.matrix)
     return DenseOperator(check_hermitian(hamiltonian))
 
 

@@ -8,6 +8,7 @@ import subprocess
 import numpy as np
 import pytest
 
+import spinengine
 from spinengine import cli, ising, kernels
 from spinengine.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_UNDEFINED, main
 
@@ -296,9 +297,12 @@ def test_io_exit_code(tmp_path):
                  "--j-step", "1", "-o", str(missing_dir)]) == EXIT_IO
 
 
-def test_undefined_exit_code():
+def test_undefined_exit_code(capsys):
     # hot corner far more polarized than the cold one: entropy gain <= 0
     assert main(["bound", "--h-b", "8", "--h-d", "0.1"]) == EXIT_UNDEFINED
+    # zero field and coupling: the cycle draws no hot heat, so W/Q_hot is undefined
+    assert main(["cycle", "-J", "0", "--h-b", "0", "--steps", "10"]) == EXIT_UNDEFINED
+    assert capsys.readouterr().out == ""
 
 
 def test_help_and_usage_exit_codes(capsys):
@@ -316,3 +320,8 @@ def test_console_script_round_trip():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["g0"] == 18
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in spinengine.__all__ if not hasattr(spinengine, name)]
+    assert missing == []

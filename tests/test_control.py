@@ -1,5 +1,7 @@
 """Dynamical Lie algebra closure and reachable unitary classes."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from spinengine.control import (COMMUTING, FULL, INTERMEDIATE, GeneratorSet,
                                 classify_unitary_class, heisenberg_chain_drift,
                                 ising_chain_drift, lie_algebra_dimension,
                                 site_controls)
-from spinengine.hamiltonians import (SIGMA_X, SIGMA_Y, SIGMA_Z, IsingParams,
-                                     embed_site_operator, ising_composite)
+from spinengine.hamiltonians import SIGMA_X, SIGMA_Y, SIGMA_Z, embed_site_operator
 
 
 def random_two_local_drift(rng, n_sites=3):
@@ -67,12 +68,19 @@ def test_ising_drift_with_z_controls_commutes():
     assert result.dimension == 3
 
 
+def z_at(site, n):
+    """sigma_z on ``site`` as a Kronecker product; site k is bit k, so the
+    leftmost factor is site n - 1."""
+    return functools.reduce(np.kron, [SIGMA_Z if k == site else np.eye(2)
+                                      for k in reversed(range(n))])
+
+
 def test_ising_drift_is_the_engine_interaction():
-    # the two-site ring has two bonds, as in the engine's medium
+    # -J sum_k Z_k Z_k+1 around the ring: the two-site ring has two bonds
+    # and the one-site ring the single bond Z_0^2 = 1, as in the engine's medium
     for n in (1, 2, 3, 4):
-        np.testing.assert_array_equal(
-            ising_chain_drift(n, 0.7),
-            ising_composite(IsingParams(n, 0.7, 0.0)).interaction)
+        ring = sum(z_at(k, n) @ z_at((k + 1) % n, n) for k in range(n))
+        np.testing.assert_allclose(ising_chain_drift(n, 0.7), -0.7 * ring, atol=1e-15)
     np.testing.assert_array_equal(np.diag(ising_chain_drift(2, 1.0)).real,
                                   [-2.0, 2.0, 2.0, -2.0])
 

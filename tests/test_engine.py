@@ -8,10 +8,9 @@ import pytest
 from spinengine import kernels
 from spinengine.engine import (Betas, BoundInputs, Quench, ThermalContact,
                                UndefinedResultError, Unitary, apply_step,
-                               bound_terms, carnot_like_cycle,
-                               carnot_like_work_bound, efficiency_bound,
+                               bound_terms, carnot_like_cycle, efficiency_bound,
                                isothermal_staircase, run_cycle)
-from spinengine.hamiltonians import (SIGMA_X, SIGMA_Z, IsingParams, compose,
+from spinengine.hamiltonians import (SIGMA_X, SIGMA_Z, IsingParams, embed_site_operator,
                                      ising_composite, ising_diagonal)
 from spinengine.thermo import (DensityState, gibbs, relative_entropy,
                                von_neumann_entropy)
@@ -102,6 +101,16 @@ def test_cycle_without_hot_contact_is_undefined():
         run_cycle(field(1.0), [], BETAS)
     with pytest.raises(UndefinedResultError):
         run_cycle(field(1.0), [ThermalContact("cold")], BETAS)
+
+
+def test_cycle_without_hot_heat_has_no_efficiency():
+    # at zero field every state is maximally mixed and no heat moves: the
+    # books stand, but W/Q_hot does not
+    steps = [ThermalContact("hot"), Quench(field(0.0)), ThermalContact("cold")]
+    report = run_cycle(field(0.0), steps, BETAS)
+    assert report.heat_hot == 0.0 and report.total_work == 0.0
+    with pytest.raises(UndefinedResultError):
+        report.efficiency
 
 
 def test_non_cyclic_protocol_rejected():
@@ -212,33 +221,43 @@ def test_staircase_needs_a_step():
 # work/heat bound on the cold-to-hot leg
 
 
+def leg_bound(h_d, h_a, h_b, rotation="identity"):
+    """Largest work and smallest hot heat on the leg that starts at the cold
+    Gibbs state of ``h_d``, rotates while moving to ``h_a`` and ends
+    hot-thermal at ``h_b``: T_h (D(omega_d||omega_b) - D_V) and
+    T_h (dS - D_V), from the bound's terms."""
+    terms = bound_terms(BoundInputs(h_a, h_b, h_b, h_d, BETAS, v=rotation))
+    d_db = relative_entropy(gibbs(h_d, BETAS.beta_c), gibbs(h_b, BETAS.beta_h))
+    return BETAS.t_h * (d_db - terms.d_v), BETAS.t_h * (terms.delta_s - terms.d_v)
+
+
 def test_work_bound_vanishes_without_field_change():
     h = field(1.5)
-    bound = carnot_like_work_bound(h, h, h, BETAS)
-    assert bound.work_max == pytest.approx(0.0, abs=1e-14)
+    work_max, _ = leg_bound(h, h, h)
+    assert work_max == pytest.approx(0.0, abs=1e-14)
 
 
 def test_work_bound_matched_rotation_corner():
     # beta_c*h_D = beta_h*h_A makes the cold corner penalty vanish exactly
     h_d, h_a, h_b = field(2.0), field(4.0), field(1.0)
-    bound = carnot_like_work_bound(h_d, h_a, h_b, BETAS)
+    terms = bound_terms(BoundInputs(h_a, h_b, h_b, h_d, BETAS))
+    assert terms.d_v == pytest.approx(0.0, abs=1e-12)
     omega_d = gibbs(h_d, BETAS.beta_c)
     omega_b = gibbs(h_b, BETAS.beta_h)
-    assert bound.work_max == pytest.approx(
+    assert terms.delta_s == pytest.approx(
+        von_neumann_entropy(omega_b) - von_neumann_entropy(omega_d), abs=1e-12)
+    work_max, _ = leg_bound(h_d, h_a, h_b)
+    assert work_max == pytest.approx(
         BETAS.t_h * relative_entropy(omega_d, omega_b), abs=1e-12)
-    expected_heat = BETAS.t_h * (von_neumann_entropy(omega_b)
-                                 - von_neumann_entropy(omega_d))
-    assert bound.heat_min == pytest.approx(expected_heat, abs=1e-12)
 
 
 def test_work_bound_rotation_class_ordering():
     # opposite-sign fields misalign the populations, so reordering helps
     h_d, h_a, h_b = field(1.0), field(-3.0), field(1.0)
-    full = carnot_like_work_bound(h_d, h_a, h_b, BETAS, rotation="full")
-    commuting = carnot_like_work_bound(h_d, h_a, h_b, BETAS, rotation="commuting")
-    identity = carnot_like_work_bound(h_d, h_a, h_b, BETAS, rotation="identity")
-    assert commuting.work_max == identity.work_max
-    assert full.work_max > identity.work_max + 1e-6
+    full, commuting, identity = (leg_bound(h_d, h_a, h_b, rotation=cls)[0]
+                                 for cls in ("full", "commuting", "identity"))
+    assert commuting == identity
+    assert full > identity + 1e-6
 
 
 def test_staircase_leg_realizes_the_bound():
@@ -246,7 +265,7 @@ def test_staircase_leg_realizes_the_bound():
     # converges to heat_min from below and the work to work_max plus the
     # boundary energy Tr omega_D (H_D - H_B) that cancels in closed cycles
     h_d, h_a, h_b = field(2.0), field(4.0), field(1.0)
-    bound = carnot_like_work_bound(h_d, h_a, h_b, BETAS)
+    work_max, heat_min = leg_bound(h_d, h_a, h_b)
     omega_d = gibbs(h_d, BETAS.beta_c)
 
     state = omega_d
@@ -258,11 +277,11 @@ def test_staircase_leg_realizes_the_bound():
         work += result.record.work
         heat += result.record.heat
 
-    assert heat <= bound.heat_min + 1e-12
-    assert heat == pytest.approx(bound.heat_min, abs=1e-3)
+    assert heat <= heat_min + 1e-12
+    assert heat == pytest.approx(heat_min, abs=1e-3)
     boundary = omega_d.energy(h_d) - omega_d.energy(h_b)
-    assert work <= bound.work_max + boundary + 1e-12
-    assert work == pytest.approx(bound.work_max + boundary, abs=1e-3)
+    assert work <= work_max + boundary + 1e-12
+    assert work == pytest.approx(work_max + boundary, abs=1e-3)
 
 
 # --------------------------------------------------------------------------
@@ -339,12 +358,21 @@ def test_interacting_medium_stays_below_carnot():
     assert best < BETAS.carnot - 1e-6
 
 
+def xx_ring(n):
+    """An XX bond on every ring bond: a coupling no on-site term can make."""
+    return sum(embed_site_operator(SIGMA_X, k, n) @ embed_site_operator(SIGMA_X, (k + 1) % n, n)
+               for k in range(n))
+
+
 def test_bound_inputs_require_shared_interaction():
     for build in (ising_composite, ising_diagonal):
         good = build(IsingParams(2, 1.0, 1.0))
         BoundInputs(h_a=good, h_b=build(IsingParams(2, 1.0, 3.0)), h_c=good, h_d=good,
                     betas=BETAS)
-        for bad in (build(IsingParams(2, 2.0, 1.0)), build(IsingParams(3, 1.0, 1.0))):
+        bads = [build(IsingParams(2, 2.0, 1.0)), build(IsingParams(3, 1.0, 1.0))]
+        if build is ising_composite:
+            bads.append(good.matrix + xx_ring(2))
+        for bad in bads:
             with pytest.raises(ValueError):
                 BoundInputs(h_a=good, h_b=good, h_c=good, h_d=bad, betas=BETAS)
 
@@ -354,9 +382,27 @@ def test_bound_inputs_compare_mixed_corners_by_interaction_energies():
     BoundInputs(h_a=table, h_b=ising_composite(IsingParams(2, 1.0, 3.0)),
                 h_c=table, h_d=table, betas=BETAS)
     # the table's interaction energies on the diagonal, plus an XX coupling
-    flip = compose([], np.diag(kernels.ising_energies(2, 1.0, 0.0))
-                   + np.kron(SIGMA_X, SIGMA_X), n_sites=2)
+    flip = np.diag(kernels.ising_energies(2, 1.0, 0.0)) + xx_ring(2)
     for bad in (ising_composite(IsingParams(2, 2.0, 1.0)),
                 ising_composite(IsingParams(3, 1.0, 1.0)), flip):
         with pytest.raises(ValueError):
             BoundInputs(h_a=table, h_b=bad, h_c=table, h_d=table, betas=BETAS)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bound_inputs_apply_the_on_site_rule_to_raw_matrices(n):
+    ising = ising_composite(IsingParams(n, 0.7, 1.0)).matrix
+    # any one-site terms may change between corners, transverse ones too
+    on_site = sum((k + 1.0) * embed_site_operator(SIGMA_X, k, n) for k in range(n))
+    BoundInputs(h_a=ising + on_site, h_b=ising - 0.5 * on_site, h_c=ising, h_d=ising,
+                betas=BETAS)
+    zz = embed_site_operator(SIGMA_Z, 0, n) @ embed_site_operator(SIGMA_Z, 1, n)
+    for bad, reason in ((ising + 0.3 * zz, "on-site"), (ising + xx_ring(n), "on-site"),
+                        (np.eye(2 * (1 << n)), "different spaces")):
+        with pytest.raises(ValueError, match=reason):
+            BoundInputs(h_a=ising, h_b=bad, h_c=ising, h_d=ising, betas=BETAS)
+    # a space that is no chain of spins is one site: every difference is on-site
+    rng = np.random.default_rng(n)
+    other = rng.normal(size=(3, 3))
+    BoundInputs(h_a=other + other.T, h_b=np.eye(3), h_c=np.eye(3), h_d=np.zeros((3, 3)),
+                betas=BETAS)

@@ -1,12 +1,12 @@
-"""Chain Hamiltonian construction: spectra, composition, symmetries."""
+"""Chain Hamiltonian construction: spectra, sign and bit conventions, symmetries."""
 
 import numpy as np
 import pytest
 
-from spinengine.hamiltonians import (SIGMA_X, SIGMA_Z, CompositeHamiltonian,
-                                     IsingParams, LocalField, check_hermitian,
-                                     compose, embed_site_operator,
+from spinengine import kernels
+from spinengine.hamiltonians import (SIGMA_Z, IsingParams, embed_site_operator,
                                      ising_composite, ising_diagonal)
+from spinengine.thermo import DenseOperator, EnergyTable, check_hermitian
 
 
 def test_two_free_spins_spectrum():
@@ -27,15 +27,20 @@ def test_four_site_antiferromagnet_neel_pair():
 
 
 def test_diagonal_matches_composed_dense():
+    # -h sum_j Z_j from Kronecker embeddings plus the field-free ring pins
+    # the sign of the field and which bit is which site
     rng = np.random.default_rng(21)
     for _ in range(12):
         n = int(rng.integers(2, 7))
         j, h = rng.uniform(-2, 2, size=2)
         params = IsingParams(n, j, h)
-        dense = ising_composite(params).matrix
-        assert np.max(np.abs(dense - np.diag(dense.diagonal()))) < 1e-12
-        np.testing.assert_allclose(np.real(dense.diagonal()),
-                                   ising_diagonal(params).energies, atol=1e-12)
+        composed = (-h * sum(embed_site_operator(SIGMA_Z, k, n) for k in range(n))
+                    + np.diag(kernels.ising_energies(n, j, 0.0)))
+        table = ising_diagonal(params)
+        dense = ising_composite(params)
+        assert isinstance(table, EnergyTable)
+        np.testing.assert_allclose(dense.matrix, composed, atol=1e-12)
+        np.testing.assert_allclose(table.energies, np.real(composed.diagonal()), atol=1e-12)
 
 
 def test_spectrum_symmetries():
@@ -52,34 +57,6 @@ def test_spectrum_symmetries():
         np.testing.assert_allclose(table, table[rotated], atol=1e-12)
 
 
-def test_compose_single_site():
-    built = compose([LocalField(0, SIGMA_Z)], n_sites=1)
-    np.testing.assert_allclose(built.matrix, SIGMA_Z)
-
-
-def test_compose_two_site_example():
-    # fields -h*sigma_z with h=1 plus interaction -J*zz with J=1
-    fields = [LocalField(0, -SIGMA_Z), LocalField(1, -SIGMA_Z)]
-    zz = embed_site_operator(SIGMA_Z, 0, 2) @ embed_site_operator(SIGMA_Z, 1, 2)
-    built = compose(fields, interaction=-zz)
-    np.testing.assert_allclose(np.sort(np.real(built.matrix.diagonal())),
-                               [-3, 1, 1, 1])
-
-
-def test_compose_interaction_only():
-    h_int = np.kron(SIGMA_X, SIGMA_X)
-    built = compose([], interaction=h_int, n_sites=2)
-    np.testing.assert_allclose(built.matrix, h_int)
-
-
-def test_compose_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        compose([LocalField(0, np.array([[0, 1], [0, 0]], dtype=complex))],
-                n_sites=1)
-    with pytest.raises(ValueError):
-        compose([LocalField(0, SIGMA_Z)], interaction=np.eye(8), n_sites=2)
-
-
 def test_ising_diagonal_requires_finite_chain():
     with pytest.raises(ValueError):
         ising_diagonal(IsingParams(None, 1.0, 0.0))
@@ -91,5 +68,5 @@ def test_all_constructions_hermitian():
         n = int(rng.integers(2, 6))
         ham = ising_composite(IsingParams(n, rng.uniform(-2, 2),
                                           rng.uniform(-2, 2)))
-        assert isinstance(ham, CompositeHamiltonian)
+        assert isinstance(ham, DenseOperator)
         check_hermitian(ham.matrix)

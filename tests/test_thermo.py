@@ -270,3 +270,8 @@ def test_density_state_basis_must_match_populations():
     with pytest.raises(ValueError, match="2x2 but there are 3 populations"):
         DensityState([0.2, 0.3, 0.5], basis=np.eye(2))
     assert DensityState([0.5, 0.5], basis=np.eye(2)).dim == 2
+
+
+def test_density_state_populations_must_be_one_dimensional():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        DensityState([[0.25, 0.25], [0.25, 0.25]])

@@ -9,6 +9,17 @@ Subcommands
     gs-deg         chain ground-state energy and degeneracy  (JSON)
     control        Lie-algebra class of a drift + local controls  (JSON)
 
+Parameters: each flag is declared once, in ``_COMMANDS``, with its type,
+its per-subcommand default and its help text; ``--help`` prints the
+defaults.  ``--config file.json`` holds a JSON object of parameters keyed
+by the flags' metavars in lower case (``beta_h`` for ``--beta-h``, ``n``
+for ``-N``, ``field`` for ``gs-deg -h``).  Each entry is parsed by its
+flag's own argparse action, so it is accepted or refused as the flag
+would be; a repeatable flag takes a JSON list.  A flag on the command
+line replaces its entry, lists included.  A key that no subcommand takes
+exits 2, a key that only other subcommands take is ignored (one file can
+serve several), and ``config`` and ``output`` are command-line only.
+
 Exit codes: 0 success, 2 bad configuration, 3 I/O failure, 4 undefined
 result (for example a non-positive bound denominator).
 
@@ -27,6 +38,7 @@ import argparse
 import json
 import math
 import sys
+from typing import NamedTuple
 
 from . import control as control_lib
 from . import ising, protocols
@@ -45,59 +57,6 @@ _STAIRCASE_BYTES_MAX = 2 << 30
 
 class ConfigError(ValueError):
     """Invalid flag or config-file value; maps to exit code 2."""
-
-
-# ---------------------------------------------------------------------------
-# configuration plumbing
-
-
-def _load_config(path):
-    """Read a JSON object of defaults; flags override its entries."""
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--config {path}: invalid JSON ({exc})")
-    if not isinstance(data, dict):
-        raise ConfigError(f"--config {path}: top level must be a JSON object")
-    return data
-
-
-def _resolve(args, config, name, default=None):
-    """Flag value if given, else config-file entry, else the default."""
-    value = getattr(args, name)
-    if value is None:
-        value = config.get(name, default)
-    return value
-
-
-def _resolve_betas(args, config) -> Betas:
-    beta_h = float(_resolve(args, config, "beta_h", 0.5))
-    beta_c = float(_resolve(args, config, "beta_c", 1.0))
-    try:
-        return Betas(beta_h, beta_c)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def _resolve_grid(args, config, default_min, default_max, default_step):
-    j_min = float(_resolve(args, config, "j_min", default_min))
-    j_max = float(_resolve(args, config, "j_max", default_max))
-    j_step = float(_resolve(args, config, "j_step", default_step))
-    if not (j_step > 0):
-        raise ConfigError("--j-step must be positive")
-    if j_max < j_min:
-        raise ConfigError("--j-max must not be below --j-min")
-    count = int(math.floor((j_max - j_min) / j_step + 1e-9)) + 1
-    return [j_min + k * j_step for k in range(count)], j_min, j_max, j_step
-
-
-def _check_threads(args, config) -> None:
-    """Validate ``--threads``, which is accepted but has no effect."""
-    if int(_resolve(args, config, "threads", 1)) < 1:
-        raise ConfigError("--threads must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -150,141 +109,91 @@ def _emit_json(path, report: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; ``args`` holds every parameter of the subcommand, resolved
 
 
-def cmd_sweep_j(args, config) -> int:
-    betas = _resolve_betas(args, config)
-    js, j_min, j_max, j_step = _resolve_grid(args, config, -5.0, 5.0, 0.1)
-    mode = _resolve(args, config, "mode", protocols.PAPER_PROTOCOL)
-    if mode not in (protocols.PAPER_PROTOCOL, protocols.FREE_FIELDS):
-        raise ConfigError(f"--mode must be 'paper' or 'free', got {mode!r}")
-    grid_step = float(_resolve(args, config, "grid_step", 1e-2))
-    if not (grid_step > 0):
-        raise ConfigError("--grid-step must be positive")
-    params = {"command": "sweep-j", "beta_h": betas.beta_h, "beta_c": betas.beta_c,
-              "j_min": j_min, "j_max": j_max, "j_step": j_step,
-              "mode": mode, "grid_step": grid_step}
+def _params(args) -> dict:
+    """The subcommand's parameters, as every output echoes them."""
+    return {"command": args.subcommand,
+            **{flag.dest: getattr(args, flag.dest) for flag in _COMMANDS[args.subcommand][2]}}
 
-    rows = protocols.sweep_j(js, betas, mode, grid_step=grid_step)
-    _emit_csv(args.output, "J,h_opt,work_density,efficiency,mode", params, rows)
+
+def _j_values(args) -> list[float]:
+    if args.j_max < args.j_min:
+        raise ConfigError("--j-max must not be below --j-min")
+    count = int(math.floor((args.j_max - args.j_min) / args.j_step + 1e-9)) + 1
+    return [args.j_min + k * args.j_step for k in range(count)]
+
+
+def cmd_sweep_j(args) -> int:
+    betas = Betas(args.beta_h, args.beta_c)
+    rows = protocols.sweep_j(_j_values(args), betas, args.mode, grid_step=args.grid_step)
+    _emit_csv(args.output, "J,h_opt,work_density,efficiency,mode", _params(args), rows)
     return EXIT_OK
 
 
-def cmd_precision(args, config) -> int:
-    betas = _resolve_betas(args, config)
-    n = _resolve_n(args, config, 6)
-    epsilons = _resolve(args, config, "epsilon", None)
-    if not epsilons:
+def cmd_precision(args) -> int:
+    betas = Betas(args.beta_h, args.beta_c)
+    if not args.epsilon:
         raise ConfigError("--epsilon list must not be empty")
-    epsilons = [float(e) for e in epsilons]
-    if any(e < 0 for e in epsilons):
-        raise ConfigError("--epsilon values must be nonnegative")
-    js, j_min, j_max, j_step = _resolve_grid(args, config, 0.0, 20.0, 0.5)
-    grid_step = float(_resolve(args, config, "grid_step", 1e-2))
-    if not (grid_step > 0):
-        raise ConfigError("--grid-step must be positive")
-    params = {"command": "precision", "beta_h": betas.beta_h, "beta_c": betas.beta_c,
-              "n": n, "epsilon": epsilons, "j_min": j_min, "j_max": j_max,
-              "j_step": j_step, "grid_step": grid_step}
-
-    points = protocols.chain_sweep(n, js, betas, epsilons, grid_step=grid_step)
+    points = protocols.chain_sweep(args.n, _j_values(args), betas, args.epsilon,
+                                   grid_step=args.grid_step)
     rows = [(p.j, p.epsilon, p.efficiency) for p in points]
-    _emit_csv(args.output, "J,epsilon,efficiency", params, rows)
+    _emit_csv(args.output, "J,epsilon,efficiency", _params(args), rows)
     return EXIT_OK
 
 
-def cmd_optimal_field(args, config) -> int:
-    betas = _resolve(args, config, "beta", None)
-    if not betas:
-        betas = [1.0, 2.0, 3.0]
-    betas = [float(b) for b in betas]
-    if any(b <= 0 for b in betas):
-        raise ConfigError("--beta values must be positive")
-    js, j_min, j_max, j_step = _resolve_grid(args, config, -3.0, 0.0, 0.01)
-    params = {"command": "optimal-field", "beta": betas,
-              "j_min": j_min, "j_max": j_max, "j_step": j_step}
-
-    rows = [(b, j, float(h)) for b in betas for j, h in zip(js, ising.optimal_field(b, js))]
-    _emit_csv(args.output, "beta,J,h_opt", params, rows)
+def cmd_optimal_field(args) -> int:
+    js = _j_values(args)
+    rows = [(b, j, float(h)) for b in args.beta
+            for j, h in zip(js, ising.optimal_field(b, js))]
+    _emit_csv(args.output, "beta,J,h_opt", _params(args), rows)
     return EXIT_OK
 
 
-def _resolve_n(args, config, default):
-    """Chain length of the finite Ising ring commands."""
-    n = int(_resolve(args, config, "n", default))
-    if not (1 <= n <= 24):
-        raise ConfigError("-N must be between 1 and 24")
-    return n
-
-
-def _corner_fields(args, config):
-    h_b = float(_resolve(args, config, "h_b", 1.0))
-    beta_h = float(_resolve(args, config, "beta_h", 0.5))
-    beta_c = float(_resolve(args, config, "beta_c", 1.0))
+def _corner_tables(args):
+    """Energy tables at corners A to D, after filling in the derived fields."""
     # default corners follow the Carnot construction: the quenches scale
     # the field by the temperature ratio so no relative entropy is paid,
     # and the cold corner sits at the stronger reduced field beta*h so
     # the hot contact is the entropy-gaining one.
-    h_c = _resolve(args, config, "h_c", None)
-    h_c = (beta_h / beta_c) * h_b if h_c is None else float(h_c)
-    h_d = float(_resolve(args, config, "h_d", 2.0 * h_b))
-    h_a = _resolve(args, config, "h_a", None)
-    h_a = (beta_c / beta_h) * h_d if h_a is None else float(h_a)
-    return h_a, h_b, h_c, h_d
+    if args.h_c is None:
+        args.h_c = (args.beta_h / args.beta_c) * args.h_b
+    if args.h_d is None:
+        args.h_d = 2.0 * args.h_b
+    if args.h_a is None:
+        args.h_a = (args.beta_c / args.beta_h) * args.h_d
+    return [ising_diagonal(IsingParams(args.n, args.j, h))
+            for h in (args.h_a, args.h_b, args.h_c, args.h_d)]
 
 
-def _corner_tables(n, j, fields):
-    return [ising_diagonal(IsingParams(n, j, h)) for h in fields]
-
-
-def cmd_bound(args, config) -> int:
-    betas = _resolve_betas(args, config)
-    n = _resolve_n(args, config, 2)
-    j = float(_resolve(args, config, "j", 0.0))
-    h_a, h_b, h_c, h_d = _corner_fields(args, config)
-    u_class = _resolve(args, config, "u_class", "identity")
-    v_class = _resolve(args, config, "v_class", "identity")
-    for label, cls in (("--u-class", u_class), ("--v-class", v_class)):
-        if cls not in ("identity", "commuting", "full"):
-            raise ConfigError(f"{label} must be identity, commuting, or full")
-    inputs = BoundInputs(*_corner_tables(n, j, (h_a, h_b, h_c, h_d)),
-                         betas, u=u_class, v=v_class)
-    terms = bound_terms(inputs)
-    eta = terms.efficiency(betas)
-    report = {"command": "bound", "beta_h": betas.beta_h, "beta_c": betas.beta_c,
-              "n": n, "j": j, "h_a": h_a, "h_b": h_b, "h_c": h_c, "h_d": h_d,
-              "u_class": u_class, "v_class": v_class,
-              "delta_s": terms.delta_s, "d_u": terms.d_u, "d_v": terms.d_v,
-              "eta_bound": eta, "carnot": betas.carnot}
+def cmd_bound(args) -> int:
+    betas = Betas(args.beta_h, args.beta_c)
+    terms = bound_terms(BoundInputs(*_corner_tables(args), betas,
+                                    u=args.u_class, v=args.v_class))
+    report = {**_params(args), "delta_s": terms.delta_s, "d_u": terms.d_u,
+              "d_v": terms.d_v, "eta_bound": terms.efficiency(betas),
+              "carnot": betas.carnot}
     _emit_json(args.output, report)
     return EXIT_OK
 
 
-def cmd_cycle(args, config) -> int:
-    betas = _resolve_betas(args, config)
-    n = _resolve_n(args, config, 2)
-    j = float(_resolve(args, config, "j", 0.0))
-    h_a, h_b, h_c, h_d = _corner_fields(args, config)
-    steps = int(_resolve(args, config, "steps", 1000))
-    if steps < 1:
-        raise ConfigError("--steps must be at least 1")
-    staircase_bytes = (2 * steps * 8) << n
+def cmd_cycle(args) -> int:
+    betas = Betas(args.beta_h, args.beta_c)
+    staircase_bytes = (2 * args.steps * 8) << args.n
     if staircase_bytes > _STAIRCASE_BYTES_MAX:
-        raise ConfigError(f"-N {n} --steps {steps} needs {staircase_bytes} bytes of "
-                          f"staircase tables, above the {_STAIRCASE_BYTES_MAX}-byte cap; "
+        raise ConfigError(f"-N {args.n} --steps {args.steps} needs {staircase_bytes} bytes "
+                          f"of staircase tables, above the {_STAIRCASE_BYTES_MAX}-byte cap; "
                           "lower --steps or -N")
-    c_a, c_b, c_c, c_d = _corner_tables(n, j, (h_a, h_b, h_c, h_d))
-    protocol = carnot_like_cycle(c_d, c_a, c_b, c_c, betas, steps)
+    c_a, c_b, c_c, c_d = _corner_tables(args)
+    protocol = carnot_like_cycle(c_d, c_a, c_b, c_c, betas, args.steps)
     report_obj = run_cycle(c_d, protocol, betas)
     try:
         eta_bound = efficiency_bound(BoundInputs(c_a, c_b, c_c, c_d, betas))
     except UndefinedResultError:
         # the cycle still ran; report it with the comparison left blank
         eta_bound = None
-    report = {"command": "cycle", "beta_h": betas.beta_h, "beta_c": betas.beta_c,
-              "n": n, "j": j, "h_a": h_a, "h_b": h_b, "h_c": h_c, "h_d": h_d,
-              "steps": steps, "total_work": report_obj.total_work,
+    report = {**_params(args), "total_work": report_obj.total_work,
               "heat_hot": report_obj.heat_hot, "heat_cold": report_obj.heat_cold,
               "efficiency": report_obj.efficiency, "steady": report_obj.steady,
               "n_passes": report_obj.n_passes,
@@ -294,12 +203,9 @@ def cmd_cycle(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_gs_deg(args, config) -> int:
-    n = _resolve_n(args, config, 8)
-    j = float(_resolve(args, config, "j", -1.0))
-    h = float(_resolve(args, config, "field", 2.0))
-    g0, e0 = ising.ground_state_degeneracy(n, j, h)
-    report = {"command": "gs-deg", "n": n, "j": j, "h": h,
+def cmd_gs_deg(args) -> int:
+    g0, e0 = ising.ground_state_degeneracy(args.n, args.j, args.field)
+    report = {"command": "gs-deg", "n": args.n, "j": args.j, "h": args.field,
               "e0": float(e0), "g0": int(g0)}
     _emit_json(args.output, report)
     return EXIT_OK
@@ -323,171 +229,204 @@ def _parse_controls(specs, n: int):
         axes = [a for a in (p.strip().lower() for p in axes_part.split(",")) if a]
         if not axes:
             raise ConfigError(f"--controls entry {spec!r}: no axes given")
-        try:
-            ops.extend(control_lib.site_controls(n, site, axes))
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        ops.extend(control_lib.site_controls(n, site, axes))
         parsed.append(f"site{site}:" + ",".join(axes))
     return ops, parsed
 
 
-def cmd_control(args, config) -> int:
-    model = _resolve(args, config, "model", "heisenberg-chain")
-    n = int(_resolve(args, config, "n", 2))
-    if not (2 <= n <= 6):
-        raise ConfigError("-N must be between 2 and 6 (closure is O(d^4))")
-    j = float(_resolve(args, config, "j", 1.0))
-    specs = _resolve(args, config, "controls", None) or ["site0:x,z"]
-    if model == "heisenberg-chain":
-        drift = control_lib.heisenberg_chain_drift(n, j)
-    elif model == "ising-chain":
-        drift = control_lib.ising_chain_drift(n, j)
+def cmd_control(args) -> int:
+    if args.model == "heisenberg-chain":
+        drift = control_lib.heisenberg_chain_drift(args.n, args.j)
     else:
-        raise ConfigError("--model must be heisenberg-chain or ising-chain")
-    controls, parsed = _parse_controls(specs, n)
+        drift = control_lib.ising_chain_drift(args.n, args.j)
+    controls, args.controls = _parse_controls(args.controls, args.n)
     gens = control_lib.GeneratorSet(drift=drift, controls=tuple(controls))
     result = control_lib.classify_unitary_class(gens)
-    report = {"command": "control", "model": model, "n": n, "j": j,
-              "controls": parsed, "class": result.kind,
+    report = {**_params(args), "class": result.kind,
               "dim": result.dimension, "stabilized": result.stabilized}
     _emit_json(args.output, report)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# parameters: each flag declared once, for the command line and --config
 
 
-def _add_common(sp):
-    sp.add_argument("--help", action="help", help="show this help message and exit")
-    sp.add_argument("--config", metavar="JSON", default=None,
-                    help="JSON file of parameter defaults; flags win")
-    sp.add_argument("-o", "--output", metavar="PATH", default=None,
-                    help="output file (default: stdout)")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="accepted for compatibility; has no effect")
+class _Flag(NamedTuple):
+    names: tuple      # option strings
+    dest: str         # attribute on ``args`` and key in a --config file
+    default: object   # None: required, or derived by the subcommand
+    help: str
+    kwargs: dict      # further argparse keywords: type, choices, action, ...
 
 
-def _add_betas(sp):
-    sp.add_argument("--beta-h", dest="beta_h", type=float, default=None,
-                    help="hot inverse temperature (default 0.5)")
-    sp.add_argument("--beta-c", dest="beta_c", type=float, default=None,
-                    help="cold inverse temperature (default 1.0)")
+def _flag(*names, help, default=None, dest=None, **kwargs) -> _Flag:
+    return _Flag(names, dest or names[-1].lstrip("-").replace("-", "_"),
+                 default, help, kwargs)
 
 
-def _add_j_grid(sp):
-    sp.add_argument("--j-min", dest="j_min", type=float, default=None)
-    sp.add_argument("--j-max", dest="j_max", type=float, default=None)
-    sp.add_argument("--j-step", dest="j_step", type=float, default=None)
+def _checked(convert, ok, message):
+    """argparse type: ``convert`` the text, then refuse a value failing ``ok``."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
-def _add_corners(sp):
-    sp.add_argument("-N", dest="n", type=int, default=None, help="chain length")
-    sp.add_argument("-J", dest="j", type=float, default=None, help="coupling")
-    sp.add_argument("--h-a", dest="h_a", type=float, default=None)
-    sp.add_argument("--h-b", dest="h_b", type=float, default=None)
-    sp.add_argument("--h-c", dest="h_c", type=float, default=None)
-    sp.add_argument("--h-d", dest="h_d", type=float, default=None)
+def _chain_length(default, lo=1, hi=24, why=""):
+    return _flag("-N", dest="n", default=default, help=f"chain length ({lo} to {hi})",
+                 type=_checked(int, lambda n: lo <= n <= hi,
+                               f"-N must be between {lo} and {hi}{why}"))
+
+
+def _j_grid(lo, hi, step):
+    return (_flag("--j-min", default=lo, type=float, help="first coupling of the grid"),
+            _flag("--j-max", default=hi, type=float, help="last coupling of the grid"),
+            _flag("--j-step", default=step, help="coupling grid spacing",
+                  type=_checked(float, lambda x: x > 0, "--j-step must be positive")))
+
+
+_BETAS = (_flag("--beta-h", default=0.5, type=float, help="hot inverse temperature"),
+          _flag("--beta-c", default=1.0, type=float, help="cold inverse temperature"))
+_GRID_STEP = _flag("--grid-step", default=1e-2,
+                   type=_checked(float, lambda x: x > 0, "--grid-step must be positive"),
+                   help="field grid spacing for the work maximization")
+_CLASSES = ("identity", "commuting", "full")
+_CORNERS = (
+    _chain_length(2), _flag("-J", dest="j", default=0.0, type=float, help="coupling"),
+    _flag("--h-a", type=float, help="field at corner A (default: h_d scaled by beta_c/beta_h)"),
+    _flag("--h-b", default=1.0, type=float, help="field at corner B"),
+    _flag("--h-c", type=float, help="field at corner C (default: h_b scaled by beta_h/beta_c)"),
+    _flag("--h-d", type=float, help="field at corner D (default: 2 h_b)"),
+)
+# every subcommand takes these three; only --threads may come from a config file
+_CLI_ONLY = (_flag("--config", metavar="JSON",
+                   help="JSON object of parameters keyed by the other flags' metavars "
+                        "in lower case (beta_h, n, ...); a flag replaces its entry"),
+             _flag("-o", "--output", metavar="PATH", help="output file (default: stdout)"))
+_THREADS = _flag("--threads", default=1,
+                 type=_checked(int, lambda t: t >= 1, "--threads must be at least 1"),
+                 help="accepted for compatibility; has no effect")
+
+# subcommand -> (handler, summary, the parameters its output echoes)
+_COMMANDS = {
+    "sweep-j": (cmd_sweep_j, "efficiency at maximum work density vs J (CSV)", (
+        *_BETAS, *_j_grid(-5.0, 5.0, 0.1),
+        _flag("--mode", default=protocols.PAPER_PROTOCOL,
+              choices=(protocols.PAPER_PROTOCOL, protocols.FREE_FIELDS),
+              help="corner-field family: matched quench or free fields"),
+        _GRID_STEP)),
+    "precision": (cmd_precision, "finite-chain efficiency with a field floor (CSV)", (
+        *_BETAS, *_j_grid(0.0, 20.0, 0.5), _chain_length(6),
+        _flag("--epsilon", action="append",
+              type=_checked(float, lambda e: not e < 0, "--epsilon values must be nonnegative"),
+              help="field floor; repeat for several curves (at least one)"),
+        _GRID_STEP)),
+    "optimal-field": (cmd_optimal_field, "optimal corner field vs J per temperature (CSV)", (
+        _flag("--beta", action="append", default=[1.0, 2.0, 3.0],
+              type=_checked(float, lambda b: not b <= 0, "--beta values must be positive"),
+              help="inverse temperature; repeat for several curves"),
+        *_j_grid(-3.0, 0.0, 0.01))),
+    "bound": (cmd_bound, "four-corner efficiency bound (JSON)", (
+        *_BETAS, *_CORNERS,
+        _flag("--u-class", default="identity", choices=_CLASSES,
+              help="unitary class on the hot-side adiabat"),
+        _flag("--v-class", default="identity", choices=_CLASSES,
+              help="unitary class on the cold-side adiabat"))),
+    "cycle": (cmd_cycle, "simulate a staircase Carnot-like cycle (JSON)", (
+        *_BETAS, *_CORNERS,
+        _flag("--steps", default=1000,
+              type=_checked(int, lambda s: s >= 1, "--steps must be at least 1"),
+              help="micro-steps per isotherm"))),
+    "gs-deg": (cmd_gs_deg, "chain ground-state energy and degeneracy (JSON)", (
+        _chain_length(8), _flag("-J", dest="j", default=-1.0, type=float, help="coupling"),
+        _flag("-h", dest="field", default=2.0, type=float, help="magnetic field"))),
+    "control": (cmd_control, "Lie-algebra class of drift + local controls (JSON)", (
+        _flag("--model", default="heisenberg-chain",
+              choices=("heisenberg-chain", "ising-chain"), help="drift Hamiltonian family"),
+        _chain_length(2, 2, 6, " (closure is O(d^4))"),
+        _flag("-J", dest="j", default=1.0, type=float, help="drift coupling strength"),
+        _flag("--controls", action="append", default=["site0:x,z"],
+              help="control spec like site0:x,z; repeatable"))),
+}
+_CONFIG_KEYS = {_THREADS.dest, *(flag.dest for _, _, flags in _COMMANDS.values()
+                                  for flag in flags)}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # raise rather than exit, so a refused config entry can be named
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinengine",
         description="Spin-chain work-extraction engines: sweeps and queries.")
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="COMMAND")
-
-    # every subparser opts out of the automatic -h so that gs-deg can use
-    # -h for the magnetic field; --help stays available everywhere.
-    sp = sub.add_parser("sweep-j", add_help=False,
-                        help="efficiency at maximum work density vs J (CSV)")
-    _add_common(sp)
-    _add_betas(sp)
-    _add_j_grid(sp)
-    sp.add_argument("--mode", choices=("paper", "free"), default=None,
-                    help="corner-field family: matched quench or free fields")
-    sp.add_argument("--grid-step", dest="grid_step", type=float, default=None,
-                    help="field grid spacing for the work maximization")
-    sp.set_defaults(func=cmd_sweep_j)
-
-    sp = sub.add_parser("precision", add_help=False,
-                        help="finite-chain efficiency with a field floor (CSV)")
-    _add_common(sp)
-    _add_betas(sp)
-    _add_j_grid(sp)
-    sp.add_argument("-N", dest="n", type=int, default=None,
-                    help="chain length (1 to 24)")
-    sp.add_argument("--epsilon", action="append", type=float, default=None,
-                    help="field floor; repeat for several curves")
-    sp.add_argument("--grid-step", dest="grid_step", type=float, default=None,
-                    help="field grid spacing for the work maximization")
-    sp.set_defaults(func=cmd_precision)
-
-    sp = sub.add_parser("optimal-field", add_help=False,
-                        help="optimal corner field vs J per temperature (CSV)")
-    _add_common(sp)
-    sp.add_argument("--beta", action="append", type=float, default=None,
-                    help="inverse temperature; repeat for several curves")
-    _add_j_grid(sp)
-    sp.set_defaults(func=cmd_optimal_field)
-
-    sp = sub.add_parser("bound", add_help=False,
-                        help="four-corner efficiency bound (JSON)")
-    _add_common(sp)
-    _add_betas(sp)
-    _add_corners(sp)
-    sp.add_argument("--u-class", dest="u_class", default=None,
-                    choices=("identity", "commuting", "full"),
-                    help="unitary class on the hot-side adiabat")
-    sp.add_argument("--v-class", dest="v_class", default=None,
-                    choices=("identity", "commuting", "full"),
-                    help="unitary class on the cold-side adiabat")
-    sp.set_defaults(func=cmd_bound)
-
-    sp = sub.add_parser("cycle", add_help=False,
-                        help="simulate a staircase Carnot-like cycle (JSON)")
-    _add_common(sp)
-    _add_betas(sp)
-    _add_corners(sp)
-    sp.add_argument("--steps", type=int, default=None,
-                    help="micro-steps per isotherm (default 1000)")
-    sp.set_defaults(func=cmd_cycle)
-
-    sp = sub.add_parser("gs-deg", add_help=False,
-                        help="chain ground-state energy and degeneracy (JSON)")
-    _add_common(sp)
-    sp.add_argument("-N", dest="n", type=int, default=None, help="chain length")
-    sp.add_argument("-J", dest="j", type=float, default=None, help="coupling")
-    sp.add_argument("-h", dest="field", type=float, default=None,
-                    help="magnetic field")
-    sp.set_defaults(func=cmd_gs_deg)
-
-    sp = sub.add_parser("control", add_help=False,
-                        help="Lie-algebra class of drift + local controls (JSON)")
-    _add_common(sp)
-    sp.add_argument("--model", default=None,
-                    choices=("heisenberg-chain", "ising-chain"),
-                    help="drift Hamiltonian family")
-    sp.add_argument("-N", dest="n", type=int, default=None, help="chain length")
-    sp.add_argument("-J", dest="j", type=float, default=None,
-                    help="drift coupling strength")
-    sp.add_argument("--controls", action="append", default=None,
-                    metavar="SPEC", help="control spec like site0:x,z; repeatable")
-    sp.set_defaults(func=cmd_control)
-
+    for name, (_, summary, flags) in _COMMANDS.items():
+        # every subparser opts out of the automatic -h so that gs-deg can use
+        # -h for the magnetic field; --help stays available everywhere.
+        sp = sub.add_parser(name, add_help=False, help=summary)
+        sp.add_argument("--help", action="help", help="show this help message and exit")
+        for flag in (*_CLI_ONLY, _THREADS, *flags):
+            shown = flag.default
+            if isinstance(shown, list):
+                shown = " ".join(map(str, shown))
+            text = flag.help if shown is None else f"{flag.help} (default: {shown})"
+            sp.add_argument(*flag.names, dest=flag.dest, help=text, **flag.kwargs)
     return parser
+
+
+def _apply_config(parser, args, flags) -> None:
+    """Set each parameter the command line left out from its --config entry,
+    parsed by the flag's own argparse action."""
+    path = args.config
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--config {path}: invalid JSON ({exc})")
+    if not isinstance(config, dict):
+        raise ConfigError(f"--config {path}: top level must be a JSON object")
+    by_key = {flag.dest: flag for flag in flags}
+    for key, value in config.items():
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"--config {path}: unknown key {key!r}")
+        flag = by_key.get(key)
+        if flag is None or getattr(args, key) is not None:
+            continue  # another subcommand's parameter, or given as a flag
+        listed = flag.kwargs.get("action") == "append"
+        if isinstance(value, list) != listed:
+            raise ConfigError(f"--config {path}: {key!r} must be "
+                              + ("a JSON list" if listed else "a single value"))
+        # "--flag=value" keeps a value such as -1e-05 from reading as a flag
+        tokens = [f"{flag.names[-1]}={v if isinstance(v, str) else json.dumps(v)}"
+                  for v in (value if listed else [value])]
+        try:
+            setattr(args, key, getattr(parser.parse_args([args.subcommand, *tokens]), key))
+        except ConfigError as exc:
+            raise ConfigError(f"--config {path}: {key!r}: {exc}") from None
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        handler, _, flags = _COMMANDS[args.subcommand]
+        flags = (_THREADS, *flags)
+        if args.config is not None:
+            _apply_config(parser, args, flags)
+        for flag in flags:
+            if getattr(args, flag.dest) is None:
+                setattr(args, flag.dest, flag.default)
+        return handler(args)
     except SystemExit as exc:
-        # argparse exits 2 on bad flags and 0 on --help; pass both through
-        return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
-    try:
-        config = _load_config(args.config)
-        _check_threads(args, config)
-        return args.func(args, config)
+        # only --help exits the parser; error() raises ConfigError instead
+        return exc.code
     except UndefinedResultError as exc:
         print(f"spinengine: undefined result: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED

@@ -76,7 +76,10 @@ def levels(n: int) -> list[tuple[int, int, int]]:
 
 def ground_state_stats(n: int, j: float, h: float, tol: float) -> tuple[float, int]:
     """Minimum energy and number of configurations within ``tol`` of it."""
+    j, h = float(j), float(h)
+    if not (np.isfinite(j) and np.isfinite(h)):
+        raise ValueError("coupling and field must be finite")
     m, b, g = np.array(levels(n)).T
-    energies = -float(h) * m - float(j) * b
+    energies = -h * m - j * b
     e0 = float(np.min(energies))
     return e0, int(np.sum(g[energies <= e0 + float(tol)]))

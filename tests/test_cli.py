@@ -262,6 +262,101 @@ def test_config_file_missing_is_io_error(tmp_path):
     assert main(["sweep-j", "--config", str(tmp_path / "none.json")]) == EXIT_IO
 
 
+@pytest.mark.parametrize("command, entries, key", [
+    ("sweep-j", {"beta_h": None}, "beta_h"),
+    ("precision", {"beta_h": None, "epsilon": [0]}, "beta_h"),
+    ("bound", {"beta_h": None}, "beta_h"),
+    ("cycle", {"beta_h": None}, "beta_h"),
+    ("precision", {"epsilon": 0.1}, "epsilon"),
+    ("optimal-field", {"beta": 2}, "beta"),
+    ("control", {"controls": "site0:x"}, "controls"),
+    # refused as the flag would refuse it: -N 6.7, --steps 2.5, -N true
+    ("control", {"n": 6.7}, "n"),
+    ("cycle", {"steps": 2.5}, "steps"),
+    ("gs-deg", {"n": True}, "n"),
+    ("gs-deg", {"n": 25}, "n"),
+    ("precision", {"epsilon": [0.1, -1]}, "epsilon"),
+    ("sweep-j", {"mode": "bogus"}, "mode"),
+    ("sweep-j", {"threads": 0}, "threads"),
+    ("sweep-j", {"j_min": [0]}, "j_min"),
+    # keys that no subcommand takes, and the command-line-only ones
+    ("sweep-j", {"beta-h": 0.2}, "beta-h"),
+    ("gs-deg", {"output": "x.csv"}, "output"),
+    ("gs-deg", {"config": "other.json"}, "config"),
+])
+def test_bad_config_entry_names_the_key(tmp_path, capsys, command, entries, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries), encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert repr(key) in captured.err
+
+
+def test_config_serves_several_subcommands_and_flags_replace_lists(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "steps": 20, "u_class": "full", "j_step": 10,
+                               "epsilon": [0.0, 0.1], "threads": 2}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["bound", "--config", str(cfg), "-o", str(out)]) == EXIT_OK
+    assert read_json(out)["u_class"] == "full"
+    assert main(["cycle", "--config", str(cfg), "-o", str(out)]) == EXIT_OK
+    assert read_json(out)["steps"] == 20
+    assert main(["precision", "--config", str(cfg), "-o", str(out),
+                 "--epsilon", "0.5"]) == EXIT_OK
+    _, params, rows = read_csv(out)
+    assert params["epsilon"] == [0.5] and params["n"] == 3 and len(rows) == 3
+
+
+@pytest.mark.parametrize("command, flags, entries", [
+    # argparse reads a lone -1e-05 as an option, so the flag takes it after "="
+    ("sweep-j", ["--beta-h", "0.25", "--beta-c", "2", "--j-min=-1e-05", "--j-max", "1",
+                 "--j-step", "0.5", "--mode", "free", "--grid-step", "0.05"],
+     {"beta_h": 0.25, "beta_c": 2, "j_min": -1e-05, "j_max": 1, "j_step": 0.5,
+      "mode": "free", "grid_step": 0.05}),
+    ("bound", ["-N", "3", "-J", "-0.25", "--h-a", "3.5", "--h-b", "1.5", "--h-c", "0.75",
+               "--h-d", "2.5", "--beta-h", "0.4", "--u-class", "full", "--v-class",
+               "commuting", "--threads", "2"],
+     {"n": 3, "j": -0.25, "h_a": 3.5, "h_b": 1.5, "h_c": 0.75, "h_d": 2.5, "beta_h": 0.4,
+      "u_class": "full", "v_class": "commuting", "threads": 2}),
+])
+def test_config_entries_equal_flags(tmp_path, capsys, command, flags, entries):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries), encoding="utf-8")
+    assert main([command, *flags]) == EXIT_OK
+    by_flags = capsys.readouterr().out
+    assert main([command, "--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().out == by_flags
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (["sweep-j"], '# params: {"beta_c":1.0,"beta_h":0.5,"command":"sweep-j","grid_step":0.01,'
+                  '"j_max":5.0,"j_min":-5.0,"j_step":0.1,"mode":"paper"}'),
+    (["precision", "--epsilon", "0"],
+     '# params: {"beta_c":1.0,"beta_h":0.5,"command":"precision","epsilon":[0.0],'
+     '"grid_step":0.01,"j_max":20.0,"j_min":0.0,"j_step":0.5,"n":6}'),
+    (["optimal-field"], '# params: {"beta":[1.0,2.0,3.0],"command":"optimal-field",'
+                        '"j_max":0.0,"j_min":-3.0,"j_step":0.01}'),
+    (["bound"], '{"beta_c": 1.0, "beta_h": 0.5, "command": "bound", "h_a": 4.0, "h_b": 1.0, '
+                '"h_c": 0.5, "h_d": 2.0, "j": 0.0, "n": 2, "u_class": "identity", '
+                '"v_class": "identity"}'),
+    (["cycle"], '{"beta_c": 1.0, "beta_h": 0.5, "command": "cycle", "h_a": 4.0, "h_b": 1.0, '
+                '"h_c": 0.5, "h_d": 2.0, "j": 0.0, "n": 2, "steps": 1000}'),
+    (["gs-deg"], '{"command": "gs-deg", "h": 2.0, "j": -1.0, "n": 8}'),
+    (["control"], '{"command": "control", "controls": ["site0:x,z"], "j": 1.0, '
+                  '"model": "heisenberg-chain", "n": 2}'),
+])
+def test_default_parameter_echo(capsys, argv, echo):
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    if echo.startswith("# params: "):
+        assert out.split("\n")[1] == echo
+    else:
+        report = json.loads(out)
+        params = {k: report[k] for k in json.loads(echo)}
+        assert json.dumps(params, sort_keys=True) == echo
+
+
 # --------------------------------------------------------------------------
 # exit codes
 
@@ -283,6 +378,9 @@ def test_config_exit_codes(tmp_path):
     assert main(["control", "--controls", "bogus"]) == EXIT_CONFIG
     assert main(["control", "--controls", "site9:x"]) == EXIT_CONFIG
     assert main(["sweep-j", "--mode", "bogus"]) == EXIT_CONFIG  # argparse choice
+    assert main(["gs-deg", "-h", "nan"]) == EXIT_CONFIG
+    assert main(["gs-deg", "-J", "nan"]) == EXIT_CONFIG
+    assert main(["gs-deg", "-J", "inf"]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("command", ["sweep-j", "precision", "optimal-field", "bound",
@@ -306,8 +404,15 @@ def test_undefined_exit_code(capsys):
 
 
 def test_help_and_usage_exit_codes(capsys):
+    for command, shown in [
+        ("sweep-j", "(default: -5.0)"), ("precision", "(default: 6)"),
+        ("optimal-field", "(default: 1.0 2.0 3.0)"), ("bound", "(default: identity)"),
+        ("cycle", "(default: 1000)"), ("gs-deg", "(default: 2.0)"),
+        ("control", "(default: site0:x,z)"),
+    ]:
+        assert main([command, "--help"]) == 0
+        assert shown in " ".join(capsys.readouterr().out.split())  # undo line wrapping
     assert main(["--help"]) == 0
-    assert main(["sweep-j", "--help"]) == 0
     assert main([]) == EXIT_CONFIG  # subcommand required
     capsys.readouterr()
 

@@ -68,3 +68,9 @@ def test_chain_length_bounds():
         kernels.ising_energies(25, 1.0, 0.0)
     with pytest.raises(ValueError):
         kernels.levels(0)
+
+
+@pytest.mark.parametrize("j, h", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 0.0), (0.0, -np.inf)])
+def test_ground_state_stats_rejects_nonfinite(j, h):
+    with pytest.raises(ValueError, match="finite"):
+        kernels.ground_state_stats(4, j, h, 1e-9)

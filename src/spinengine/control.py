@@ -72,15 +72,9 @@ class GeneratorSet:
         return gens + list(self.controls)
 
 
-class ClosureResult(NamedTuple):
-    dimension: int
-    stabilized: bool  # False when max_depth hit before the rank settled
-
-
 class UnitaryClass(NamedTuple):
     kind: str  # FULL | COMMUTING | INTERMEDIATE
     dimension: int
-    stabilized: bool
 
 
 def _vec(matrix: np.ndarray) -> np.ndarray:
@@ -110,40 +104,32 @@ class _Span:
         return True
 
 
-def lie_algebra_dimension(gens: GeneratorSet, max_depth: int = None,
-                          tol: float = RANK_TOL) -> ClosureResult:
+def lie_algebra_dimension(gens: GeneratorSet) -> int:
     """Dimension of the real Lie algebra closure of the generators.
 
     Breadth-first commutator closure: each round commutes the newly
     accepted directions against every accepted direction, keeping those
-    that extend the span (Gram-Schmidt with relative tolerance ``tol``).
-    Stops when a round adds nothing, when the span saturates at
-    d^2 - 1, or after ``max_depth`` rounds (default 2 d^2), whichever
-    comes first; the flag reports whether the rank had stabilized.
+    that extend the span (Gram-Schmidt with relative tolerance
+    ``RANK_TOL``).  Stops when a round adds nothing or the span saturates
+    at d^2 - 1; every round but the last adds a direction, so that takes
+    at most d^2 - 1 rounds.
     """
-    d = gens.dim
-    if max_depth is None:
-        max_depth = 2 * d * d
-    cap = d * d - 1
+    cap = gens.dim ** 2 - 1
 
     # work with unit-norm matrices: commutators of unit generators stay
     # O(1), so a candidate whose norm is ~1e-15 is pure floating-point
     # noise and the absolute tolerance in the span rejects it
-    span = _Span(tol)
+    span = _Span(RANK_TOL)
     accepted: list = []
     frontier: list = []
     for g in gens.generators():
         mat = _traceless(g)
         norm = np.linalg.norm(mat)
-        if norm > tol and span.add(mat):
+        if norm > RANK_TOL and span.add(mat):
             accepted.append(mat / norm)
             frontier.append(mat / norm)
 
-    depth = 0
     while frontier and len(span.basis) < cap:
-        if depth >= max_depth:
-            return ClosureResult(len(span.basis), False)
-        depth += 1
         fresh = []
         for a in frontier:
             for b in accepted:
@@ -156,15 +142,15 @@ def lie_algebra_dimension(gens: GeneratorSet, max_depth: int = None,
                     accepted.append(unit)
                     fresh.append(unit)
                     if len(span.basis) >= cap:
-                        return ClosureResult(len(span.basis), True)
+                        return cap
         frontier = fresh
-    return ClosureResult(len(span.basis), True)
+    return len(span.basis)
 
 
-def _all_commute(gens: GeneratorSet, tol: float) -> bool:
+def _all_commute(gens: GeneratorSet) -> bool:
     mats = gens.generators()
     scale = max((np.abs(m).max() for m in mats), default=0.0)
-    bound = tol * max(1.0, scale * scale)
+    bound = RANK_TOL * max(1.0, scale * scale)
     for i, a in enumerate(mats):
         for b in mats[i + 1:]:
             if np.abs(a @ b - b @ a).max() > bound:
@@ -172,17 +158,15 @@ def _all_commute(gens: GeneratorSet, tol: float) -> bool:
     return True
 
 
-def classify_unitary_class(gens: GeneratorSet, max_depth: int = None,
-                           tol: float = RANK_TOL) -> UnitaryClass:
+def classify_unitary_class(gens: GeneratorSet) -> UnitaryClass:
     """FULL at su(d) closure; COMMUTING for pairwise-commuting generators
     with at least one control; INTERMEDIATE(dim) otherwise."""
-    closure = lie_algebra_dimension(gens, max_depth, tol)
-    d = gens.dim
-    if closure.dimension == d * d - 1:
-        return UnitaryClass(FULL, closure.dimension, closure.stabilized)
-    if gens.controls and _all_commute(gens, tol):
-        return UnitaryClass(COMMUTING, closure.dimension, closure.stabilized)
-    return UnitaryClass(INTERMEDIATE, closure.dimension, closure.stabilized)
+    dimension = lie_algebra_dimension(gens)
+    if dimension == gens.dim ** 2 - 1:
+        return UnitaryClass(FULL, dimension)
+    if gens.controls and _all_commute(gens):
+        return UnitaryClass(COMMUTING, dimension)
+    return UnitaryClass(INTERMEDIATE, dimension)
 
 
 # ---------------------------------------------------------------------------

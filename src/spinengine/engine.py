@@ -31,7 +31,6 @@ from .thermo import DenseOperator, DensityState, EnergyTable, as_operator, check
 CYCLE_CLOSURE_TOL = 1e-10
 ON_SITE_TOL = 1e-10
 STEADY_STATE_TOL = 1e-10
-MAX_CYCLE_PASSES = 100
 
 
 class UndefinedResultError(ValueError):
@@ -88,19 +87,15 @@ class ThermalContact:
             raise ValueError("bath must be 'hot' or 'cold'")
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    kind: str
+class StepResult(NamedTuple):
+    """The state and Hamiltonian after a step, with its work and heat; ``bath``
+    names the bath of a thermal contact and is ``None`` otherwise."""
+
+    state: DensityState
+    hamiltonian: EnergyTable | DenseOperator
     work: float
     heat: float
     bath: str | None = None
-
-
-@dataclass(frozen=True)
-class StepResult:
-    state: DensityState
-    hamiltonian: EnergyTable | DenseOperator
-    record: StepRecord
 
 
 @dataclass(frozen=True)
@@ -108,7 +103,6 @@ class CycleReport:
     total_work: float
     heat_hot: float
     heat_cold: float
-    steady: bool
     n_passes: int
     energy_closure: float
 
@@ -140,15 +134,15 @@ def _advance(state: DensityState, h, step, betas: Betas) -> StepResult:
         new_state = DensityState(populations=state.populations,
                                  basis=step.matrix @ state.basis_matrix())
         work = state.energy(h) - new_state.energy(step.hamiltonian_after)
-        return StepResult(new_state, step.hamiltonian_after, StepRecord("unitary", work, 0.0))
+        return StepResult(new_state, step.hamiltonian_after, work, 0.0)
     if isinstance(step, Quench):
         h_next = step.hamiltonian_after
         work = state.energy(h) - state.energy(h_next)
-        return StepResult(state, h_next, StepRecord("quench", work, 0.0))
+        return StepResult(state, h_next, work, 0.0)
     beta = betas.beta_h if step.bath == "hot" else betas.beta_c
     new_state = gibbs(h, beta)
     heat = new_state.energy(h) - state.energy(h)
-    return StepResult(new_state, h, StepRecord("contact", 0.0, heat, step.bath))
+    return StepResult(new_state, h, 0.0, heat, step.bath)
 
 
 def apply_step(state: DensityState, hamiltonian, step, betas: Betas) -> StepResult:
@@ -178,13 +172,15 @@ def _check_protocol(hamiltonian0, steps) -> None:
         raise ValueError("protocol does not return to the initial Hamiltonian")
 
 
-def run_cycle(hamiltonian0, steps, betas: Betas, *, initial_state: DensityState | None = None,
-              steady_tol: float = STEADY_STATE_TOL,
-              max_passes: int = MAX_CYCLE_PASSES) -> CycleReport:
-    """Iterate a cyclic protocol to its steady cycle and account the books.
+def run_cycle(hamiltonian0, steps, betas: Betas) -> CycleReport:
+    """Run a cyclic protocol from the cold Gibbs state to its steady cycle
+    and account the books.
 
     The protocol must restore the initial Hamiltonian and touch the hot
     bath at least once, otherwise the cycle efficiency is undefined.
+    A thermal contact discards the incoming state, so every pass ends in
+    the state the first one ends in: the second pass, if the first does
+    not already return to its start, is the steady cycle.
     """
     steps = [_prepare(s) for s in steps]
     h0 = as_operator(hamiltonian0)
@@ -192,29 +188,24 @@ def run_cycle(hamiltonian0, steps, betas: Betas, *, initial_state: DensityState 
     if not any(isinstance(s, ThermalContact) and s.bath == "hot" for s in steps):
         raise UndefinedResultError("cycle never touches the hot bath")
 
-    state = initial_state if initial_state is not None else gibbs(h0, betas.beta_c)
-    steady = False
-    n_passes = 0
-    work = heat_hot = heat_cold = 0.0
-    for _ in range(max_passes):
-        n_passes += 1
+    state = gibbs(h0, betas.beta_c)
+    for n_passes in (1, 2):
         start = state
         h = h0
         work = heat_hot = heat_cold = 0.0
         for step in steps:
             result = _advance(state, h, step, betas)
             state, h = result.state, result.hamiltonian
-            work += result.record.work
-            if result.record.bath == "hot":
-                heat_hot += result.record.heat
-            elif result.record.bath == "cold":
-                heat_cold += result.record.heat
-        if trace_distance(start, state) < steady_tol:
-            steady = True
+            work += result.work
+            if result.bath == "hot":
+                heat_hot += result.heat
+            elif result.bath == "cold":
+                heat_cold += result.heat
+        if trace_distance(start, state) < STEADY_STATE_TOL:
             break
     closure = abs(work - (heat_hot + heat_cold))
     return CycleReport(total_work=work, heat_hot=heat_hot, heat_cold=heat_cold,
-                       steady=steady, n_passes=n_passes, energy_closure=closure)
+                       n_passes=n_passes, energy_closure=closure)
 
 
 def isothermal_staircase(h_from, h_to, bath: str, n_steps: int) -> list:

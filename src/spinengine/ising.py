@@ -25,6 +25,7 @@ import numpy as np
 from . import kernels
 
 _LOG2 = math.log(2.0)
+_OPTIMAL_FIELD_TOL = 1e-13  # bisection bracket width of optimal_field
 
 
 class _Core(NamedTuple):
@@ -211,15 +212,15 @@ def entropy_density_dh(beta, j, h):
     return _maybe_float(out, beta, j, h)
 
 
-def optimal_field(beta: float, j, tol: float = 1e-13):
+def optimal_field(beta: float, j):
     """Entropy-maximizing field of the infinite chain at fixed (beta, J),
     elementwise over ``j``.
 
     Zero unless the coupling is antiferromagnetic with ``2|J|beta > 1``;
     then the unique positive solution of ``h = 2|J| tanh(beta h)``,
     located by one bisection for all of ``j``: each element freezes once
-    its own bracket is within ``tol``, so a batch follows each element's
-    scalar path exactly.
+    its own bracket is within ``_OPTIMAL_FIELD_TOL``, so a batch follows
+    each element's scalar path exactly.
     """
     beta = float(_check_beta(beta))
     j = np.asarray(j, dtype=np.float64)
@@ -235,7 +236,7 @@ def optimal_field(beta: float, j, tol: float = 1e-13):
         below = mid - jj * np.tanh(beta * mid) < 0.0
         np.copyto(lo, mid, where=live & below)
         np.copyto(hi, mid, where=live & ~below)
-        live &= hi - lo >= tol
+        live &= hi - lo >= _OPTIMAL_FIELD_TOL
     return _maybe_float(0.5 * (lo + hi), j)
 
 
@@ -322,17 +323,15 @@ def transfer_matrix_logZ(n_sites: int, j, h, beta):
     return _maybe_float(out, j, h, beta)
 
 
-def ground_state_degeneracy(n_sites: int, j: float, h: float,
-                            tol: float = None) -> tuple[int, float]:
+def ground_state_degeneracy(n_sites: int, j: float, h: float) -> tuple[int, float]:
     """Exact ground-state degeneracy and ground energy of the N-ring (N <= 24).
 
     Scans the chain's (magnetization, bond) classes with their exact
-    degeneracies (``kernels.levels``); energies within ``tol`` of the
-    minimum count as degenerate.  The default tolerance scales
-    with the parameter magnitude so integer-valued spectra at integer
-    (J, h) never split under rounding.
+    degeneracies (``kernels.levels``); energies within
+    1e-9 * max(1, |J|, |h|) of the minimum count as degenerate.  The
+    tolerance scales with the parameter magnitude so integer-valued
+    spectra at integer (J, h) never split under rounding.
     """
-    if tol is None:
-        tol = 1e-9 * max(1.0, abs(j), abs(h))
+    tol = 1e-9 * max(1.0, abs(j), abs(h))
     e0, count = kernels.ground_state_stats(n_sites, j, h, tol)
     return count, e0

@@ -38,6 +38,8 @@ PAPER_PROTOCOL = "paper"
 FREE_FIELDS = "free"
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERS = 160  # for brackets that rounding keeps wider than the tolerance
+_REFINE_TOL = 1e-8  # bracket width at which a refined field stops moving
 _SCAN_BLOCK = 8192  # grid points per evaluation in _grid_argmax
 
 
@@ -104,7 +106,7 @@ def efficiency_thermo_limit(j: float, fields: ProtocolFields, betas: Betas) -> f
     return w / q_h
 
 
-def _golden_max(f, lo, hi, tol: float, iters: int = 160):
+def _golden_max(f, lo, hi, tol: float):
     """Deterministic golden-section maximization, elementwise over arrays.
 
     Two probes per iteration; assumes unimodality on [lo, hi] (every use
@@ -114,7 +116,7 @@ def _golden_max(f, lo, hi, tol: float, iters: int = 160):
     """
     lo = np.asarray(lo, dtype=np.float64) + 0.0
     hi = np.asarray(hi, dtype=np.float64) + 0.0
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         gap = hi - lo
         live = gap > tol
         if not np.any(live):
@@ -143,7 +145,7 @@ def _grid_argmax(w_of, lo: float, hi: float, step: float):
     return grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], grid[k], w_grid[k]
 
 
-def _refine(w_of, scans, tol: float) -> np.ndarray:
+def _refine(w_of, scans) -> np.ndarray:
     """One golden-section refinement of every ``_grid_argmax`` bracket.
 
     Keeps the grid point wherever it beats the refined one: the maximum
@@ -151,8 +153,25 @@ def _refine(w_of, scans, tol: float) -> np.ndarray:
     refinement steps over.
     """
     lo, hi, h_grid, w_grid = np.array(scans, dtype=np.float64).reshape(-1, 4).T
-    h_ref = _golden_max(w_of, lo, hi, tol)
+    h_ref = _golden_max(w_of, lo, hi, _REFINE_TOL)
     return np.where(w_of(h_ref) >= w_grid, h_ref, h_grid)
+
+
+def _maximize(work, js: np.ndarray, floors: np.ndarray, grid_step: float) -> np.ndarray:
+    """The field h >= floor that maximizes ``work(j, h)`` in every row of
+    ``js`` and ``floors``.
+
+    Each row gets a grid on [floor, 4*max(1, |J|)] (on [floor, floor + 1]
+    when that is empty); one golden-section refinement then runs around
+    all the grid argmaxes at once.
+    """
+    scans = []
+    for j, floor in zip(js, floors):
+        h_max = 4.0 * max(1.0, abs(j))
+        if h_max <= floor:
+            h_max = floor + 1.0
+        scans.append(_grid_argmax(lambda h: work(j, h), floor, h_max, grid_step))
+    return _refine(lambda h: work(js, h), scans)
 
 
 def _eta(w, s_h, beta_h: float):
@@ -230,23 +249,16 @@ def _free_work(j, h, betas: Betas, core_h=None):
 
 
 def sweep_j(j_values: Sequence[float], betas: Betas,
-            mode: str = PAPER_PROTOCOL, grid_step: float = 1e-2,
-            refine_tol: float = 1e-8) -> list[SweepPoint]:
+            mode: str = PAPER_PROTOCOL, grid_step: float = 1e-2) -> list[SweepPoint]:
     """Maximize the cycle work density over the corner field h_B >= 0 at
-    every coupling in ``j_values``.
-
-    Each J gets a coarse grid on [0, 4*max(1, |J|)]; one golden-section
-    refinement then runs around all the grid argmaxes at once.  Both
-    search on the work alone.  Reports the optimal field, the work
-    density, and the efficiency there.
+    every coupling in ``j_values`` (:func:`_maximize`, on the work alone).
+    Reports the optimal field, the work density, and the efficiency there.
     """
     if mode not in (PAPER_PROTOCOL, FREE_FIELDS):
         raise ValueError(f"unknown protocol mode: {mode!r}")
     work = _paper_work if mode == PAPER_PROTOCOL else _free_work
     js = np.array(j_values, dtype=np.float64).reshape(-1)
-    scans = [_grid_argmax(lambda h: work(j, h, betas),
-                          0.0, 4.0 * max(1.0, abs(j)), grid_step) for j in js]
-    h_opt = _refine(lambda h: work(js, h, betas), scans, refine_tol)
+    h_opt = _maximize(lambda j, h: work(j, h, betas), js, np.zeros(len(js)), grid_step)
     a_h, b_h = betas.beta_h * js, betas.beta_h * np.abs(h_opt)
     core_h = _core(a_h, b_h)
     w_opt = work(js, h_opt, betas, core_h)
@@ -256,10 +268,9 @@ def sweep_j(j_values: Sequence[float], betas: Betas,
 
 
 def efficiency_at_max_work(j: float, betas: Betas, mode: str = PAPER_PROTOCOL,
-                           grid_step: float = 1e-2,
-                           refine_tol: float = 1e-8) -> SweepPoint:
+                           grid_step: float = 1e-2) -> SweepPoint:
     """:func:`sweep_j` at a single coupling."""
-    return sweep_j([j], betas, mode, grid_step, refine_tol)[0]
+    return sweep_j([j], betas, mode, grid_step)[0]
 
 
 def ferro_efficiency_limit(epsilon: float, n: int, betas: Betas) -> float:
@@ -309,17 +320,15 @@ def _chain_gap(classes: np.ndarray, j, hs: np.ndarray, betas: Betas):
 
 
 def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
-                epsilons: Sequence[float] = (0.0,), grid_step: float = 1e-2,
-                refine_tol: float = 1e-8) -> list[ChainPoint]:
+                epsilons: Sequence[float] = (0.0,),
+                grid_step: float = 1e-2) -> list[ChainPoint]:
     """Finite-chain analogue of :func:`sweep_j` for the shared-field
     family, with the corner fields constrained to h >= epsilon, at every
     (epsilon, J) pair; rows are epsilon-major.
 
-    Each pair gets a grid on [epsilon, 4*max(1, |J|)] (on
-    [epsilon, epsilon + 1] when that is empty); one golden-section
-    refinement then runs around all the grid argmaxes at once.  Both
-    search on the work per site alone, gap / N, and the efficiency
-    gap / (T_h*S_h) is computed once, at the optimum.
+    The search (:func:`_maximize`) runs on the work per site alone,
+    gap / N, and the efficiency gap / (T_h*S_h) is computed once, at the
+    optimum.
     """
     eps = np.array(epsilons, dtype=np.float64).reshape(-1)
     if np.any(eps < 0):
@@ -331,13 +340,7 @@ def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
     def work(j, hs):
         return _chain_gap(classes, j, hs, betas)[0] / n
 
-    scans = []
-    for floor, j in zip(eps_rows, j_rows):
-        h_max = 4.0 * max(1.0, abs(j))
-        if h_max <= floor:
-            h_max = floor + 1.0
-        scans.append(_grid_argmax(lambda hs: work(j, hs), floor, h_max, grid_step))
-    h_opt = _refine(lambda hs: work(j_rows, hs), scans, refine_tol)
+    h_opt = _maximize(work, j_rows, eps_rows, grid_step)
     gap, shifted, weights_h, z_h = _chain_gap(classes, j_rows, h_opt, betas)
     s_h = betas.beta_h * np.einsum("ij,ij->i", shifted, weights_h) / z_h + np.log(z_h)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -347,7 +350,7 @@ def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
 
 
 def chain_efficiency_at_max_work(n: int, j: float, betas: Betas,
-                                 epsilon: float = 0.0, grid_step: float = 1e-2,
-                                 refine_tol: float = 1e-8) -> ChainPoint:
+                                 epsilon: float = 0.0,
+                                 grid_step: float = 1e-2) -> ChainPoint:
     """:func:`chain_sweep` at a single coupling and field floor."""
-    return chain_sweep(n, [j], betas, [epsilon], grid_step, refine_tol)[0]
+    return chain_sweep(n, [j], betas, [epsilon], grid_step)[0]

@@ -43,15 +43,15 @@ BASIS_UNITARY_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
 
 
-def check_hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def check_hermitian(matrix) -> np.ndarray:
     """Validate a square, finite, Hermitian matrix and return it as complex."""
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"operator must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("operator has non-finite entries")
-    if np.max(np.abs(m - m.conj().T)) > tol:
-        raise ValueError(f"operator is not Hermitian within {tol:g} (max-norm)")
+    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        raise ValueError(f"operator is not Hermitian within {HERMITICITY_TOL:g} (max-norm)")
     return np.asarray(m, dtype=complex)
 
 
@@ -81,9 +81,10 @@ class DensityState:
         p = np.asarray(self.populations, dtype=np.float64)
         if p.ndim != 1:
             raise ValueError(f"populations must be one-dimensional, got shape {p.shape}")
-        if np.any(p < -POPULATION_SUM_TOL):
-            raise ValueError("negative population beyond tolerance")
-        if abs(float(np.sum(p)) - 1.0) > POPULATION_SUM_TOL * max(1, len(p)):
+        # "not <=" so that a NaN population fails the check
+        if not np.all(-POPULATION_SUM_TOL <= p):
+            raise ValueError("population is NaN or negative beyond tolerance")
+        if not abs(float(np.sum(p)) - 1.0) <= POPULATION_SUM_TOL * max(1, len(p)):
             raise ValueError("populations do not sum to one")
         object.__setattr__(self, "populations", np.clip(p, 0.0, None))
         if self.basis is not None:
@@ -198,19 +199,16 @@ def _as_states(rho, sigma) -> tuple[DensityState, DensityState]:
     return r, s
 
 
-def _check_beta(beta: float, allow_zero: bool = False) -> float:
+def _check_beta(beta: float) -> float:
     beta = float(beta)
-    floor_ok = beta >= 0 if allow_zero else beta > 0
-    if not (np.isfinite(beta) and floor_ok):
-        raise ValueError("inverse temperature must be nonnegative and finite"
-                         if allow_zero else
-                         "inverse temperature must be positive and finite")
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError("inverse temperature must be nonnegative and finite")
     return beta
 
 
 def log_partition(hamiltonian, beta: float) -> float:
     """log-sum-exp stable ``log Tr exp(-beta H)``."""
-    beta = _check_beta(beta, allow_zero=True)
+    beta = _check_beta(beta)
     energies = as_operator(hamiltonian).levels()
     emin = float(np.min(energies))
     return float(np.log(np.sum(np.exp(-beta * (energies - emin)))) - beta * emin)
@@ -218,7 +216,7 @@ def log_partition(hamiltonian, beta: float) -> float:
 
 def gibbs(hamiltonian, beta: float) -> DensityState:
     """Thermal state ``exp(-beta H)/Z`` via shifted exponentials."""
-    return as_operator(hamiltonian).gibbs(_check_beta(beta, allow_zero=True))
+    return as_operator(hamiltonian).gibbs(_check_beta(beta))
 
 
 def von_neumann_entropy(state) -> float:

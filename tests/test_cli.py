@@ -283,6 +283,11 @@ def test_config_file_missing_is_io_error(tmp_path):
     ("sweep-j", {"beta-h": 0.2}, "beta-h"),
     ("gs-deg", {"output": "x.csv"}, "output"),
     ("gs-deg", {"config": "other.json"}, "config"),
+    # non-finite grid values, refused as their flags are
+    ("sweep-j", {"j_max": math.inf}, "j_max"),  # written as Infinity
+    ("optimal-field", {"j_min": "-inf"}, "j_min"),
+    ("precision", {"epsilon": [0.1, math.nan]}, "epsilon"),
+    ("sweep-j", {"grid_step": "inf"}, "grid_step"),
 ])
 def test_bad_config_entry_names_the_key(tmp_path, capsys, command, entries, key):
     cfg = tmp_path / "cfg.json"
@@ -364,6 +369,23 @@ def test_default_parameter_echo(capsys, argv, echo):
 def test_bad_grid_step_names_the_flag(capsys):
     assert main(["sweep-j", "--j-step", "0"]) == EXIT_CONFIG
     assert "--j-step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep-j", "--j-max", "inf"], "--j-max"),
+    (["optimal-field", "--j-min=-inf"], "--j-min"),
+    (["precision", "--j-max", "inf", "--epsilon", "0"], "--j-max"),
+    (["sweep-j", "--j-min", "nan"], "--j-min"),
+    (["precision", "--epsilon", "nan"], "--epsilon"),
+    (["precision", "--epsilon", "inf"], "--epsilon"),
+    (["sweep-j", "--grid-step", "inf"], "--grid-step"),
+    (["precision", "--epsilon", "0", "--grid-step", "inf"], "--grid-step"),
+])
+def test_nonfinite_grid_flag_names_the_flag(capsys, argv, flag):
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err and "finite" in captured.err
 
 
 def test_config_exit_codes(tmp_path):

@@ -47,33 +47,33 @@ def test_contact_on_gibbs_state_moves_nothing():
     h = field(1.0)
     state = gibbs(h, BETAS.beta_h)
     result = apply_step(state, h, ThermalContact("hot"), BETAS)
-    assert result.record.heat == pytest.approx(0.0, abs=1e-14)
-    assert result.record.work == 0.0
-    assert result.record.bath == "hot"
+    assert result.heat == pytest.approx(0.0, abs=1e-14)
+    assert result.work == 0.0
+    assert result.bath == "hot"
 
 
 def test_contact_heating_is_positive():
     h = field(1.0)
     cold = gibbs(h, BETAS.beta_c)
     result = apply_step(cold, h, ThermalContact("hot"), BETAS)
-    assert result.record.heat > 0
+    assert result.heat > 0
 
 
 def test_quench_work_value():
     h = field(1.0)
     state = gibbs(h, 1.0)
     result = apply_step(state, h, Quench(0.5 * h), Betas(1.0, 2.0))
-    assert result.record.work == pytest.approx(-0.5 * math.tanh(1.0), abs=1e-12)
-    assert result.record.heat == 0.0
+    assert result.work == pytest.approx(-0.5 * math.tanh(1.0), abs=1e-12)
+    assert result.heat == 0.0
 
 
 def test_unitary_work_accounting():
     h = field(1.0)
     state = gibbs(h, 1.0)
     idle = apply_step(state, h, Unitary(np.eye(2), h), BETAS)
-    assert idle.record.work == pytest.approx(0.0, abs=1e-14)
+    assert idle.work == pytest.approx(0.0, abs=1e-14)
     flip = apply_step(state, h, Unitary(SIGMA_X, h), BETAS)
-    assert flip.record.work == pytest.approx(-2.0 * math.tanh(1.0), abs=1e-12)
+    assert flip.work == pytest.approx(-2.0 * math.tanh(1.0), abs=1e-12)
 
 
 def test_unitary_step_rejects_non_unitary():
@@ -148,7 +148,7 @@ def test_tables_match_dense_corners(n):
                      for cls in ("identity", "full")]
             results.append((report, terms))
         (dense, dense_terms), (table, table_terms) = results
-        assert table.n_passes == dense.n_passes and table.steady
+        assert table.n_passes == dense.n_passes
         for name in ("total_work", "heat_hot", "heat_cold", "efficiency"):
             assert getattr(table, name) == pytest.approx(getattr(dense, name), rel=1e-12)
         assert table.energy_closure < 1e-12
@@ -176,7 +176,6 @@ def test_matched_quench_cycle_is_degenerate():
     steps = [ThermalContact("hot"), Quench(h_c),
              ThermalContact("cold"), Quench(h_b)]
     report = run_cycle(h_b, steps, BETAS)
-    assert report.steady
     assert abs(report.total_work) < 1e-12
     assert abs(report.heat_hot) < 1e-12
     assert report.energy_closure < 1e-12
@@ -190,7 +189,6 @@ def test_otto_cycle_exact_efficiency():
     report = run_cycle(field(h1), steps, BETAS)
     m_h = math.tanh(BETAS.beta_h * h1)
     m_c = math.tanh(BETAS.beta_c * h2)
-    assert report.steady
     assert report.total_work == pytest.approx((h2 - h1) * (m_h - m_c), abs=1e-12)
     assert report.heat_hot == pytest.approx(h1 * (m_c - m_h), abs=1e-12)
     assert report.efficiency == pytest.approx(1.0 - h2 / h1, abs=1e-12)
@@ -205,11 +203,60 @@ def test_staircase_cycle_approaches_carnot():
     steps = carnot_like_cycle(field(h_d), field(h_a), field(h_b), field(h_c),
                               BETAS, n_steps=400)
     report = run_cycle(field(h_d), steps, BETAS)
-    assert report.steady
     assert report.total_work > 0
     assert report.efficiency == pytest.approx(BETAS.carnot, abs=5e-3)
     assert report.efficiency < BETAS.carnot
     assert report.energy_closure < 1e-10
+
+
+def end_states_and_books(h0, steps, n_passes=4):
+    """Advance a protocol by hand from the cold Gibbs state of ``h0``: the
+    state at the end of each pass and the pass's (work, hot, cold) books."""
+    state = gibbs(h0, BETAS.beta_c)
+    ends, books = [], []
+    for _ in range(n_passes):
+        h = h0
+        work = heat_hot = heat_cold = 0.0
+        for step in steps:
+            result = apply_step(state, h, step, BETAS)
+            state, h = result.state, result.hamiltonian
+            work += result.work
+            if result.bath == "hot":
+                heat_hot += result.heat
+            elif result.bath == "cold":
+                heat_cold += result.heat
+        ends.append(state)
+        books.append((work, heat_hot, heat_cold))
+    return ends, books
+
+
+def test_second_pass_is_the_steady_cycle():
+    # a thermal contact discards the incoming state, so every pass ends in
+    # the same state, bit for bit, and run_cycle needs at most two passes
+    tables = [ising_diagonal(IsingParams(3, 0.7, h)) for h in (4.0, 1.0, 0.5, 2.0)]
+    dense = {h: ising_composite(IsingParams(2, 0.5, h)) for h in (1.0, 0.4)}
+    rotation = math.cos(0.3) * np.eye(4) - 1j * math.sin(0.3) * embed_site_operator(SIGMA_X, 0, 2)
+    protocols = [
+        (tables[3], carnot_like_cycle(tables[3], *tables[:3], BETAS, 6)),
+        (dense[1.0], [ThermalContact("hot"), Quench(dense[0.4]), ThermalContact("cold"),
+                      Unitary(rotation, dense[1.0])]),
+        (ising_diagonal(IsingParams(2, 0.5, 1.0)),
+         [ThermalContact("hot"), Quench(dense[0.4]), ThermalContact("cold"),
+          Quench(dense[1.0])]),
+    ]
+    stopped_at = []
+    for h0, steps in protocols:
+        ends, books = end_states_and_books(h0, steps)
+        for end in ends[1:]:
+            np.testing.assert_array_equal(end.populations, ends[0].populations)
+            assert (end.basis is None) == (ends[0].basis is None)
+            if end.basis is not None:
+                np.testing.assert_array_equal(end.basis, ends[0].basis)
+        report = run_cycle(h0, steps, BETAS)
+        assert (report.total_work, report.heat_hot, report.heat_cold) \
+            == books[report.n_passes - 1]
+        stopped_at.append(report.n_passes)
+    assert stopped_at == [1, 2, 2]
 
 
 def test_staircase_needs_a_step():
@@ -274,8 +321,8 @@ def test_staircase_leg_realizes_the_bound():
     for step in [Quench(h_a)] + isothermal_staircase(h_a, h_b, "hot", 4000):
         result = apply_step(state, h, step, BETAS)
         state, h = result.state, result.hamiltonian
-        work += result.record.work
-        heat += result.record.heat
+        work += result.work
+        heat += result.heat
 
     assert heat <= heat_min + 1e-12
     assert heat == pytest.approx(heat_min, abs=1e-3)

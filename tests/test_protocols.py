@@ -165,7 +165,7 @@ def test_paper_sweep_matches_full_core_scan():
     js = np.array([-500.0, -3.0, 0.0, 1.0, 200.0])
     scans = [protocols._grid_argmax(lambda h: work_eta(j, h)[0],
                                     0.0, 4.0 * max(1.0, abs(j)), 1e-2) for j in js]
-    h_ref = protocols._refine(lambda h: work_eta(js, h)[0], scans, 1e-8)
+    h_ref = protocols._refine(lambda h: work_eta(js, h)[0], scans)
     w_ref, eta_ref = work_eta(js, h_ref)
     got = sweep_j(js, BETAS, PAPER_PROTOCOL)
     np.testing.assert_array_equal([p[:4] for p in got],
@@ -369,7 +369,7 @@ def pointwise_chain_optimum(n, j, betas, epsilon):
         return evaluate(hs)[0]
 
     scan = protocols._grid_argmax(w_of, epsilon, h_max, 1e-2)
-    h_opt = protocols._refine(w_of, [scan], 1e-8)
+    h_opt = protocols._refine(w_of, [scan])
     w_opt, eta_opt = evaluate(h_opt)
     return ChainPoint(float(j), float(epsilon), float(h_opt[0]),
                       float(w_opt[0]), float(eta_opt[0]))

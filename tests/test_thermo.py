@@ -272,6 +272,12 @@ def test_density_state_basis_must_match_populations():
     assert DensityState([0.5, 0.5], basis=np.eye(2)).dim == 2
 
 
+def test_density_state_rejects_nan_populations():
+    for populations in ([np.nan, 0.5], [np.nan, 1.0], [0.25, 0.75, np.nan]):
+        with pytest.raises(ValueError, match="NaN"):
+            DensityState(np.array(populations))
+
+
 def test_density_state_populations_must_be_one_dimensional():
     with pytest.raises(ValueError, match="one-dimensional"):
         DensityState([[0.25, 0.25], [0.25, 0.25]])

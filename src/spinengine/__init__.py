@@ -11,10 +11,9 @@ from .control import (FULL, COMMUTING, INTERMEDIATE, GeneratorSet,
                       UnitaryClass, classify_unitary_class,
                       heisenberg_chain_drift, ising_chain_drift,
                       lie_algebra_dimension, site_controls)
-from .engine import (Betas, BoundInputs, CycleReport, Quench, ThermalContact,
-                     UndefinedResultError, Unitary, apply_step, bound_terms,
-                     carnot_like_cycle, efficiency_bound,
-                     isothermal_staircase, run_cycle)
+from .engine import (Betas, BoundInputs, CycleReport, Isotherm, Quench,
+                     ThermalContact, UndefinedResultError, Unitary, apply_step,
+                     bound_terms, carnot_like_cycle, efficiency_bound, run_cycle)
 from .hamiltonians import IsingParams, ising_composite, ising_diagonal
 from .ising import (entropy_density, free_energy_density,
                     ground_state_degeneracy, internal_energy_density,
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Betas", "BoundInputs", "CycleReport", "DensityState", "FREE_FIELDS",
-    "FULL", "COMMUTING", "INTERMEDIATE", "GeneratorSet", "IsingParams",
+    "FULL", "COMMUTING", "INTERMEDIATE", "GeneratorSet", "IsingParams", "Isotherm",
     "PAPER_PROTOCOL", "ProtocolFields", "Quench",
     "ThermalContact", "UndefinedResultError", "Unitary", "UnitaryClass",
     "apply_step", "bound_terms", "carnot_like_cycle",
@@ -41,7 +40,7 @@ __all__ = [
     "entropy_density", "ferro_efficiency_limit",
     "free_energy_density", "gibbs", "ground_state_degeneracy",
     "heisenberg_chain_drift", "internal_energy_density", "ising_chain_drift",
-    "ising_composite", "ising_diagonal", "isothermal_staircase",
+    "ising_composite", "ising_diagonal",
     "lie_algebra_dimension", "log_lambda_plus", "log_partition",
     "magnetization_density", "min_relative_entropy", "optimal_field",
     "relative_entropy", "relative_entropy_density", "relative_entropy_down",

@@ -51,8 +51,13 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_UNDEFINED = 4
 
-# largest staircase a ``cycle`` may hold: one 2^N float64 table per step
+# most bytes of staircase tables a ``cycle`` may compute, 2 * steps * 2^N
+# float64 entries: its isotherms hold only a block of steps at a time, so
+# the cap bounds the run time, not the memory
 _STAIRCASE_BYTES_MAX = 2 << 30
+# most couplings on a --j-min/--j-max/--j-step grid: far above the grids in
+# use (3001 values)
+_J_VALUES_MAX = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -121,7 +126,12 @@ def _params(args) -> dict:
 def _j_values(args) -> list[float]:
     if args.j_max < args.j_min:
         raise ConfigError("--j-max must not be below --j-min")
-    count = int(math.floor((args.j_max - args.j_min) / args.j_step + 1e-9)) + 1
+    span = (args.j_max - args.j_min) / args.j_step
+    # refused as a float, before any list exists: the span may even be inf
+    if not span < _J_VALUES_MAX:
+        raise ConfigError(f"--j-step {args.j_step!r} makes more than {_J_VALUES_MAX} "
+                          "couplings from --j-min to --j-max; raise --j-step")
+    count = int(math.floor(span + 1e-9)) + 1
     return [args.j_min + k * args.j_step for k in range(count)]
 
 
@@ -182,7 +192,7 @@ def cmd_cycle(args) -> int:
     betas = Betas(args.beta_h, args.beta_c)
     staircase_bytes = (2 * args.steps * 8) << args.n
     if staircase_bytes > _STAIRCASE_BYTES_MAX:
-        raise ConfigError(f"-N {args.n} --steps {args.steps} needs {staircase_bytes} bytes "
+        raise ConfigError(f"-N {args.n} --steps {args.steps} computes {staircase_bytes} bytes "
                           f"of staircase tables, above the {_STAIRCASE_BYTES_MAX}-byte cap; "
                           "lower --steps or -N")
     c_a, c_b, c_c, c_d = _corner_tables(args)

@@ -1,8 +1,9 @@
 """Work-extraction engine: stepwise protocols, cycles, and efficiency bounds.
 
 A protocol is a sequence of unitaries, quenches (instantaneous field
-changes), and idealized thermal contacts that reset the medium to the
-bath's Gibbs state at the current Hamiltonian.  Work is positive when
+changes), idealized thermal contacts that reset the medium to the
+bath's Gibbs state at the current Hamiltonian, and isotherms (a
+staircase of quench/contact pairs with one bath).  Work is positive when
 extracted, heat is positive when absorbed by the medium; in those
 conventions every closed steady cycle satisfies W = Q_hot + Q_cold.
 
@@ -10,7 +11,9 @@ Hamiltonians may be energy tables (``thermo.EnergyTable``, as
 ``hamiltonians.ising_diagonal`` builds them) or dense operators
 (matrices, ``thermo.DenseOperator``); see :func:`thermo.as_operator`.
 Local fields commute with the Ising coupling, so Ising cycles and
-bounds run on tables in O(2^N) per step.
+bounds run on tables: O(2^N) time per isotherm step.  An isotherm
+evaluates its steps as arrays, in blocks of about ``_BLOCK_ENTRIES``
+matrix entries, so its memory does not grow with its number of steps.
 :func:`run_cycle` validates every operator and unitary of a protocol
 once, before it iterates; :func:`apply_step` validates its own
 arguments on each call.
@@ -26,11 +29,16 @@ import numpy as np
 
 from .hamiltonians import embed_site_operator
 from .thermo import DenseOperator, DensityState, EnergyTable, as_operator, check_unitary, \
-    gibbs, min_relative_entropy, trace_distance, von_neumann_entropy
+    gibbs, gibbs_stack, mean_energy, min_relative_entropy, trace_distance, \
+    von_neumann_entropy
 
 CYCLE_CLOSURE_TOL = 1e-10
 ON_SITE_TOL = 1e-10
 STEADY_STATE_TOL = 1e-10
+# matrix entries (rows x d for tables, rows x d^2 for matrices) per block of
+# isotherm steps: large enough to amortize numpy's per-call cost, small
+# enough to keep each block's arrays within a few MB
+_BLOCK_ENTRIES = 1 << 15
 
 
 class UndefinedResultError(ValueError):
@@ -76,6 +84,11 @@ class Quench:
     hamiltonian_after: object
 
 
+def _check_bath(bath: str) -> None:
+    if bath not in ("hot", "cold"):
+        raise ValueError("bath must be 'hot' or 'cold'")
+
+
 @dataclass(frozen=True)
 class ThermalContact:
     """Full equilibration with one bath at the current Hamiltonian."""
@@ -83,8 +96,28 @@ class ThermalContact:
     bath: str  # "hot" or "cold"
 
     def __post_init__(self):
-        if self.bath not in ("hot", "cold"):
-            raise ValueError("bath must be 'hot' or 'cold'")
+        _check_bath(self.bath)
+
+
+@dataclass(frozen=True)
+class Isotherm:
+    """``n_steps`` quench/contact pairs with one bath, from the current
+    Hamiltonian ``a`` to ``b = hamiltonian_after``.
+
+    Step k quenches to ``a + (k/n_steps)(b - a)`` and thermalizes there,
+    so the isotherm ends on that operator at k = n_steps, which is ``b``
+    up to rounding.  The steps run on tables if ``a`` and ``b`` are both
+    tables, else on matrices.
+    """
+
+    hamiltonian_after: object
+    bath: str  # "hot" or "cold"
+    n_steps: int
+
+    def __post_init__(self):
+        _check_bath(self.bath)
+        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
+            raise ValueError("an isotherm needs a whole number of steps, at least one")
 
 
 class StepResult(NamedTuple):
@@ -123,6 +156,8 @@ def _prepare(step):
                        as_operator(step.hamiltonian_after))
     if isinstance(step, Quench):
         return Quench(as_operator(step.hamiltonian_after))
+    if isinstance(step, Isotherm):
+        return Isotherm(as_operator(step.hamiltonian_after), step.bath, step.n_steps)
     if isinstance(step, ThermalContact):
         return step
     raise TypeError(f"unknown step type {type(step).__name__}")
@@ -140,9 +175,51 @@ def _advance(state: DensityState, h, step, betas: Betas) -> StepResult:
         work = state.energy(h) - state.energy(h_next)
         return StepResult(state, h_next, work, 0.0)
     beta = betas.beta_h if step.bath == "hot" else betas.beta_c
+    if isinstance(step, Isotherm):
+        return _isotherm(state, h, step, beta)
     new_state = gibbs(h, beta)
     heat = new_state.energy(h) - state.energy(h)
     return StepResult(new_state, h, 0.0, heat, step.bath)
+
+
+def _isotherm(state: DensityState, h, step: Isotherm, beta: float) -> StepResult:
+    """Every step of an isotherm, as arrays over blocks of steps.
+
+    Step k moves the state rho_{k-1} from H_{k-1} to H_k (work
+    E(rho_{k-1}, H_{k-1}) - E(rho_{k-1}, H_k)) and replaces it by the
+    Gibbs state rho_k of H_k (heat E(rho_k, H_k) - E(rho_{k-1}, H_k)),
+    with rho_0 = ``state`` and H_0 = ``h``.  Each block is checked as one
+    :class:`thermo.DensityState` per step would be.
+    """
+    a, b = _arrays(h, step.hamiltonian_after)
+    n = step.n_steps
+    rows = max(1, _BLOCK_ENTRIES // a.size)
+    # rho_{k-1} as mean_energy takes it against this isotherm's form, and
+    # its energy at H_{k-1}
+    own_before = state.energy(h)
+    if a.ndim == 1:
+        pops_before, basis_before = state.populations, None
+        if state.basis is not None:
+            pops_before = np.abs(state.basis) ** 2 @ state.populations
+    else:
+        pops_before, basis_before = state.populations, state.basis_matrix()
+    work = heat = 0.0
+    for first in range(1, n + 1, rows):
+        ks = np.arange(first, min(first + rows, n + 1))
+        hs = a + (ks / n).reshape((-1,) + (1,) * a.ndim) * (b - a)
+        pops, bases = gibbs_stack(hs, beta)
+        own = mean_energy(pops, bases, hs)
+        cross = mean_energy(np.concatenate([pops_before[None], pops[:-1]]),
+                            None if bases is None
+                            else np.concatenate([basis_before[None], bases[:-1]]), hs)
+        work += float(np.sum(np.concatenate([[own_before], own[:-1]]) - cross))
+        heat += float(np.sum(own - cross))
+        own_before, pops_before = own[-1], pops[-1]
+        basis_before = None if bases is None else bases[-1]
+    # copies, so that the result holds no view of the last block
+    form = EnergyTable if a.ndim == 1 else DenseOperator
+    end = DensityState(pops_before, None if basis_before is None else basis_before.copy())
+    return StepResult(end, form(hs[-1].copy()), work, heat, step.bath)
 
 
 def apply_step(state: DensityState, hamiltonian, step, betas: Betas) -> StepResult:
@@ -161,7 +238,7 @@ def _check_protocol(hamiltonian0, steps) -> None:
     """Every operator acts on one space and the protocol ends where it began."""
     h = hamiltonian0
     for step in steps:
-        if isinstance(step, (Unitary, Quench)):
+        if isinstance(step, (Unitary, Quench, Isotherm)):
             h = step.hamiltonian_after
             if h.dim != hamiltonian0.dim or (isinstance(step, Unitary)
                                              and step.matrix.shape[0] != h.dim):
@@ -185,7 +262,7 @@ def run_cycle(hamiltonian0, steps, betas: Betas) -> CycleReport:
     steps = [_prepare(s) for s in steps]
     h0 = as_operator(hamiltonian0)
     _check_protocol(h0, steps)
-    if not any(isinstance(s, ThermalContact) and s.bath == "hot" for s in steps):
+    if not any(isinstance(s, (ThermalContact, Isotherm)) and s.bath == "hot" for s in steps):
         raise UndefinedResultError("cycle never touches the hot bath")
 
     state = gibbs(h0, betas.beta_c)
@@ -208,25 +285,11 @@ def run_cycle(hamiltonian0, steps, betas: Betas) -> CycleReport:
                        n_passes=n_passes, energy_closure=closure)
 
 
-def isothermal_staircase(h_from, h_to, bath: str, n_steps: int) -> list:
-    """Discretized isotherm: ``n_steps`` quench-contact pairs ending at ``h_to``."""
-    if n_steps < 1:
-        raise ValueError("need at least one staircase step")
-    a, b = _arrays(as_operator(h_from), as_operator(h_to))
-    form = EnergyTable if a.ndim == 1 else DenseOperator
-    steps: list = []
-    for k in range(1, n_steps + 1):
-        steps.append(Quench(form(a + (k / n_steps) * (b - a))))
-        steps.append(ThermalContact(bath))
-    return steps
-
-
 def carnot_like_cycle(h_d, h_a, h_b, h_c, betas: Betas, n_steps: int) -> list:
-    """Quench D->A, hot staircase A->B, quench B->C, cold staircase C->D."""
-    return ([Quench(as_operator(h_a))]
-            + isothermal_staircase(h_a, h_b, "hot", n_steps)
-            + [Quench(as_operator(h_c))]
-            + isothermal_staircase(h_c, h_d, "cold", n_steps))
+    """Quench D->A, hot isotherm A->B, quench B->C, cold isotherm C->D,
+    each isotherm in ``n_steps`` steps."""
+    return [Quench(as_operator(h_a)), Isotherm(as_operator(h_b), "hot", n_steps),
+            Quench(as_operator(h_c)), Isotherm(as_operator(h_d), "cold", n_steps)]
 
 
 def _off_site(diff: np.ndarray) -> float:

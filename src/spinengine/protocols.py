@@ -41,6 +41,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 160  # for brackets that rounding keeps wider than the tolerance
 _REFINE_TOL = 1e-8  # bracket width at which a refined field stops moving
 _SCAN_BLOCK = 8192  # grid points per evaluation in _grid_argmax
+# most field grid points per coupling: 50x the strong-coupling grids in use
+# (2e5 points), and 80 MB per grid array
+_GRID_POINTS_MAX = 10_000_000
 
 
 class ProtocolFields(NamedTuple):
@@ -163,14 +166,19 @@ def _maximize(work, js: np.ndarray, floors: np.ndarray, grid_step: float) -> np.
 
     Each row gets a grid on [floor, 4*max(1, |J|)] (on [floor, floor + 1]
     when that is empty); one golden-section refinement then runs around
-    all the grid argmaxes at once.
+    all the grid argmaxes at once.  A ``grid_step`` that would give some
+    row more than ``_GRID_POINTS_MAX`` points raises ``ValueError`` before
+    any grid exists.
     """
-    scans = []
-    for j, floor in zip(js, floors):
-        h_max = 4.0 * max(1.0, abs(j))
-        if h_max <= floor:
-            h_max = floor + 1.0
-        scans.append(_grid_argmax(lambda h: work(j, h), floor, h_max, grid_step))
+    h_max = 4.0 * np.maximum(1.0, np.abs(js))
+    h_max = np.where(h_max <= floors, floors + 1.0, h_max)
+    points = np.max((h_max - floors) / grid_step, initial=0.0)
+    if not points < _GRID_POINTS_MAX:
+        raise ValueError(f"field grid step {grid_step!r} makes {points:.3g} grid points for "
+                         f"one coupling, above the cap of {_GRID_POINTS_MAX}; "
+                         "raise the grid step")
+    scans = [_grid_argmax(lambda h: work(j, h), floor, hi, grid_step)
+             for j, floor, hi in zip(js, floors, h_max)]
     return _refine(lambda h: work(js, h), scans)
 
 

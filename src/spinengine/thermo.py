@@ -27,6 +27,11 @@ small interface (levels, Gibbs state, energy of a state):
 
 Forms pass through :func:`as_operator` unchanged, so code that holds a
 form (the engine's cycle loop) never validates it again.
+
+:func:`gibbs_stack` and :func:`mean_energy` take a whole stack of tables
+or matrices at once (the steps of an engine isotherm), under the checks
+a :class:`DensityState` makes, and give each row the value the forms
+give it alone.
 """
 
 from __future__ import annotations
@@ -55,15 +60,32 @@ def check_hermitian(matrix) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
+def _is_unitary(u: np.ndarray) -> bool:
+    """``U+ U = 1`` within ``BASIS_UNITARY_TOL`` (max-norm) for a square
+    matrix, or for every matrix of a stack; false on a NaN entry."""
+    # a NaN entry makes the max NaN, which fails the comparison
+    return bool(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])))
+                <= BASIS_UNITARY_TOL)
+
+
 def check_unitary(matrix, name: str) -> np.ndarray:
     """Validate a square matrix with ``U+ U = 1`` within ``BASIS_UNITARY_TOL``
     (max-norm) and return it as complex."""
     u = np.asarray(matrix, dtype=complex)
-    # "not <=" so that a NaN entry fails the check
-    if u.ndim != 2 or u.shape[0] != u.shape[1] \
-            or not np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= BASIS_UNITARY_TOL:
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or not _is_unitary(u):
         raise ValueError(f"{name} is not unitary")
     return u
+
+
+def _checked_populations(p: np.ndarray) -> np.ndarray:
+    """Populations along the last axis (one state, or one per row of a
+    stack), clipped at zero once the sign, NaN and sum rules hold."""
+    # "not <=" so that a NaN population fails the check
+    if not np.all(-POPULATION_SUM_TOL <= p):
+        raise ValueError("population is NaN or negative beyond tolerance")
+    if not np.all(np.abs(np.sum(p, axis=-1) - 1.0) <= POPULATION_SUM_TOL * max(1, p.shape[-1])):
+        raise ValueError("populations do not sum to one")
+    return np.clip(p, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -81,12 +103,7 @@ class DensityState:
         p = np.asarray(self.populations, dtype=np.float64)
         if p.ndim != 1:
             raise ValueError(f"populations must be one-dimensional, got shape {p.shape}")
-        # "not <=" so that a NaN population fails the check
-        if not np.all(-POPULATION_SUM_TOL <= p):
-            raise ValueError("population is NaN or negative beyond tolerance")
-        if not abs(float(np.sum(p)) - 1.0) <= POPULATION_SUM_TOL * max(1, len(p)):
-            raise ValueError("populations do not sum to one")
-        object.__setattr__(self, "populations", np.clip(p, 0.0, None))
+        object.__setattr__(self, "populations", _checked_populations(p))
         if self.basis is not None:
             u = check_unitary(self.basis, "basis")
             if len(u) != len(p):
@@ -113,10 +130,26 @@ class DensityState:
         return as_operator(hamiltonian).energy(self)
 
 
+def mean_energy(populations: np.ndarray, bases: np.ndarray | None, hamiltonians: np.ndarray):
+    """``Tr(rho H)`` of one state against one operator, or of every pair
+    along the leading axes of stacks, each pair summed as it is alone.
+
+    Against a table the state's ``populations`` are its diagonal in the
+    computational basis and ``bases`` is ``None``; against a matrix they
+    are taken over the basis columns: ``sum_j p_j <b_j|H|b_j>``.
+    """
+    if bases is not None:
+        hamiltonians = np.einsum("...ij,...ij->...j", bases.conj(), hamiltonians @ bases).real
+    # vecdot sums through BLAS, as np.dot does; einsum's plain running sum
+    # errs some ten times more at d = 2^16
+    return np.vecdot(populations, hamiltonians)
+
+
 def _boltzmann(levels: np.ndarray, beta: float) -> np.ndarray:
-    """Normalized ``exp(-beta E)`` via exponentials shifted by the minimum."""
-    weights = np.exp(-beta * (levels - np.min(levels)))
-    return weights / np.sum(weights)
+    """Normalized ``exp(-beta E)`` via exponentials shifted by the minimum,
+    along the last axis (one spectrum, or one per row of a stack)."""
+    weights = np.exp(-beta * (levels - np.min(levels, axis=-1, keepdims=True)))
+    return weights / np.sum(weights, axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,9 +175,9 @@ class EnergyTable:
 
     def energy(self, state: DensityState) -> float:
         """``p . E`` in the computational basis (O(d)), else ``E . |B|^2 p`` (O(d^2))."""
-        if state.basis is None:
-            return float(np.dot(state.populations, self.energies))
-        return float(self.energies @ (np.abs(state.basis) ** 2 @ state.populations))
+        diagonal = state.populations if state.basis is None \
+            else np.abs(state.basis) ** 2 @ state.populations
+        return float(mean_energy(diagonal, None, self.energies))
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,10 +201,24 @@ class DenseOperator:
         """``sum_j p_j <b_j|H|b_j>``: O(d) in the computational basis, else
         one matrix product, O(d^3)."""
         if state.basis is None:
-            return float(np.dot(state.populations, np.diag(self.matrix).real))
-        b = state.basis
-        diag = np.einsum("ij,ij->j", b.conj(), self.matrix @ b).real
-        return float(np.dot(diag, state.populations))
+            return float(mean_energy(state.populations, None, np.diag(self.matrix).real))
+        return float(mean_energy(state.populations, state.basis, self.matrix))
+
+
+def gibbs_stack(hamiltonians: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gibbs states of a stack of Hamiltonians at one ``beta``, under the
+    checks :class:`DensityState` makes on each.
+
+    Tables (m, d) give populations (m, d) and bases ``None`` (the
+    computational basis); Hermitian matrices (m, d, d) give populations
+    and eigenbases (m, d, d) from one stacked ``eigh``.
+    """
+    if hamiltonians.ndim == 2:
+        return _checked_populations(_boltzmann(hamiltonians, beta)), None
+    values, vectors = np.linalg.eigh(hamiltonians)
+    if not _is_unitary(vectors):
+        raise ValueError("basis is not unitary")
+    return _checked_populations(_boltzmann(values, beta)), vectors
 
 
 def as_operator(hamiltonian) -> EnergyTable | DenseOperator:

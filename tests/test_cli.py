@@ -371,6 +371,20 @@ def test_bad_grid_step_names_the_flag(capsys):
     assert "--j-step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["optimal-field", "--j-min", "0", "--j-max", "1e12", "--j-step", "1e-3"], "--j-step"),
+    # a span that overflows to inf, refused before it meets int()
+    (["sweep-j", "--j-min=-1e308", "--j-max=1e308"], "--j-step"),
+    (["sweep-j", "--j-min", "0", "--j-max", "1", "--j-step", "1", "--grid-step", "1e-10"],
+     "grid step"),
+])
+def test_oversized_grid_is_refused(capsys, argv, names):
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert names in captured.err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["sweep-j", "--j-max", "inf"], "--j-max"),
     (["optimal-field", "--j-min=-inf"], "--j-min"),

@@ -1,19 +1,20 @@
 """Protocol stepping, cycle accounting, and Carnot-like bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spinengine import kernels
-from spinengine.engine import (Betas, BoundInputs, Quench, ThermalContact,
+from spinengine.engine import (Betas, BoundInputs, Isotherm, Quench, ThermalContact,
                                UndefinedResultError, Unitary, apply_step,
                                bound_terms, carnot_like_cycle, efficiency_bound,
-                               isothermal_staircase, run_cycle)
+                               run_cycle)
 from spinengine.hamiltonians import (SIGMA_X, SIGMA_Z, IsingParams, embed_site_operator,
                                      ising_composite, ising_diagonal)
-from spinengine.thermo import (DensityState, gibbs, relative_entropy,
-                               von_neumann_entropy)
+from spinengine.thermo import (DenseOperator, DensityState, EnergyTable, as_operator,
+                               gibbs, relative_entropy, von_neumann_entropy)
 
 BETAS = Betas(beta_h=0.5, beta_c=1.0)
 
@@ -259,9 +260,96 @@ def test_second_pass_is_the_steady_cycle():
     assert stopped_at == [1, 2, 2]
 
 
-def test_staircase_needs_a_step():
+def test_isotherm_needs_a_step():
+    for n_steps in (0, -3, 2.5):
+        with pytest.raises(ValueError):
+            Isotherm(field(2.0), "hot", n_steps)
     with pytest.raises(ValueError):
-        isothermal_staircase(field(1.0), field(2.0), "hot", 0)
+        Isotherm(field(2.0), "lukewarm", 5)
+
+
+def written_out(h0, steps):
+    """The protocol with each isotherm written out as its quench/contact
+    pairs, one step at a time: the reference for the batched isotherm."""
+    out = []
+    h = as_operator(h0)
+    for step in steps:
+        if isinstance(step, Isotherm):
+            a, b = h, as_operator(step.hamiltonian_after)
+            if isinstance(a, EnergyTable) and isinstance(b, EnergyTable):
+                a, b, form = a.energies, b.energies, EnergyTable
+            else:
+                a, b, form = a.matrix, b.matrix, DenseOperator
+            for k in range(1, step.n_steps + 1):
+                h = form(a + (k / step.n_steps) * (b - a))
+                out += [Quench(h), ThermalContact(step.bath)]
+        else:
+            out.append(step)
+            if not isinstance(step, ThermalContact):
+                h = as_operator(step.hamiltonian_after)
+    return out
+
+
+def isotherm_cases():
+    ring = [ising_diagonal(IsingParams(3, 0.7, h)) for h in (4.0, 1.0, 0.5, 2.0)]
+    pair = [ising_composite(IsingParams(2, -0.4, h)) for h in (4.0, 1.0, 0.5, 2.0)]
+    table = [ising_diagonal(IsingParams(2, -0.4, h)) for h in (4.0, 1.0, 0.5, 2.0)]
+    long = [ising_diagonal(IsingParams(12, 0.3, h)) for h in (4.0, 1.0, 0.5, 2.0)]
+    wide = [ising_composite(IsingParams(6, 0.3, h)) for h in (4.0, 1.0, 0.5, 2.0)]
+    rotation = math.cos(0.3) * np.eye(4) - 1j * math.sin(0.3) * embed_site_operator(SIGMA_X, 0, 2)
+    return {
+        "table-ring": (ring[3], carnot_like_cycle(ring[3], *ring[:3], BETAS, 9)),
+        "dense-pair": (pair[3], carnot_like_cycle(pair[3], *pair[:3], BETAS, 7)),
+        # hot isotherm from a table to a matrix, then back to tables
+        "table-to-dense": (table[3], [Quench(table[0]), Isotherm(pair[1], "hot", 6),
+                                      Quench(table[2]), Isotherm(table[3], "cold", 5)]),
+        # a rotated state enters an isotherm on tables
+        "rotated-into-tables": (table[3], [Unitary(rotation, table[0]),
+                                           Isotherm(table[1], "hot", 4), Quench(table[2]),
+                                           Isotherm(table[3], "cold", 4)]),
+        # each isotherm spans several blocks of steps: tables at d = 4096,
+        # matrices at d = 64
+        "n12-blocks": (long[3], carnot_like_cycle(long[3], *long[:3], BETAS, 50)),
+        "dense-blocks": (wide[3], carnot_like_cycle(wide[3], *wide[:3], BETAS, 20)),
+    }
+
+
+@pytest.mark.parametrize("case", list(isotherm_cases()))
+def test_isotherm_matches_its_written_out_staircase(case):
+    h0, steps = isotherm_cases()[case]
+    reference = written_out(h0, steps)
+    got, want = run_cycle(h0, steps, BETAS), run_cycle(h0, reference, BETAS)
+    assert got.n_passes == want.n_passes
+    for name in ("total_work", "heat_hot", "heat_cold"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=1e-12)
+    assert got.energy_closure < 1e-12
+    (end,), _ = end_states_and_books(h0, steps, n_passes=1)
+    (end_ref,), _ = end_states_and_books(h0, reference, n_passes=1)
+    np.testing.assert_allclose(end.populations, end_ref.populations, rtol=0, atol=1e-12)
+    assert (end.basis is None) == (end_ref.basis is None)
+    if end.basis is not None:
+        np.testing.assert_allclose(end.basis, end_ref.basis, rtol=0, atol=1e-12)
+
+
+def test_isotherm_towards_a_nan_table_is_refused():
+    h = ising_diagonal(IsingParams(3, 0.7, 1.0))
+    bad = EnergyTable(np.where(np.arange(8) == 5, np.nan, h.energies))
+    with pytest.raises(ValueError, match="NaN"):
+        apply_step(gibbs(h, BETAS.beta_c), h, Isotherm(bad, "hot", 3), BETAS)
+
+
+def test_isotherm_memory_does_not_grow_with_its_steps():
+    # per-step tables would hold 2 * 1000 * 4096 * 8 B = 65.5 MB
+    c_a, c_b, c_c, c_d = (ising_diagonal(IsingParams(12, 0.3, h)) for h in (4.0, 1.0, 0.5, 2.0))
+    steps = carnot_like_cycle(c_d, c_a, c_b, c_c, BETAS, 1000)
+    tracemalloc.start()
+    try:
+        report = run_cycle(c_d, steps, BETAS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.energy_closure < 1e-9
+    assert peak < 4 << 20
 
 
 # --------------------------------------------------------------------------
@@ -318,7 +406,7 @@ def test_staircase_leg_realizes_the_bound():
     state = omega_d
     h = h_d
     work = heat = 0.0
-    for step in [Quench(h_a)] + isothermal_staircase(h_a, h_b, "hot", 4000):
+    for step in [Quench(h_a), Isotherm(h_b, "hot", 4000)]:
         result = apply_step(state, h, step, BETAS)
         state, h = result.state, result.hamiltonian
         work += result.work

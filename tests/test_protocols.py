@@ -113,6 +113,14 @@ def test_unknown_mode_rejected():
         efficiency_at_max_work(1.0, BETAS, "both")
 
 
+def test_oversized_field_grid_rejected():
+    # 4e10 points: refused before the grid is allocated (it would take 298 GiB)
+    for search in (lambda: sweep_j([0.0], BETAS, grid_step=1e-10),
+                   lambda: chain_sweep(6, [0.0], BETAS, [0.1], grid_step=1e-10)):
+        with pytest.raises(ValueError, match="grid step"):
+            search()
+
+
 def test_sweep_reproduces_efficiency_curve_shape():
     j_values = [-5.0, -4.0, -3.0, -2.0, -1.0, -0.5, -0.2, 0.0,
                 1.0, 2.0, 3.0, 5.0]

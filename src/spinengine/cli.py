@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import NamedTuple
 
@@ -388,10 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinengine",
         description="Spin-chain work-extraction engines: sweeps and queries.")
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="COMMAND")
+    # argparse's own pattern takes a negative number with an exponent
+    # (-J -1e-05) for an option; this one adds the exponent
+    negative_number = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
     for name, (_, summary, flags) in _COMMANDS.items():
         # every subparser opts out of the automatic -h so that gs-deg can use
         # -h for the magnetic field; --help stays available everywhere.
         sp = sub.add_parser(name, add_help=False, help=summary)
+        sp._negative_number_matcher = negative_number
         sp.add_argument("--help", action="help", help="show this help message and exit")
         for flag in (*_CLI_ONLY, _THREADS, *flags):
             shown = flag.default

@@ -18,7 +18,7 @@ traceless, since the trace direction only generates global phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -63,9 +63,7 @@ class GeneratorSet:
 
     @property
     def dim(self) -> int:
-        if self.drift is not None:
-            return self.drift.shape[0]
-        return self.controls[0].shape[0]
+        return self.generators()[0].shape[0]
 
     def generators(self) -> list:
         gens = [] if self.drift is None else [self.drift]
@@ -77,85 +75,81 @@ class UnitaryClass(NamedTuple):
     dimension: int
 
 
-def _vec(matrix: np.ndarray) -> np.ndarray:
-    # real coordinates with <A,B> = Tr(A B) for Hermitian A, B
-    return np.concatenate([matrix.real.ravel(), matrix.imag.ravel()])
-
-
 class _Span:
-    """Incremental orthonormal basis of a real span with rank tolerance."""
+    """Orthonormal basis of a real span of d x d matrices under the inner
+    product Re Tr(A^dagger B), kept as the rows of one array that grows by
+    doubling."""
 
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.basis: list = []
+    def __init__(self, dim: int):
+        # row k holds the real coordinates of basis matrix k: the float
+        # view of a complex array, so a dot product is Re Tr(A^dagger B)
+        self._coords = np.empty((1, 2 * dim * dim))
+        self.dim = dim
+        self.size = 0
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._coords[:self.size].view(complex).reshape(-1, self.dim, self.dim)
 
     def add(self, matrix: np.ndarray) -> bool:
-        v = _vec(matrix)
+        """Append the unit part of ``matrix`` outside the span and return
+        True, unless its norm is at most ``RANK_TOL`` or that part's norm
+        is at most ``RANK_TOL`` times it."""
+        v = np.asarray(matrix, dtype=complex).ravel().view(float)
         scale = np.linalg.norm(v)
-        if scale <= self.tol:
+        if scale <= RANK_TOL:
             return False
+        basis = self._coords[:self.size]
         for _ in range(2):  # re-orthogonalize once for numerical safety
-            for b in self.basis:
-                v = v - (b @ v) * b
+            v = v - (basis @ v) @ basis
         residual = np.linalg.norm(v)
-        if residual <= self.tol * scale:
+        if residual <= RANK_TOL * scale:
             return False
-        self.basis.append(v / residual)
+        if self.size == len(self._coords):
+            self._coords = np.concatenate([self._coords, np.empty_like(self._coords)])
+        self._coords[self.size] = v / residual
+        self.size += 1
         return True
 
 
 def lie_algebra_dimension(gens: GeneratorSet) -> int:
     """Dimension of the real Lie algebra closure of the generators.
 
-    Breadth-first commutator closure: each round commutes the newly
-    accepted directions against every accepted direction, keeping those
-    that extend the span (Gram-Schmidt with relative tolerance
+    Breadth-first commutator closure over the span's orthonormal rows:
+    a round's frontier is the rows the previous round added, and each
+    frontier row is commuted with every row known at the round's start,
+    keeping the candidates that extend the span (rank tolerance
     ``RANK_TOL``).  Stops when a round adds nothing or the span saturates
-    at d^2 - 1; every round but the last adds a direction, so that takes
-    at most d^2 - 1 rounds.
+    at d^2 - 1; every round but the last adds a row, so that takes at
+    most d^2 - 1 rounds.
     """
     cap = gens.dim ** 2 - 1
-
-    # work with unit-norm matrices: commutators of unit generators stay
-    # O(1), so a candidate whose norm is ~1e-15 is pure floating-point
-    # noise and the absolute tolerance in the span rejects it
-    span = _Span(RANK_TOL)
-    accepted: list = []
-    frontier: list = []
+    span = _Span(gens.dim)
     for g in gens.generators():
-        mat = _traceless(g)
-        norm = np.linalg.norm(mat)
-        if norm > RANK_TOL and span.add(mat):
-            accepted.append(mat / norm)
-            frontier.append(mat / norm)
+        span.add(_traceless(g))
 
-    while frontier and len(span.basis) < cap:
-        fresh = []
-        for a in frontier:
-            for b in accepted:
-                comm = a @ b - b @ a
-                # hermitize i[A,B] exactly; roundoff otherwise leaks a
-                # non-Hermitian component that fakes new directions
-                herm = 0.5j * (comm - comm.conj().T)
-                if span.add(herm):
-                    unit = herm / np.linalg.norm(herm)
-                    accepted.append(unit)
-                    fresh.append(unit)
-                    if len(span.basis) >= cap:
-                        return cap
-        frontier = fresh
-    return len(span.basis)
+    # the rows have unit norm, so their commutators stay O(1) and a
+    # candidate whose norm is ~1e-15 is floating-point noise that the
+    # span's absolute tolerance rejects
+    start = 0
+    while start < span.size < cap:
+        known = span.rows
+        for a in known[start:]:
+            # i[A, B] = i(AB - (AB)^dagger) for Hermitian A, B; written this
+            # way it is Hermitian to the bit, so roundoff fakes no direction
+            for ab in a @ known:
+                if span.add(1j * (ab - ab.conj().T)) and span.size == cap:
+                    return cap
+        start = len(known)
+    return span.size
 
 
 def _all_commute(gens: GeneratorSet) -> bool:
-    mats = gens.generators()
-    scale = max((np.abs(m).max() for m in mats), default=0.0)
+    mats = np.array(gens.generators())
+    scale = np.abs(mats).max()
     bound = RANK_TOL * max(1.0, scale * scale)
-    for i, a in enumerate(mats):
-        for b in mats[i + 1:]:
-            if np.abs(a @ b - b @ a).max() > bound:
-                return False
-    return True
+    products = mats[:, None] @ mats[None]  # A_i A_j
+    return np.abs(products - products.swapaxes(0, 1)).max() <= bound
 
 
 def classify_unitary_class(gens: GeneratorSet) -> UnitaryClass:

@@ -314,7 +314,6 @@ def test_config_serves_several_subcommands_and_flags_replace_lists(tmp_path):
 
 
 @pytest.mark.parametrize("command, flags, entries", [
-    # argparse reads a lone -1e-05 as an option, so the flag takes it after "="
     ("sweep-j", ["--beta-h", "0.25", "--beta-c", "2", "--j-min=-1e-05", "--j-max", "1",
                  "--j-step", "0.5", "--mode", "free", "--grid-step", "0.05"],
      {"beta_h": 0.25, "beta_c": 2, "j_min": -1e-05, "j_max": 1, "j_step": 0.5,
@@ -360,6 +359,23 @@ def test_default_parameter_echo(capsys, argv, echo):
         report = json.loads(out)
         params = {k: report[k] for k in json.loads(echo)}
         assert json.dumps(params, sort_keys=True) == echo
+
+
+@pytest.mark.parametrize("lone, attached", [
+    ("gs-deg -J -1e-05", "gs-deg -J=-1e-05"),
+    ("gs-deg -N 4 -h -2.5E+1", "gs-deg -N 4 -h=-2.5E+1"),
+    ("sweep-j --j-min -1e-05 --j-max 0 --j-step 1",
+     "sweep-j --j-min=-1e-05 --j-max 0 --j-step 1"),
+    ("optimal-field --j-min -1.5e-3 --j-max 0 --j-step 1",
+     "optimal-field --j-min=-1.5e-3 --j-max 0 --j-step 1"),
+])
+def test_negative_number_with_exponent_is_a_value(capsys, lone, attached):
+    # a lone negative number with an exponent is its flag's value, as it
+    # is when attached with "="
+    assert main(attached.split()) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert main(lone.split()) == EXIT_OK
+    assert capsys.readouterr().out == expected
 
 
 # --------------------------------------------------------------------------

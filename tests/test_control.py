@@ -1,6 +1,9 @@
 """Dynamical Lie algebra closure and reachable unitary classes."""
 
 import functools
+import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +110,87 @@ def test_symmetric_ring_control_stays_intermediate():
     result = classify_unitary_class(gens)
     assert result.kind == INTERMEDIATE
     assert 3 < result.dimension < 63
+
+
+def ring_generators(model, n, specs):
+    drift = heisenberg_chain_drift(n) if model == "heisenberg" else ising_chain_drift(n)
+    return GeneratorSet(drift, tuple(op for site, axes in specs
+                                     for op in site_controls(n, site, axes)))
+
+
+@pytest.mark.parametrize("model, n, specs, dimension", [
+    ("heisenberg", 3, [(0, "xz")], 39),
+    ("heisenberg", 4, [(0, "xz"), (1, "x")], 255),
+    ("heisenberg", 4, [(0, "z")], 20),
+    ("ising", 2, [(0, "xz")], 6),
+    ("ising", 3, [(0, "xz")], 10),
+    ("ising", 4, [(0, "xz")], 10),
+])
+def test_ring_dimensions(model, n, specs, dimension):
+    assert lie_algebra_dimension(ring_generators(model, n, specs)) == dimension
+
+
+def test_four_site_intermediate_closure_budget():
+    # the Heisenberg ring with site-0 {x, z} control: 146 of 255, the
+    # slowest closure the CLI runs at N = 4
+    gens = ring_generators("heisenberg", 4, [(0, "xz")])
+    start = time.perf_counter()
+    assert lie_algebra_dimension(gens) == 146
+    elapsed = time.perf_counter() - start
+    assert elapsed < 6.0, f"N = 4 closure blew its 6s budget: {elapsed:.2f}s"
+    tracemalloc.start()
+    try:
+        lie_algebra_dimension(gens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def brute_force_dimension(mats):
+    """Closure by rank alone: each round adds every pairwise commutator of
+    the current basis and re-derives the basis from an SVD of the real
+    coordinates, until the rank stops growing."""
+    d = mats[0].shape[0]
+
+    def coords(ms):
+        return np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in ms])
+
+    basis = [m - np.trace(m) / d * np.eye(d) for m in mats]
+    rank = np.linalg.matrix_rank(coords(basis), rtol=1e-8)
+    while True:
+        rows = coords(basis + [1j * (a @ b - b @ a)
+                               for a, b in itertools.combinations(basis, 2)])
+        grown = np.linalg.matrix_rank(rows, rtol=1e-8)
+        if grown == rank:
+            return rank
+        rank = grown
+        vt = np.linalg.svd(rows, full_matrices=False)[2]
+        basis = [(v[:d * d] + 1j * v[d * d:]).reshape(d, d) for v in vt[:rank]]
+
+
+def random_sparse_case(rng, n_sites):
+    """Ring drift from a random subset of the nine Pauli couplings, with
+    random strengths, plus a random subset of Pauli controls on one
+    random site."""
+    dim = 2 ** n_sites
+    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+    pairs = [(a, b) for a in paulis for b in paulis if rng.random() < 0.3]
+    drift = np.zeros((dim, dim), dtype=complex)
+    for k in range(n_sites if n_sites > 2 else 1):
+        for a, b in pairs or [(SIGMA_Z, SIGMA_Z)]:
+            drift += rng.normal() * (embed_site_operator(a, k, n_sites)
+                                     @ embed_site_operator(b, (k + 1) % n_sites, n_sites))
+    site = int(rng.integers(n_sites))
+    axes = [p for p in paulis if rng.random() < 0.5] or [SIGMA_X]
+    return drift, tuple(embed_site_operator(p, site, n_sites) for p in axes)
+
+
+@pytest.mark.parametrize("n_sites, seed", [(n, seed) for n in (2, 3) for seed in range(1, 9)])
+def test_closure_matches_brute_force_rank(n_sites, seed):
+    drift, controls = random_sparse_case(np.random.default_rng(seed), n_sites)
+    assert (lie_algebra_dimension(GeneratorSet(drift, controls))
+            == brute_force_dimension([drift, *controls]))
 
 
 # --------------------------------------------------------------------------

@@ -41,6 +41,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 160  # for brackets that rounding keeps wider than the tolerance
 _REFINE_TOL = 1e-8  # bracket width at which a refined field stops moving
 _SCAN_BLOCK = 8192  # grid points per evaluation in _grid_argmax
+_CELL = 64  # grid points per cell of a pruned scan
+_PRUNE_MIN_POINTS = 4096  # smaller grids are scanned whole
+_PRUNE_RTOL = 1e-9  # relative rounding margin of a cell bound
 # most field grid points per coupling: 50x the strong-coupling grids in use
 # (2e5 points), and 80 MB per grid array
 _GRID_POINTS_MAX = 10_000_000
@@ -132,20 +135,67 @@ def _golden_max(f, lo, hi, tol: float):
     return 0.5 * (lo + hi)
 
 
-def _grid_argmax(w_of, lo: float, hi: float, step: float):
+def _scan(w_of, h: np.ndarray) -> np.ndarray:
+    """``w_of`` over ``h`` in blocks of ``_SCAN_BLOCK`` points, which keeps
+    the temporaries of each evaluation small."""
+    return np.concatenate([w_of(h[i:i + _SCAN_BLOCK]) for i in range(0, len(h), _SCAN_BLOCK)])
+
+
+def _pruned_argmax(w_of, grid: np.ndarray, cell_bound):
+    """Index and value of the first maximum of ``w_of`` on ``grid``, or
+    None where only a full scan can tell.
+
+    The grid is cut into cells of ``_CELL`` points and evaluated at the
+    cell ends.  A cell whose bound ``cell_bound(h_ends, w_ends)`` lies
+    below the best end value by more than a rounding margin cannot hold
+    the maximum; the inner points of all other cells (ties and NaN bounds
+    included) are evaluated in one scan.  A NaN at the first point is the
+    argmax, as with ``np.argmax``; any other non-finite value returns None.
+    """
+    last = len(grid) - 1
+    ends = np.append(np.arange(0, last, _CELL), last)
+    w_ends = _scan(w_of, grid[ends])
+    if np.isnan(w_ends[0]):
+        return 0, w_ends[0]
+    if not np.all(np.isfinite(w_ends)):
+        return None
+    best = w_ends.max()
+    bound = cell_bound(grid[ends], w_ends)
+    kept = ends[:-1][~(bound < best - _PRUNE_RTOL * abs(best))]
+    inner = (kept[:, None] + np.arange(1, _CELL)).ravel()
+    inner = inner[inner < last]
+    w_inner = _scan(w_of, grid[inner])
+    if not np.all(np.isfinite(w_inner)):
+        return None
+    idx, w = np.append(ends, inner), np.append(w_ends, w_inner)
+    top = w.max()
+    return int(idx[w == top].min()), top
+
+
+def _grid_argmax(w_of, lo: float, hi: float, step: float, cell_bound=None):
     """Best point of ``w_of`` on the grid lo, lo + step, ..., hi.
 
     Returns the bracket (the grid neighbours of the argmax), the grid
-    field and the grid work.  The grid lives only inside this call, so
-    consecutive scans never hold two grids at once.  ``w_of`` sees it in
-    blocks of ``_SCAN_BLOCK`` points to keep the temporaries of each
-    evaluation small: a strong-coupling grid has 2e5 points.
+    field and the grid work; the argmax is the first maximum, a NaN
+    counting as one, as with ``np.argmax``.  The grid lives only inside
+    this call, so consecutive scans never hold two grids at once.
+
+    With ``cell_bound`` a grid of at least ``_PRUNE_MIN_POINTS`` points
+    is scanned only in the cells that can hold the argmax
+    (:func:`_pruned_argmax`), with the same result.  ``cell_bound(h, w)``
+    maps the fields ``h`` at the cell ends and the work ``w`` there to an
+    upper bound on ``w_of`` over each cell between consecutive ends.
     """
     grid = np.arange(lo, hi + 0.5 * step, step)
-    w_grid = np.concatenate([w_of(grid[i:i + _SCAN_BLOCK])
-                             for i in range(0, len(grid), _SCAN_BLOCK)])
-    k = int(np.argmax(w_grid))
-    return grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], grid[k], w_grid[k]
+    found = None
+    if cell_bound is not None and len(grid) >= _PRUNE_MIN_POINTS:
+        found = _pruned_argmax(w_of, grid, cell_bound)
+    if found is None:
+        w_grid = _scan(w_of, grid)
+        k = int(np.argmax(w_grid))
+        found = k, w_grid[k]
+    k, w_k = found
+    return grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], grid[k], w_k
 
 
 def _refine(w_of, scans) -> np.ndarray:
@@ -160,7 +210,8 @@ def _refine(w_of, scans) -> np.ndarray:
     return np.where(w_of(h_ref) >= w_grid, h_ref, h_grid)
 
 
-def _maximize(work, js: np.ndarray, floors: np.ndarray, grid_step: float) -> np.ndarray:
+def _maximize(work, js: np.ndarray, floors: np.ndarray, grid_step: float,
+              cell_bound=None) -> np.ndarray:
     """The field h >= floor that maximizes ``work(j, h)`` in every row of
     ``js`` and ``floors``.
 
@@ -168,7 +219,8 @@ def _maximize(work, js: np.ndarray, floors: np.ndarray, grid_step: float) -> np.
     when that is empty); one golden-section refinement then runs around
     all the grid argmaxes at once.  A ``grid_step`` that would give some
     row more than ``_GRID_POINTS_MAX`` points raises ``ValueError`` before
-    any grid exists.
+    any grid exists.  ``cell_bound(j)``, when given, is the
+    :func:`_grid_argmax` cell bound of the row at coupling ``j``.
     """
     h_max = 4.0 * np.maximum(1.0, np.abs(js))
     h_max = np.where(h_max <= floors, floors + 1.0, h_max)
@@ -177,7 +229,8 @@ def _maximize(work, js: np.ndarray, floors: np.ndarray, grid_step: float) -> np.
         raise ValueError(f"field grid step {grid_step!r} makes {points:.3g} grid points for "
                          f"one coupling, above the cap of {_GRID_POINTS_MAX}; "
                          "raise the grid step")
-    scans = [_grid_argmax(lambda h: work(j, h), floor, hi, grid_step)
+    scans = [_grid_argmax(lambda h: work(j, h), floor, hi, grid_step,
+                          None if cell_bound is None else cell_bound(j))
              for j, floor, hi in zip(js, floors, h_max)]
     return _refine(lambda h: work(js, h), scans)
 
@@ -202,6 +255,38 @@ def _paper_work(j, h, betas: Betas, core_h=None):
     bh, bc = betas.beta_h, betas.beta_c
     delta_h = ising._log_excess(bh * j, bh * np.abs(h)) if core_h is None else core_h.delta
     return delta_h / bh - ising._log_excess(bc * j, bc * np.abs(h)) / bc
+
+
+def _paper_cell_bound(j: float, betas: Betas):
+    """The :func:`_grid_argmax` cell bound of :func:`_paper_work` at
+    coupling ``j``, on fields h >= 0: the smaller of two certified bounds.
+
+    * Lipschitz (Piyavskii-Shubert): the branch switch at h = 2|J| does
+      not depend on beta, so the ground terms of both temperatures cancel
+      and dw/dh = m_h - m_c lies in [-1, 1]; a cell of width H then holds
+      at most (w_a + w_b + H)/2.
+    * Excess: w <= T_h*delta_h, since delta_c >= 0.  T_h*delta_h has slope
+      m_h - rb (rb = 0 below the switch, 1 above it): it rises up to the
+      switch for J < 0 and falls after it (on all of h >= 0 for J >= 0),
+      so its cell maximum sits at a cell end, or at h = 2|J| when the cell
+      contains it.
+
+    The bound is widened by ``_PRUNE_RTOL`` times the excess bound, the
+    scale of the rounding in w = T_h*delta_h - T_c*delta_c.
+    """
+    bh = betas.beta_h
+    switch = max(-2.0 * j, 0.0)
+    excess_switch = ising._log_excess(bh * j, bh * switch) / bh
+
+    def bound(h, w):
+        excess = ising._log_excess(bh * j, bh * h) / bh
+        excess = np.maximum(excess[:-1], excess[1:])
+        excess = np.where((h[:-1] < switch) & (switch < h[1:]),
+                          np.maximum(excess, excess_switch), excess)
+        lipschitz = 0.5 * (w[:-1] + w[1:] + (h[1:] - h[:-1]))
+        return np.minimum(lipschitz, excess) + _PRUNE_RTOL * excess
+
+    return bound
 
 
 def _free_penalty_min(j, h_b, betas: Betas, core_s=None):
@@ -261,12 +346,16 @@ def sweep_j(j_values: Sequence[float], betas: Betas,
     """Maximize the cycle work density over the corner field h_B >= 0 at
     every coupling in ``j_values`` (:func:`_maximize`, on the work alone).
     Reports the optimal field, the work density, and the efficiency there.
+    Paper mode scans only the grid cells that :func:`_paper_cell_bound`
+    cannot rule out; free mode has no such bound and scans every point.
     """
     if mode not in (PAPER_PROTOCOL, FREE_FIELDS):
         raise ValueError(f"unknown protocol mode: {mode!r}")
     work = _paper_work if mode == PAPER_PROTOCOL else _free_work
     js = np.array(j_values, dtype=np.float64).reshape(-1)
-    h_opt = _maximize(lambda j, h: work(j, h, betas), js, np.zeros(len(js)), grid_step)
+    cell_bound = (lambda j: _paper_cell_bound(j, betas)) if mode == PAPER_PROTOCOL else None
+    h_opt = _maximize(lambda j, h: work(j, h, betas), js, np.zeros(len(js)), grid_step,
+                      cell_bound)
     a_h, b_h = betas.beta_h * js, betas.beta_h * np.abs(h_opt)
     core_h = _core(a_h, b_h)
     w_opt = work(js, h_opt, betas, core_h)

@@ -157,8 +157,10 @@ def test_sweep_matches_pointwise_optimizer():
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_paper_sweep_matches_full_core_scan():
-    # the paper search runs on the work-only log excess; the same search
-    # built on the full _core, efficiency at every probe, gives the same rows
+    # the paper search runs on the work-only log excess and scans only the
+    # cells its bound keeps; the same search built on the full _core, on
+    # every grid point, gives the same rows (J = 200 and 250 include the
+    # nan rows of the h = 0 underflow, J = -1e4 scans 4e6 points)
     bh, bc = BETAS.beta_h, BETAS.beta_c
 
     def work_eta(j, h):
@@ -170,7 +172,7 @@ def test_paper_sweep_matches_full_core_scan():
             eta = np.where(s_h > 0.0, w * bh / np.where(s_h > 0.0, s_h, 1.0), 0.0)
         return w, eta
 
-    js = np.array([-500.0, -3.0, 0.0, 1.0, 200.0])
+    js = np.array([-1e4, -500.0, -499.0, -3.0, 0.0, 1.0, 200.0, 250.0, 499.0])
     scans = [protocols._grid_argmax(lambda h: work_eta(j, h)[0],
                                     0.0, 4.0 * max(1.0, abs(j)), 1e-2) for j in js]
     h_ref = protocols._refine(lambda h: work_eta(js, h)[0], scans)
@@ -178,6 +180,144 @@ def test_paper_sweep_matches_full_core_scan():
     got = sweep_j(js, BETAS, PAPER_PROTOCOL)
     np.testing.assert_array_equal([p[:4] for p in got],
                                   np.column_stack([js, h_ref, w_ref, eta_ref]))
+
+
+def full_grid_argmax(w_of, lo, hi, step):
+    # the unpruned scan: every grid point in one call, first maximum wins
+    grid = np.arange(lo, hi + 0.5 * step, step)
+    w_grid = w_of(grid)
+    k = int(np.argmax(w_grid))
+    return grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], grid[k], w_grid[k]
+
+
+def assert_same_bits(got, want):
+    assert np.array(got, dtype=np.float64).tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_pruned_paper_scan_matches_full_scan_on_random_grids():
+    # log-uniform draws over the whole coupling range: weak grids below
+    # the pruning threshold, strong antiferromagnets with their switch at
+    # h = 2|J|, strong ferromagnets down to the nan rows (beta_c*J > ~186);
+    # a draw takes the finest step that keeps its grid under 4e5 points
+    rng = np.random.default_rng(20161018)
+    pruned = 0
+    for _ in range(300):
+        beta_h, beta_c = sorted(10.0 ** rng.uniform(-3.0, 3.0, size=2))
+        betas = Betas(beta_h, beta_c)
+        j = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 4.0)
+        h_max = 4.0 * max(1.0, abs(j))
+        step = rng.choice([s for s in (1e-3, 1e-2, 0.1) if h_max / s <= 4e5] or [0.1])
+        pruned += h_max / step >= protocols._PRUNE_MIN_POINTS
+
+        def w_of(h):
+            return protocols._paper_work(j, h, betas)
+
+        got = protocols._grid_argmax(w_of, 0.0, h_max, step,
+                                     protocols._paper_cell_bound(j, betas))
+        assert_same_bits(got, full_grid_argmax(w_of, 0.0, h_max, step))
+    assert pruned >= 120
+
+
+@pytest.mark.parametrize("case", ["ties", "nan-first", "nan-inner-end", "nan-inner", "inf-end"])
+def test_pruned_scan_matches_full_scan_on_synthetic_work(case):
+    # a work table on the integer grid 0..n-1, with its exact maximum over
+    # each cell as the cell bound: every cell holding a tie is kept (the
+    # ties sit at 0, where the rounding margin is 0 too), and the first
+    # maximum in index order wins
+    n, cell = 10_000, protocols._CELL
+    table = -1.0 - np.abs(np.arange(n) - 5000.0)
+    if case == "ties":
+        table[[70, 2 * cell, 3000, 5000, 7 * cell + 5]] = 0.0
+    elif case == "nan-first":
+        table[0] = np.nan
+    elif case == "nan-inner-end":
+        table[3 * cell] = np.nan
+    elif case == "nan-inner":
+        table[5000 - 2] = np.nan
+    else:
+        table[4 * cell] = np.inf
+
+    def w_of(h):
+        return table[h.astype(np.int64)]
+
+    def exact_cell_max(h, w):
+        ends = h.astype(np.int64)
+        return np.array([table[a:b + 1].max() for a, b in zip(ends[:-1], ends[1:])])
+
+    got = protocols._grid_argmax(w_of, 0.0, n - 1.0, 1.0, exact_cell_max)
+    assert_same_bits(got, full_grid_argmax(w_of, 0.0, n - 1.0, 1.0))
+
+
+def test_paper_cell_bound_premises():
+    # the two bounds of _paper_cell_bound, checked on the work it bounds at
+    # 4000 random (beta_h, beta_c, J, h), weak and strong coupling, against
+    # pairs of nearby fields h1 < h2 (finite differences)
+    rng = np.random.default_rng(1972)
+    rtol = protocols._PRUNE_RTOL
+    for _ in range(500):
+        beta_h, beta_c = sorted(10.0 ** rng.uniform(-3.0, 3.0, size=2))
+        betas = Betas(beta_h, beta_c)
+        j = rng.choice((-1.0, 1.0), size=8) * 10.0 ** rng.uniform(-3.0, 4.0, size=8)
+        switch = np.maximum(-2.0 * j, 0.0)
+        h1 = np.where(rng.random(8) < 0.5, rng.uniform(0.0, 4.0, 8) * np.maximum(1.0, np.abs(j)),
+                      switch + rng.normal(0.0, 1.0, 8) / beta_h)
+        h1 = np.abs(h1) + 1e-300
+        h2 = h1 + 10.0 ** rng.uniform(-4.0, 0.0, 8)
+
+        def work_excess(h):
+            w = protocols._paper_work(j, h, betas)
+            return w, ising._log_excess(beta_h * j, beta_h * h) / beta_h
+
+        (w1, e1), (w2, e2) = work_excess(h1), work_excess(h2)
+        scale = rtol * (e1 + e2 + np.abs(w1) + np.abs(w2))
+        assert np.all(np.isfinite(w1) & np.isfinite(w2))
+        # |dw/dh| <= 1: the ground terms cancel and dw/dh = m_h - m_c
+        assert np.all(np.abs(w2 - w1) <= (h2 - h1) + scale)
+        # w <= T_h*delta_h: the cold log excess is nonnegative
+        assert np.all((w1 <= e1) & (w2 <= e2))
+        # T_h*delta_h rises up to h = 2|J| and falls after it
+        rising, falling = h2 <= switch, h1 >= switch
+        assert np.all(e2[rising] >= e1[rising] - rtol * e2[rising])
+        assert np.all(e2[falling] <= e1[falling] + rtol * e1[falling])
+
+
+@pytest.mark.parametrize("beta_h,beta_c", [(0.5, 1.0), (0.05, 2.0), (1.0, 2.5)])
+def test_paper_cell_bound_covers_every_grid_point(beta_h, beta_c):
+    # the bound of each 64-point cell lies above the work at every grid
+    # point of the cell, and its excess part alone (an infinite Lipschitz
+    # part) above T_h*delta_h, the cells around the peak at h = 2|J| included
+    # (beta_c*J stays below the nan rows, whose scan stops at h = 0)
+    betas = Betas(beta_h, beta_c)
+    for j in (-100.0, -7.3, -1.0, -0.02, 0.0, 0.5, 3.0, 60.0):
+        grid = np.arange(0.0, 4.0 * max(1.0, abs(j)) + 0.5e-2, 1e-2)
+        w = protocols._paper_work(j, grid, betas)
+        excess = ising._log_excess(beta_h * j, beta_h * grid) / beta_h
+        ends = np.append(np.arange(0, len(grid) - 1, protocols._CELL), len(grid) - 1)
+        bound = protocols._paper_cell_bound(j, betas)
+        both = bound(grid[ends], w[ends])
+        excess_only = bound(grid[ends], np.full(len(ends), np.inf))
+        assert np.all(both >= np.maximum(np.maximum.reduceat(w, ends[:-1]), w[ends[1:]]))
+        assert np.all(excess_only >= np.maximum(np.maximum.reduceat(excess, ends[:-1]),
+                                                excess[ends[1:]]))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_pruned_sweep_evaluates_few_grid_points(monkeypatch):
+    # J = -499 is a pruned antiferromagnet, J = 499 a nan row that stops
+    # at its cell ends; the count includes the refinement and the rows
+    evaluated = []
+
+    def counting_work(j, h, betas, core_h=None):
+        evaluated.append(np.size(h))
+        return paper_work(j, h, betas, core_h)
+
+    paper_work = protocols._paper_work
+    monkeypatch.setattr(protocols, "_paper_work", counting_work)
+    rows = sweep_j([-499.0, 499.0], BETAS)
+    grid_points = 2 * len(np.arange(0.0, 4.0 * 499.0 + 0.005, 1e-2))
+    assert sum(evaluated) <= 0.05 * grid_points
+    assert rows[0].work_density > 0.0 and math.isnan(rows[1].work_density)
 
 
 def test_golden_max_batch_matches_scalar_calls():

@@ -20,6 +20,9 @@ line replaces its entry, lists included.  A key that no subcommand takes
 exits 2, a key that only other subcommands take is ignored (one file can
 serve several), and ``config`` and ``output`` are command-line only.
 
+``main`` can be called many times in one process; the parse tree is built
+on the first call and reused.
+
 Exit codes: 0 success, 2 bad configuration, 3 I/O failure, 4 undefined
 result (for example a non-positive bound denominator).
 
@@ -35,6 +38,7 @@ effect.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -269,7 +273,8 @@ def cmd_control(args) -> int:
 class _Flag(NamedTuple):
     names: tuple      # option strings
     dest: str         # attribute on ``args`` and key in a --config file
-    default: object   # None: required, or derived by the subcommand
+    default: object   # None: required, or derived by the subcommand; a tuple
+                      # for a repeatable flag, so no call can change it
     help: str
     kwargs: dict      # further argparse keywords: type, choices, action, ...
 
@@ -348,7 +353,7 @@ _COMMANDS = {
               help="field floor; repeat for several curves (at least one)"),
         _GRID_STEP)),
     "optimal-field": (cmd_optimal_field, "optimal corner field vs J per temperature (CSV)", (
-        _flag("--beta", action="append", default=[1.0, 2.0, 3.0],
+        _flag("--beta", action="append", default=(1.0, 2.0, 3.0),
               type=_checked(float, lambda b: not b <= 0, "--beta values must be positive"),
               help="inverse temperature; repeat for several curves"),
         *_j_grid(-3.0, 0.0, 0.01))),
@@ -371,7 +376,7 @@ _COMMANDS = {
               choices=("heisenberg-chain", "ising-chain"), help="drift Hamiltonian family"),
         _chain_length(2, 2, 6, " (closure is O(d^4))"),
         _flag("-J", dest="j", default=1.0, type=float, help="drift coupling strength"),
-        _flag("--controls", action="append", default=["site0:x,z"],
+        _flag("--controls", action="append", default=("site0:x,z",),
               help="control spec like site0:x,z; repeatable"))),
 }
 _CONFIG_KEYS = {_THREADS.dest, *(flag.dest for _, _, flags in _COMMANDS.values()
@@ -384,7 +389,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parse tree, built once per process: argparse keeps no parse state
+    on it, and --help reads the terminal width when it prints."""
     parser = _Parser(
         prog="spinengine",
         description="Spin-chain work-extraction engines: sweeps and queries.")
@@ -400,14 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--help", action="help", help="show this help message and exit")
         for flag in (*_CLI_ONLY, _THREADS, *flags):
             shown = flag.default
-            if isinstance(shown, list):
+            if isinstance(shown, tuple):
                 shown = " ".join(map(str, shown))
             text = flag.help if shown is None else f"{flag.help} (default: {shown})"
             sp.add_argument(*flag.names, dest=flag.dest, help=text, **flag.kwargs)
     return parser
 
 
-def _apply_config(parser, args, flags) -> None:
+def _apply_config(args, flags) -> None:
     """Set each parameter the command line left out from its --config entry,
     parsed by the flag's own argparse action."""
     path = args.config
@@ -433,19 +441,18 @@ def _apply_config(parser, args, flags) -> None:
         tokens = [f"{flag.names[-1]}={v if isinstance(v, str) else json.dumps(v)}"
                   for v in (value if listed else [value])]
         try:
-            setattr(args, key, getattr(parser.parse_args([args.subcommand, *tokens]), key))
+            setattr(args, key, getattr(build_parser().parse_args([args.subcommand, *tokens]), key))
         except ConfigError as exc:
             raise ConfigError(f"--config {path}: {key!r}: {exc}") from None
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         handler, _, flags = _COMMANDS[args.subcommand]
         flags = (_THREADS, *flags)
         if args.config is not None:
-            _apply_config(parser, args, flags)
+            _apply_config(args, flags)
         for flag in flags:
             if getattr(args, flag.dest) is None:
                 setattr(args, flag.dest, flag.default)

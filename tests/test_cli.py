@@ -1,9 +1,14 @@
 """Command-line interface: output format, determinism, exit codes."""
 
+import copy
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,6 +472,85 @@ def test_help_and_usage_exit_codes(capsys):
     assert main(["--help"]) == 0
     assert main([]) == EXIT_CONFIG  # subcommand required
     capsys.readouterr()
+
+
+# --------------------------------------------------------------------------
+# one process, many calls
+
+
+def _one_process_argv(tmp_path):
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps({"n": 6.7}), encoding="utf-8")
+    good.write_text(json.dumps({"n": 5, "j": 0.5}), encoding="utf-8")
+    return [
+        # the shape of the cycles workload: cycles and bounds on small chains
+        ["cycle", "-N", "4", "-J", "-0.3", "--h-b", "1.2", "--steps", "200"],
+        ["bound", "-N", "2", "-J", "0.5", "--h-b", "0.7", "--u-class", "full",
+         "--v-class", "full"],
+        ["bound", "-N", "3", "-J", "-0.4", "--h-b", "1.1", "--v-class", "commuting"],
+        ["sweep-j", "--j-min", "-1", "--j-max", "1", "--j-step", "0.5"],
+        ["precision", "-N", "4", "--epsilon", "0", "--epsilon", "0.1", "--j-min", "0",
+         "--j-max", "1", "--j-step", "0.5"],
+        # the declared defaults of the repeatable flags flow into args
+        ["optimal-field", "--j-min", "-1", "--j-max", "0", "--j-step", "0.5"],
+        ["control", "-N", "2"],
+        *([command, "--help"] for command in cli._COMMANDS),
+        ["--help"],
+        ["bound", "-N", "0"],
+        ["gs-deg", "--config", str(bad)],
+        ["gs-deg", "--config", str(good)],
+        ["gs-deg", "-J", "-1e-05"],
+        ["cycle", "-J", "0", "--h-b", "0"],
+        ["frobnicate"],
+        [],
+    ]
+
+
+def test_one_process_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the terminal width
+
+    def declared():
+        return {(name, flag.dest): flag.default
+                for name, (_, _, flags) in cli._COMMANDS.items() for flag in flags}
+
+    defaults = copy.deepcopy(declared())  # a list default would change in place
+    argvs = _one_process_argv(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(spinengine.__file__).parents[1])}
+
+    def fresh_process(argv):
+        proc = subprocess.run([sys.executable, "-m", "spinengine.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        return proc.stdout, proc.stderr, proc.returncode
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        fresh = list(pool.map(fresh_process, argvs))
+    assert {code for _, _, code in fresh} == {EXIT_OK, EXIT_CONFIG, EXIT_UNDEFINED}
+    cli.build_parser.cache_clear()
+    order = [*range(len(argvs)), *reversed(range(len(argvs)))]
+    for i in order:
+        code = main(list(argvs[i]))
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == fresh[i], argvs[i]
+    assert declared() == defaults
+
+
+def test_parse_tree_is_built_once(tmp_path, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    argvs = _one_process_argv(tmp_path)
+    assert main(argvs[0]) == EXIT_OK
+    assert len(built) == 1 + len(cli._COMMANDS)  # the top parser and one per subcommand
+    built.clear()
+    for argv in argvs[1:]:
+        main(list(argv))
+    assert built == []
 
 
 def test_console_script_round_trip():

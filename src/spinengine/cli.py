@@ -49,7 +49,7 @@ from . import control as control_lib
 from . import ising, protocols
 from .engine import (Betas, BoundInputs, UndefinedResultError, bound_terms,
                      carnot_like_cycle, efficiency_bound, run_cycle)
-from .hamiltonians import IsingParams, ising_diagonal
+from .hamiltonians import ising_diagonals
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -178,8 +178,7 @@ def _corner_tables(args):
         args.h_d = 2.0 * args.h_b
     if args.h_a is None:
         args.h_a = (args.beta_c / args.beta_h) * args.h_d
-    return [ising_diagonal(IsingParams(args.n, args.j, h))
-            for h in (args.h_a, args.h_b, args.h_c, args.h_d)]
+    return ising_diagonals(args.n, args.j, (args.h_a, args.h_b, args.h_c, args.h_d))
 
 
 def cmd_bound(args) -> int:

@@ -48,10 +48,18 @@ class IsingParams:
 
 def ising_diagonal(params: IsingParams) -> EnergyTable:
     """Energy table of the finite periodic chain (bit set = spin down)."""
-    energies = kernels.ising_energies(params.n_sites, params.coupling, params.field)
-    if not np.all(np.isfinite(energies)):
+    return ising_diagonals(params.n_sites, params.coupling, (params.field,))[0]
+
+
+def ising_diagonals(n_sites: int, coupling: float, fields) -> list[EnergyTable]:
+    """:func:`ising_diagonal` at one chain and coupling and each of
+    ``fields``, from one enumeration of the ring."""
+    for h in fields:
+        IsingParams(n_sites, coupling, h)
+    tables = kernels.ising_energies(n_sites, coupling, fields)
+    if not np.all(np.isfinite(tables)):
         raise ValueError("energy table has non-finite entries")
-    return EnergyTable(energies)
+    return [EnergyTable(energies) for energies in tables]
 
 
 def ising_composite(params: IsingParams) -> DenseOperator:

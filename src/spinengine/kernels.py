@@ -11,15 +11,18 @@ with periodic neighbours (at ``n = 2`` the ring has two bonds, at
 views:
 
 * ``ising_energies``: the energy of every configuration, indexed by
-  bitmask (``2**n`` entries), for diagonal Hamiltonians and as the
-  enumeration oracle;
+  bitmask (``2**n`` entries; one table per field for several fields),
+  for diagonal Hamiltonians and as the enumeration oracle;
 * ``levels``: the distinct ``(M, B)`` classes with their exact
   degeneracies.  A configuration with ``k`` down spins in ``r`` domains
   has ``M = n - 2k`` and ``B = n - 4r``, and there are
   ``(n/r) C(k-1, r-1) C(n-k-1, r-1)`` of them; the two polarized states
   (``r = 0``) are their own classes.  Anything that depends on a
   configuration only through ``(M, B)`` sums over these few classes
-  (27 at ``n = 10``, 146 at ``n = 24``) instead of all ``2**n``.
+  (27 at ``n = 10``, 146 at ``n = 24``) instead of all ``2**n``.  The
+  classes come grouped into the ``n + 1`` magnetization sectors (11 at
+  ``n = 10``, 25 at ``n = 24``), so a sum in which the field enters only
+  through ``-h * M`` can be taken once per sector.
 """
 
 from __future__ import annotations
@@ -46,16 +49,22 @@ def _config_sums(configs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return n - 2 * down, n - 2 * flips
 
 
-def ising_energies(n: int, j: float, h: float) -> np.ndarray:
-    """Energy of every configuration of the periodic chain, indexed by bitmask."""
+def ising_energies(n: int, j: float, h) -> np.ndarray:
+    """Energy of every configuration of the periodic chain, indexed by
+    bitmask.  With a sequence of fields ``h`` the result has one such
+    table per field (rows), from one enumeration: each chunk's M and B
+    sums serve every field."""
     _check_length(n)
-    j, h = float(j), float(h)
+    j, hs = float(j), np.asarray(h, dtype=np.float64)
     size = 1 << n
-    out = np.empty(size, dtype=np.float64)
+    out = np.empty(hs.shape + (size,), dtype=np.float64)
+    tables = out.reshape(-1, size)
     for start in range(0, size, _CHUNK):
         stop = min(start + _CHUNK, size)
         msum, bsum = _config_sums(np.arange(start, stop, dtype=np.uint64), n)
-        out[start:stop] = -h * msum - j * bsum
+        bond = j * bsum
+        for table, field in zip(tables, hs.reshape(-1)):
+            table[start:stop] = -field * msum - bond
     return out
 
 
@@ -63,14 +72,16 @@ def levels(n: int) -> list[tuple[int, int, int]]:
     """``(M, B, g)`` for every class of the periodic chain: magnetization
     sum, bond sum and the exact number of configurations in the class.
 
-    The degeneracies sum to ``2**n``.
+    The classes come in order of descending M, so each magnetization
+    sector is one contiguous run.  The degeneracies sum to ``2**n``.
     """
     _check_length(n)
-    out = [(n, n, 1), (-n, n, 1)]
+    out = [(n, n, 1)]
     for k in range(1, n):
         for r in range(1, min(k, n - k) + 1):
             g = n * comb(k - 1, r - 1) * comb(n - k - 1, r - 1) // r
             out.append((n - 2 * k, n - 4 * r, g))
+    out.append((-n, n, 1))
     return out
 
 

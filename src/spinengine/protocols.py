@@ -25,6 +25,7 @@ magnitude below the ground-state term).
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple, Sequence
 
@@ -44,6 +45,7 @@ _SCAN_BLOCK = 8192  # grid points per evaluation in _grid_argmax
 _CELL = 64  # grid points per cell of a pruned scan
 _PRUNE_MIN_POINTS = 4096  # smaller grids are scanned whole
 _PRUNE_RTOL = 1e-9  # relative rounding margin of a cell bound
+_EXP_FLOOR = -700.0  # lowest Boltzmann exponent of a partition sum (see _weights)
 # most field grid points per coupling: 50x the strong-coupling grids in use
 # (2e5 points), and 80 MB per grid array
 _GRID_POINTS_MAX = 10_000_000
@@ -392,28 +394,93 @@ def ferro_efficiency_limit(epsilon: float, n: int, betas: Betas) -> float:
 # finite chains
 # ---------------------------------------------------------------------------
 
-def _chain_gap(classes: np.ndarray, j, hs: np.ndarray, betas: Betas):
-    """Free-energy gap T_h*logZ_h - T_c*logZ_c of the ring at each field.
+def _ring(n: int):
+    """The ring's (M, B, g) classes (:func:`kernels.levels`) grouped into
+    magnetization sectors: each sector's M (descending) as a column of
+    shape (sectors, 1), and B and g of shape (longest sector, sectors, 1),
+    a sector's classes along axis 0, padded with zero-degeneracy copies
+    of its first class."""
+    sectors = [list(cls) for _, cls in itertools.groupby(kernels.levels(n), lambda c: c[0])]
+    longest = max(map(len, sectors))
+    padded = [cls + [(*cls[0][:2], 0)] * (longest - len(cls)) for cls in sectors]
+    m, b, g = np.array(padded, dtype=np.float64).transpose(2, 1, 0)[..., None]
+    return m[0], b, g
 
-    ``classes`` holds the chain's (M, B, g) classes as columns; ``j`` is
-    a scalar or one coupling per field.  The class energies and their
-    ground shift are built once and shared by both temperatures, so
-    strong couplings do not cancel away the signal.  Also returns the
-    shifted energies, the hot weights and the hot partition sum, from
-    which the hot entropy follows.
 
-    A scan block makes each array ``_SCAN_BLOCK`` rows by the number of
-    classes, so the shift is made in place and the cold sum is taken
-    before the hot weights exist: the scan holds no more such arrays at
-    once than one temperature needs.
+def _weights(betas: Betas, x) -> np.ndarray:
+    """Boltzmann weights e^{-beta*x} of energies x >= 0 at both
+    temperatures, hot then cold along a new second-to-last axis, each at
+    least e^_EXP_FLOOR (1e-304).
+
+    Every sum of them here has a term of at least 1, which absorbs the
+    floor, and numpy's exp is 20 to 200 times slower where its result
+    would be subnormal or 0.
     """
-    m, b, g = classes
-    shifted = -np.multiply.outer(j, b) - np.multiply.outer(hs, m)
-    shifted -= shifted.min(axis=-1, keepdims=True)
-    z_c = (g * np.exp(-betas.beta_c * shifted)).sum(axis=-1)
-    weights_h = g * np.exp(-betas.beta_h * shifted)
-    z_h = weights_h.sum(axis=-1)
-    return betas.t_h * np.log(z_h) - betas.t_c * np.log(z_c), shifted, weights_h, z_h
+    w = -np.array([[betas.beta_h], [betas.beta_c]]) * x[..., None, :]
+    np.maximum(w, _EXP_FLOOR, out=w)
+    return np.exp(w, out=w)
+
+
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """Sum of ``x`` over axis 0, by halving it in place.
+
+    The order of the additions does not depend on the other axes (numpy's
+    ``sum`` adds a lone column pairwise, and other shapes row by row or
+    not, as its iterator chooses), so a field gets the same bits alone
+    as in a batch.
+    """
+    rows = len(x)
+    while rows > 1:
+        half = (rows + 1) // 2
+        x[:rows - half] += x[half:rows]
+        rows = half
+    return x[0]
+
+
+def _sectors(ring, j, betas: Betas):
+    """The sector terms of :func:`_chain_gap` on the :func:`_ring` at
+    coupling ``j`` (a scalar, or one coupling per field along the last
+    axis): each sector's lowest bond energy f_M = min -J*B, its sums C_M
+    at both temperatures (:func:`_weights`), and each class's excess
+    -J*B - f_M."""
+    _, b, g = ring
+    bond = -(b * j)
+    f = bond.min(axis=0)
+    excess = bond - f
+    return f, _sum_rows(g[..., None, :] * _weights(betas, excess)), excess
+
+
+def _chain_gap(ring, sectors, hs: np.ndarray, betas: Betas):
+    """Free-energy gap T_h*logZ_h - T_c*logZ_c of the ring at each field,
+    and a function of no arguments that returns the hot entropy there.
+
+    The field enters the energy only through -h*M, so each partition sum
+    runs over the magnetization sectors (:func:`_sectors`):
+
+        Z = sum_M C_M e^{-beta (f_M - h*M - s)},
+        C_M = sum_{B in M} g e^{-beta (-J*B - f_M)},
+
+    with f_M the sector's lowest -J*B and s = min_M (f_M - h*M) the ground
+    energy, so a field costs one exponential per sector and temperature.
+    Every exponent is <= 0, and both temperatures share s, so strong
+    couplings do not cancel away the signal.  The hot entropy adds
+    D_M = sum_{B in M} g (-J*B - f_M) e^{-beta_h (-J*B - f_M)} from the
+    same classes.
+    """
+    m, _, g = ring
+    f, c, excess = sectors
+    shifted = f - m * hs
+    shifted -= shifted.min(axis=0)
+    weights = _weights(betas, shifted)
+    weights *= c
+    z_h, z_c = _sum_rows(weights)
+
+    def hot_entropy():
+        d_h = _sum_rows(g * excess * np.exp(-betas.beta_h * excess))
+        energy = _sum_rows(np.exp(-betas.beta_h * shifted) * (shifted * c[:, 0] + d_h)) / z_h
+        return betas.beta_h * energy + np.log(z_h)
+
+    return betas.t_h * np.log(z_h) - betas.t_c * np.log(z_c), hot_entropy
 
 
 def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
@@ -425,21 +492,25 @@ def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
 
     The search (:func:`_maximize`) runs on the work per site alone,
     gap / N, and the efficiency gap / (T_h*S_h) is computed once, at the
-    optimum.
+    optimum.  The sector terms of the rows are built once, for every
+    refinement probe and the optimum.
     """
     eps = np.array(epsilons, dtype=np.float64).reshape(-1)
     if np.any(eps < 0):
         raise ValueError("field floor must be nonnegative")
-    classes = np.array(kernels.levels(n), dtype=np.float64).T
+    ring = _ring(n)
     js = np.array(j_values, dtype=np.float64).reshape(-1)
     eps_rows, j_rows = np.repeat(eps, len(js)), np.tile(js, len(eps))
+    row_sectors = _sectors(ring, j_rows, betas)
 
     def work(j, hs):
-        return _chain_gap(classes, j, hs, betas)[0] / n
+        # a grid scan passes its row's coupling, the refinement j_rows itself
+        sectors = row_sectors if j is j_rows else _sectors(ring, j, betas)
+        return _chain_gap(ring, sectors, hs, betas)[0] / n
 
     h_opt = _maximize(work, j_rows, eps_rows, grid_step)
-    gap, shifted, weights_h, z_h = _chain_gap(classes, j_rows, h_opt, betas)
-    s_h = betas.beta_h * np.einsum("ij,ij->i", shifted, weights_h) / z_h + np.log(z_h)
+    gap, hot_entropy = _chain_gap(ring, row_sectors, h_opt, betas)
+    s_h = hot_entropy()
     with np.errstate(invalid="ignore", divide="ignore"):
         eta = np.where(s_h > 0.0, gap / (betas.t_h * np.where(s_h > 0, s_h, 1.0)), 0.0)
     return [ChainPoint(float(j), float(floor), float(h), float(w), float(e))

@@ -5,7 +5,7 @@ import pytest
 
 from spinengine import kernels
 from spinengine.hamiltonians import (SIGMA_Z, IsingParams, embed_site_operator,
-                                     ising_composite, ising_diagonal)
+                                     ising_composite, ising_diagonal, ising_diagonals)
 from spinengine.thermo import DenseOperator, EnergyTable, check_hermitian
 
 
@@ -60,6 +60,26 @@ def test_spectrum_symmetries():
 def test_ising_diagonal_requires_finite_chain():
     with pytest.raises(ValueError):
         ising_diagonal(IsingParams(None, 1.0, 0.0))
+
+
+def test_corner_tables_from_one_enumeration():
+    # the four corner tables of one bound: the same bits as one table each
+    for n, j in ((1, 0.7), (4, -1.3), (8, 0.45)):
+        fields = (0.2, 1.1, 2.0 / 3.0, -5.5)
+        tables = ising_diagonals(n, j, fields)
+        for table, h in zip(tables, fields):
+            np.testing.assert_array_equal(table.energies,
+                                          ising_diagonal(IsingParams(n, j, h)).energies)
+
+
+@pytest.mark.parametrize("n, j, fields", [
+    (None, 1.0, (0.0,)), (3, np.nan, (0.0,)), (3, 1.0, (0.0, np.inf)),
+    # finite fields whose energies overflow
+    (3, 1.0, (0.0, 1e308)),
+])
+def test_corner_tables_reject_bad_input(n, j, fields):
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        ising_diagonals(n, j, fields)
 
 
 def test_all_constructions_hermitian():

@@ -46,6 +46,26 @@ def test_levels_match_enumerated_histogram():
         assert sum(g for _, _, g in classes) == 2 ** n
 
 
+def test_levels_grouped_by_descending_magnetization():
+    for n in range(1, 25):
+        ms = [m for m, _, _ in kernels.levels(n)]
+        assert ms == sorted(ms, reverse=True)
+        assert len(set(ms)) == n + 1
+
+
+def test_tables_from_one_enumeration(monkeypatch):
+    # a chunk of 16 configurations makes every table span many chunks
+    monkeypatch.setattr(kernels, "_CHUNK", 16)
+    for n in (1, 5, 9):
+        configs = np.arange(1 << n, dtype=np.uint64)
+        msum, bsum = kernels._config_sums(configs, n)
+        fields = (0.0, 0.3, -2.0 / 3.0, 1e5)
+        tables = kernels.ising_energies(n, 1.7, fields)
+        assert tables.shape == (len(fields), 1 << n)
+        for table, h in zip(tables, fields):
+            np.testing.assert_array_equal(table, -h * msum - 1.7 * bsum)
+
+
 def test_ground_state_stats_agrees_with_table():
     rng = np.random.default_rng(12)
     cases = [(n, *rng.uniform(-2, 2, size=2)) for n in range(1, 17)]

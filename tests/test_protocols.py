@@ -456,9 +456,9 @@ def test_chain_field_floor_lowers_efficiency():
     assert floored.h_opt >= 0.5
 
 
-def enumerated_chain_point(n, j, h, betas):
-    """Work per site and efficiency of the shared-field finite cycle at
-    field h, summed over all 2^N configurations of the bitmask table."""
+def enumerated_gap_entropy(n, j, h, betas):
+    """Free-energy gap T_h*logZ_h - T_c*logZ_c and hot entropy of the ring
+    at field h, summed over all 2^N configurations of the bitmask table."""
     energies = kernels.ising_energies(n, j, h)
     shifted = energies - np.min(energies)
 
@@ -470,8 +470,90 @@ def enumerated_chain_point(n, j, h, betas):
 
     logz_h, s_h = logz_entropy(betas.beta_h)
     logz_c, _ = logz_entropy(betas.beta_c)
-    gap = betas.t_h * logz_h - betas.t_c * logz_c
+    return betas.t_h * logz_h - betas.t_c * logz_c, s_h
+
+
+def enumerated_chain_point(n, j, h, betas):
+    """Work per site and efficiency of the shared-field finite cycle at
+    field h, by enumeration."""
+    gap, s_h = enumerated_gap_entropy(n, j, h, betas)
     return gap / n, gap / (betas.t_h * s_h)
+
+
+def class_gap_entropy(n, j, hs, betas):
+    """Gap and hot entropy at each field, summed class by class over the
+    (M, B, g) levels with one ground shift per field."""
+    m, b, g = np.array(kernels.levels(n), dtype=np.float64).T
+    shifted = -j * b[None, :] - hs[:, None] * m[None, :]
+    shifted -= shifted.min(axis=1, keepdims=True)
+
+    def logz_entropy(beta):
+        weights = g * np.exp(-beta * shifted)
+        z = weights.sum(axis=1)
+        return np.log(z), beta * (shifted * weights).sum(axis=1) / z + np.log(z)
+
+    logz_h, s_h = logz_entropy(betas.beta_h)
+    logz_c, _ = logz_entropy(betas.beta_c)
+    return betas.t_h * logz_h - betas.t_c * logz_c, s_h
+
+
+SECTOR_JS = (0.0, 0.5, -0.5, 30.0, -30.0, 200.0, -200.0, 1e4, -1e4)
+SECTOR_BETAS = (Betas(0.5, 1.0), Betas(1e-3, 2e-3), Betas(1.0, 1e3))
+
+
+def sector_fields(j):
+    return np.array([0.0, 1e-12, 0.3, 2.0 * abs(j), 4.0 * max(1.0, abs(j))])
+
+
+def sector_gap_entropy(n, j, hs, betas):
+    ring = protocols._ring(n)
+    gap, hot_entropy = protocols._chain_gap(ring, protocols._sectors(ring, j, betas), hs, betas)
+    return gap, hot_entropy()
+
+
+def assert_rel_close(got, want, rtol):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= rtol * np.maximum(np.abs(got), np.abs(want)))
+
+
+def test_sector_sum_matches_enumeration():
+    for n in range(1, 17):
+        for betas in SECTOR_BETAS:
+            for j in SECTOR_JS:
+                hs = sector_fields(j)
+                gap, s_h = sector_gap_entropy(n, j, hs, betas)
+                want = np.array([enumerated_gap_entropy(n, j, h, betas) for h in hs]).T
+                assert_rel_close(gap, want[0], 1e-11)
+                assert_rel_close(s_h, want[1], 1e-11)
+                assert np.all(s_h >= 0.0)
+
+
+def test_sector_sum_matches_class_sum_at_24_sites():
+    for betas in SECTOR_BETAS:
+        for j in SECTOR_JS:
+            hs = sector_fields(j)
+            gap, s_h = sector_gap_entropy(24, j, hs, betas)
+            want_gap, want_s = class_gap_entropy(24, j, hs, betas)
+            assert_rel_close(gap, want_gap, 1e-11)
+            assert_rel_close(s_h, want_s, 1e-11)
+            assert np.all(s_h >= 0.0)
+
+
+def test_sector_sum_same_bits_for_scalar_and_per_field_coupling():
+    # the grid scan passes its row's coupling, the refinement one per field
+    for n in (1, 5, 10, 24):
+        for betas in SECTOR_BETAS:
+            for j in SECTOR_JS:
+                hs = sector_fields(j)
+                scalar = sector_gap_entropy(n, j, hs, betas)
+                per_field = sector_gap_entropy(n, np.full(len(hs), j), hs, betas)
+                np.testing.assert_array_equal(scalar[0], per_field[0])
+                np.testing.assert_array_equal(scalar[1], per_field[1])
+                # a field alone gets the bits it gets in a batch
+                for k in range(len(hs)):
+                    alone = sector_gap_entropy(n, np.full(1, j), hs[k:k + 1], betas)
+                    assert (alone[0][0], alone[1][0]) == (scalar[0][k], scalar[1][k])
 
 
 def test_chain_matches_enumeration():
@@ -488,22 +570,47 @@ def test_chain_matches_enumeration():
                     <= point.work_density * (1 + 1e-10) + 1e-15
 
 
+def sum_by_halving(x):
+    """Sum over axis 0 in the order of protocols._chain_gap: the top half
+    of the rows is added onto the bottom half until one row is left."""
+    while len(x) > 1:
+        half = (len(x) + 1) // 2
+        x = np.concatenate([x[:len(x) - half] + x[half:], x[len(x) - half:half]])
+    return x[0]
+
+
 def pointwise_chain_optimum(n, j, betas, epsilon):
     """The per-point finite-chain optimizer: grid scan and golden
-    refinement on the full evaluation (work, efficiency and the cold
-    entropy), each temperature building its own shifted energies."""
+    refinement on the full evaluation (work, efficiency and the hot
+    entropy), each temperature building its own sector sums.
+
+    The classes of each magnetization sector are padded with zero
+    degeneracies to the longest sector, and every sum is taken by
+    halving, so that the bits match the batched ``chain_sweep``.
+    """
     h_max = 4.0 * max(1.0, abs(j))
     if h_max <= epsilon:
         h_max = epsilon + 1.0
-    m, b, g = np.array(kernels.levels(n), dtype=np.float64).T
+    levels = kernels.levels(n)
+    ms = sorted({m for m, _, _ in levels}, reverse=True)
+    sectors = [[(b, g) for m, b, g in levels if m == m_sector] for m_sector in ms]
+    longest = max(len(cls) for cls in sectors)
+    b, g = np.array([cls + [(cls[0][0], 0)] * (longest - len(cls)) for cls in sectors]).T
+    m = np.array(ms, dtype=np.float64)
+    bond = -j * b
+    f = bond.min(axis=0)
+    excess = bond - f
 
     def stats(beta, hs):
-        energies = -j * b[None, :] - hs[:, None] * m[None, :]
-        shifted = energies - energies.min(axis=1, keepdims=True)
-        weights = g * np.exp(-beta * shifted)
-        z = weights.sum(axis=1)
+        c = sum_by_halving(g * np.exp(-beta * excess))
+        d = sum_by_halving(g * excess * np.exp(-beta * excess))
+        energies = f[:, None] - m[:, None] * hs[None, :]
+        shifted = energies - energies.min(axis=0)
+        weights = np.exp(-beta * shifted)
+        z = sum_by_halving(c[:, None] * weights)
         logz = np.log(z)
-        return logz, beta * np.einsum("ij,ij->i", shifted, weights) / z + logz
+        energy = sum_by_halving(weights * (shifted * c[:, None] + d[:, None])) / z
+        return logz, beta * energy + logz
 
     def evaluate(hs):
         logz_h, s_h = stats(betas.beta_h, hs)
@@ -531,6 +638,9 @@ def test_chain_sweep_matches_pointwise():
         rows = chain_sweep(n, js, BETAS, floors)
         expected = [pointwise_chain_optimum(n, j, BETAS, eps) for eps in floors for j in js]
         assert rows == expected
+        for point in expected:
+            w, _ = enumerated_chain_point(n, point.j, point.h_opt, BETAS)
+            assert point.work_density == pytest.approx(w, rel=1e-10)
     assert chain_efficiency_at_max_work(10, 1.0, BETAS, epsilon=0.1) \
         == expected[floors.index(0.1) * len(js) + js.index(1.0)]
 

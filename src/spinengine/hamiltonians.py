@@ -56,7 +56,9 @@ def ising_diagonals(n_sites: int, coupling: float, fields) -> list[EnergyTable]:
     ``fields``, from one enumeration of the ring."""
     for h in fields:
         IsingParams(n_sites, coupling, h)
-    tables = kernels.ising_energies(n_sites, coupling, fields)
+    # a finite field can still overflow the energies; the check below refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = kernels.ising_energies(n_sites, coupling, fields)
     if not np.all(np.isfinite(tables)):
         raise ValueError("energy table has non-finite entries")
     return [EnergyTable(energies) for energies in tables]

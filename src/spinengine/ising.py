@@ -141,74 +141,12 @@ def _maybe_float(x, *inputs):
     return x
 
 
-def log_lambda_plus(beta, j, h):
-    """Stable ``log`` of the dominant transfer-matrix eigenvalue."""
-    beta = _check_beta(beta)
-    a = beta * np.asarray(j, dtype=np.float64)
-    b = beta * np.asarray(h, dtype=np.float64)
-    core = _core(a, np.abs(b))
-    out = core.ra * a + core.rb * np.abs(b) + core.delta
-    return _maybe_float(out, beta, j, h)
-
-
-def free_energy_density(beta, j, h):
-    """Free energy per site of the infinite chain."""
-    beta = _check_beta(beta)
-    a = beta * np.asarray(j, dtype=np.float64)
-    b = beta * np.asarray(h, dtype=np.float64)
-    core = _core(a, np.abs(b))
-    out = core.ground_energy(np.asarray(j, dtype=np.float64), np.abs(h)) - core.delta / beta
-    return _maybe_float(out, beta, j, h)
-
-
 def entropy_density(beta, j, h):
     """Entropy per site, cancellation-free down to ~1e-300."""
     beta = _check_beta(beta)
     a = beta * np.asarray(j, dtype=np.float64)
     babs = beta * np.abs(np.asarray(h, dtype=np.float64))
     out = _core(a, babs).entropy(a, babs)
-    return _maybe_float(out, beta, j, h)
-
-
-def internal_energy_density(beta, j, h):
-    """Mean energy per site ``-J <ss'> - h <s>``."""
-    beta = _check_beta(beta)
-    j = np.asarray(j, dtype=np.float64)
-    habs = np.abs(np.asarray(h, dtype=np.float64))
-    core = _core(beta * j, beta * habs)
-    out = core.ground_energy(j, habs) - j * core.delta_a - habs * core.delta_b
-    return _maybe_float(out, beta, j, h)
-
-
-def magnetization_density(beta, j, h):
-    """Per-site magnetization ``<sigma> = -df/dh`` (odd in the field)."""
-    beta = _check_beta(beta)
-    h = np.asarray(h, dtype=np.float64)
-    core = _core(beta * np.asarray(j, dtype=np.float64), beta * np.abs(h))
-    out = np.sign(h) * (core.rb + core.delta_b)
-    return _maybe_float(out, beta, j, h)
-
-
-def entropy_density_dh(beta, j, h):
-    """Field derivative of the entropy density, in closed form.
-
-    Evaluates ``-beta^2 e^{-a} (h cosh b + 2J sinh b) / R^3`` with
-    ``R^2 = e^{2a} sinh^2 b + e^{-2a}``, rewritten through logarithms so
-    large ``beta*J`` or ``beta*h`` neither overflow nor lose the sign
-    change at the entropy-maximizing field.
-    """
-    beta = _check_beta(beta)
-    j = np.asarray(j, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    a = beta * j
-    babs = beta * np.abs(h)
-    q = np.exp(-2.0 * babs)
-    omq = -np.expm1(-2.0 * babs)
-    with np.errstate(divide="ignore"):
-        log_sinh = babs + np.log(omq) - _LOG2
-    log_r = 0.5 * np.logaddexp(2.0 * a + 2.0 * log_sinh, -2.0 * a)
-    bracket = h * (1.0 + q) + 2.0 * j * np.sign(h) * omq
-    out = -beta * beta * np.exp(-a + babs - _LOG2 - 3.0 * log_r) * bracket
     return _maybe_float(out, beta, j, h)
 
 
@@ -290,37 +228,6 @@ def relative_entropy_density(beta_state, beta_ref, j, h_state, h_ref):
         e_pure = -hr * math.copysign(1.0, hs) - j
         return br * (e_pure - float(core_r.ground_energy(j, abs(hr)))) + float(core_r.delta)
     return float(_relative_entropy(bs, br, j, hs, hr))
-
-
-def transfer_matrix_logZ(n_sites: int, j, h, beta):
-    """Exact ``log Z`` of the finite periodic chain from both eigenvalues."""
-    if n_sites < 1:
-        raise ValueError("need at least one site")
-    beta = _check_beta(beta)
-    a = beta * np.asarray(j, dtype=np.float64)
-    b = beta * np.asarray(h, dtype=np.float64)
-    babs = np.abs(b)
-    core = _core(a, babs)
-    log_lp = core.ra * a + core.rb * babs + core.delta
-
-    aabs = np.abs(a)
-    with np.errstate(divide="ignore"):
-        log_2sinh = 2.0 * aabs + np.log(-np.expm1(-4.0 * aabs))
-    # log|lambda_-| - log lambda_+ = log(2|sinh 2a|) - 2 log lambda_+,
-    # assembled so the reference parts cancel in exact arithmetic
-    t = log_2sinh - 2.0 * (core.ra * a + core.rb * babs) - 2.0 * core.delta
-    ratio_exp = n_sites * t  # log of (|lambda_-|/lambda_+)^N
-
-    sign_neg = np.where(a > 0, 1.0, np.where(a < 0, (-1.0) ** (n_sites % 2), 0.0))
-    with np.errstate(over="ignore", divide="ignore"):
-        r = np.exp(ratio_exp)
-        correction = np.where(
-            sign_neg >= 0,
-            np.log1p(np.where(sign_neg > 0, r, 0.0)),
-            np.log(-np.expm1(np.minimum(ratio_exp, -0.0))),
-        )
-    out = n_sites * log_lp + correction
-    return _maybe_float(out, j, h, beta)
 
 
 def ground_state_degeneracy(n_sites: int, j: float, h: float) -> tuple[int, float]:

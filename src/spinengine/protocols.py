@@ -372,24 +372,6 @@ def efficiency_at_max_work(j: float, betas: Betas, mode: str = PAPER_PROTOCOL,
     return sweep_j([j], betas, mode, grid_step)[0]
 
 
-def ferro_efficiency_limit(epsilon: float, n: int, betas: Betas) -> float:
-    """Large-J efficiency ceiling of the ferromagnetic N-chain with a
-    minimum field epsilon: Carnot times the ratio of ground-doublet
-    entropies log(1 + e^{-beta*eps*N}) at the two temperatures."""
-    if epsilon < 0:
-        raise ValueError("field floor must be nonnegative")
-    if n < 1:
-        raise ValueError("need at least one site")
-    x_h = betas.beta_h * epsilon * n
-    x_c = betas.beta_c * epsilon * n
-    if x_h == 0.0:
-        return betas.carnot
-    if x_h > 500.0:
-        # both logs underflow; use their exact large-x ratio e^{-(x_c - x_h)}
-        return betas.carnot * math.exp(x_h - x_c)
-    return betas.carnot * math.log1p(math.exp(-x_c)) / math.log1p(math.exp(-x_h))
-
-
 # ---------------------------------------------------------------------------
 # finite chains
 # ---------------------------------------------------------------------------

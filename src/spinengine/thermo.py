@@ -15,7 +15,7 @@ roundoff and are set to zero when the matrix is decomposed.
 
 Every Hamiltonian goes through :func:`as_operator` once, at the API
 boundary, and comes out in one of two validated forms with the same
-small interface (levels, Gibbs state, energy of a state):
+small interface (Gibbs state, energy of a state):
 
 * :class:`EnergyTable`, the energies of an operator that is diagonal
   in the computational basis (``hamiltonians.ising_diagonal`` builds
@@ -167,9 +167,6 @@ class EnergyTable:
         """The dense diagonal matrix, for pairing a table with a dense operator."""
         return np.diag(self.energies).astype(complex)
 
-    def levels(self) -> np.ndarray:
-        return self.energies
-
     def gibbs(self, beta: float) -> DensityState:
         return DensityState(populations=_boltzmann(self.energies, beta), basis=None)
 
@@ -189,9 +186,6 @@ class DenseOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def levels(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
     def gibbs(self, beta: float) -> DensityState:
         values, vectors = np.linalg.eigh(self.matrix)
@@ -251,14 +245,6 @@ def _check_beta(beta: float) -> float:
     if not (np.isfinite(beta) and beta >= 0):
         raise ValueError("inverse temperature must be nonnegative and finite")
     return beta
-
-
-def log_partition(hamiltonian, beta: float) -> float:
-    """log-sum-exp stable ``log Tr exp(-beta H)``."""
-    beta = _check_beta(beta)
-    energies = as_operator(hamiltonian).levels()
-    emin = float(np.min(energies))
-    return float(np.log(np.sum(np.exp(-beta * (energies - emin)))) - beta * emin)
 
 
 def gibbs(hamiltonian, beta: float) -> DensityState:

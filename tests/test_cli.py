@@ -460,6 +460,18 @@ def test_undefined_exit_code(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_overflowing_field_is_one_config_error_line():
+    # finite fields whose energies overflow: refused without a numpy warning
+    env = {**os.environ, "PYTHONPATH": str(Path(spinengine.__file__).parents[1]),
+           "PYTHONWARNINGS": "default"}
+    proc = subprocess.run([sys.executable, "-m", "spinengine.cli", "bound", "-N", "2",
+                           "--h-b", "1e308", "--h-d", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == ""
+    assert proc.stderr == "spinengine: config error: energy table has non-finite entries\n"
+
+
 def test_help_and_usage_exit_codes(capsys):
     for command, shown in [
         ("sweep-j", "(default: -5.0)"), ("precision", "(default: 6)"),
@@ -566,3 +578,7 @@ def test_console_script_round_trip():
 def test_every_public_name_resolves():
     missing = [name for name in spinengine.__all__ if not hasattr(spinengine, name)]
     assert missing == []
+    assert len(spinengine.__all__) == len(set(spinengine.__all__))
+    namespace = {}
+    exec("from spinengine import *", namespace)
+    assert set(spinengine.__all__) <= namespace.keys()

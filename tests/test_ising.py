@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spinengine import ising, kernels
+from spinengine import ising, kernels, protocols
+from spinengine.engine import Betas
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -16,11 +17,51 @@ def enumeration_logz(n, j, h, beta):
     return math.log(np.sum(np.exp(-beta * (energies - emin)))) - beta * emin
 
 
+# The infinite-chain quantities, each read off ising._core at (beta*J, beta*|h|)
+
+
+def core_at(beta, j, h):
+    return ising._core(beta * j, beta * abs(h))
+
+
+def log_lambda(beta, j, h):
+    # log lambda_+ = ra*a + rb*|b| + delta
+    core = core_at(beta, j, h)
+    return float(core.ra * beta * j + core.rb * beta * abs(h) + core.delta)
+
+
+def free_energy(beta, j, h):
+    core = core_at(beta, j, h)
+    return float(core.ground_energy(j, abs(h)) - core.delta / beta)
+
+
+def internal_energy(beta, j, h):
+    core = core_at(beta, j, h)
+    return float(core.ground_energy(j, abs(h)) - j * core.delta_a - abs(h) * core.delta_b)
+
+
+def magnetization(beta, j, h):
+    core = core_at(beta, j, h)
+    return float(np.sign(h) * (core.rb + core.delta_b))
+
+
+def transfer_matrix_log_z(n, j, h, beta):
+    # Z_N = lambda_+^N + lambda_-^N, with lambda_- = det T / lambda_+
+    # = 2 sinh(2a) / lambda_+ taken from the core's lambda_+
+    a = beta * j
+    log_lp = log_lambda(beta, j, h)
+    if a == 0.0:
+        return n * log_lp
+    log_ratio = math.log(2.0 * abs(math.sinh(2.0 * a))) - 2.0 * log_lp
+    sign = 1.0 if a > 0 or n % 2 == 0 else -1.0
+    return n * log_lp + math.log1p(sign * math.exp(n * log_ratio))
+
+
 # --------------------------------------------------------------------------
 # dominant eigenvalue and partition function
 
 
-def test_log_lambda_plus_matches_direct_formula():
+def test_core_log_lambda_matches_direct_formula():
     rng = np.random.default_rng(50)
     for _ in range(20):
         beta = rng.uniform(0.2, 2.0)
@@ -30,24 +71,24 @@ def test_log_lambda_plus_matches_direct_formula():
         direct = math.log(math.exp(a) * math.cosh(b)
                           + math.sqrt(math.exp(2 * a) * math.sinh(b) ** 2
                                       + math.exp(-2 * a)))
-        assert ising.log_lambda_plus(beta, j, h) == pytest.approx(direct, abs=1e-12)
+        assert log_lambda(beta, j, h) == pytest.approx(direct, abs=1e-12)
 
 
-def test_log_lambda_plus_extreme_parameters():
+def test_core_log_lambda_extreme_parameters():
     # direct evaluation overflows double here; extended precision still fits
     a, b = np.longdouble(-1600.0), np.longdouble(3240.0)
     sinh_b = np.sinh(b)
     lam = np.exp(a) * np.cosh(b) + np.sqrt(np.exp(2 * a) * sinh_b * sinh_b
                                            + np.exp(-2 * a))
     expected = float(np.log(lam))
-    assert ising.log_lambda_plus(40.0, -40.0, 81.0) == pytest.approx(
+    assert log_lambda(40.0, -40.0, 81.0) == pytest.approx(
         expected, rel=1e-12)
 
 
 def test_transfer_matrix_logz_free_spins():
-    assert ising.transfer_matrix_logZ(2, 0.0, 0.0, 1.0) == pytest.approx(
+    assert transfer_matrix_log_z(2, 0.0, 0.0, 1.0) == pytest.approx(
         math.log(4.0), abs=1e-12)
-    assert ising.transfer_matrix_logZ(5, 0.0, 1.3, 0.7) == pytest.approx(
+    assert transfer_matrix_log_z(5, 0.0, 1.3, 0.7) == pytest.approx(
         5.0 * math.log(2.0 * math.cosh(0.7 * 1.3)), abs=1e-12)
 
 
@@ -58,34 +99,52 @@ def test_transfer_matrix_logz_against_enumeration():
             beta = rng.uniform(0.2, 2.0)
             j = rng.uniform(-2.0, 2.0)
             h = rng.uniform(-2.0, 2.0)
-            assert ising.transfer_matrix_logZ(n, j, h, beta) == pytest.approx(
+            assert transfer_matrix_log_z(n, j, h, beta) == pytest.approx(
                 enumeration_logz(n, j, h, beta), rel=1e-12, abs=1e-10)
 
 
 def test_transfer_matrix_logz_strong_coupling():
-    got = ising.transfer_matrix_logZ(10, -40.0, 81.0, 1.0)
+    got = transfer_matrix_log_z(10, -40.0, 81.0, 1.0)
     assert got == pytest.approx(enumeration_logz(10, -40.0, 81.0, 1.0), rel=1e-12)
 
 
 def test_finite_size_correction_shrinks_with_n():
     gaps = []
     for n in (8, 10, 12):
-        per_site = ising.transfer_matrix_logZ(n, -1.0, 0.7, 1.0) / n
-        gaps.append(abs(per_site - ising.log_lambda_plus(1.0, -1.0, 0.7)))
+        per_site = enumeration_logz(n, -1.0, 0.7, 1.0) / n
+        gaps.append(abs(per_site - log_lambda(1.0, -1.0, 0.7)))
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_transfer_matrix_logz_matches_sector_sums_past_enumeration():
+    # two finite-ring paths that share no code: the core's lambda_+ through
+    # Z_N = lambda_+^N + lambda_-^N, and the magnetization-sector sums
+    rng = np.random.default_rng(54)
+    for n in (16, 20, 24):
+        ring = protocols._ring(n)
+        for _ in range(5):
+            j, h = rng.uniform(-2.0, 2.0, size=2)
+            betas = Betas(*sorted(rng.uniform(0.2, 2.0, size=2)))
+            log_z = [transfer_matrix_log_z(n, j, h, beta)
+                     for beta in (betas.beta_h, betas.beta_c)]
+            gap, _ = protocols._chain_gap(ring, protocols._sectors(ring, j, betas),
+                                          np.array([h]), betas)
+            scale = betas.t_h * abs(log_z[0]) + betas.t_c * abs(log_z[1])
+            assert abs(gap[0] - (betas.t_h * log_z[0] - betas.t_c * log_z[1])) <= 1e-12 * scale
 
 
 # --------------------------------------------------------------------------
 # densities
 
 
-def test_free_energy_density_closed_cases():
-    assert ising.free_energy_density(0.7, 0.0, 0.0) == pytest.approx(
+def test_core_free_energy_closed_cases():
+    # f = ground energy - delta/beta
+    assert free_energy(0.7, 0.0, 0.0) == pytest.approx(
         -math.log(2.0) / 0.7, abs=1e-12)
     for j in (-1.3, 0.9):
-        assert ising.free_energy_density(1.1, j, 0.0) == pytest.approx(
+        assert free_energy(1.1, j, 0.0) == pytest.approx(
             -math.log(2.0 * math.cosh(1.1 * j)) / 1.1, abs=1e-12)
-    assert ising.free_energy_density(1.1, 0.0, 0.8) == pytest.approx(
+    assert free_energy(1.1, 0.0, 0.8) == pytest.approx(
         -math.log(2.0 * math.cosh(1.1 * 0.8)) / 1.1, abs=1e-12)
 
 
@@ -101,8 +160,8 @@ def test_entropy_from_free_energy_derivative():
     beta, j, h = 1.0, -1.0, 1.0
     dt = 1e-5
     t = 1.0 / beta
-    fd = -(ising.free_energy_density(1.0 / (t + dt), j, h)
-           - ising.free_energy_density(1.0 / (t - dt), j, h)) / (2 * dt)
+    fd = -(free_energy(1.0 / (t + dt), j, h)
+           - free_energy(1.0 / (t - dt), j, h)) / (2 * dt)
     assert ising.entropy_density(beta, j, h) == pytest.approx(fd, abs=1e-6)
 
 
@@ -118,26 +177,27 @@ def test_internal_energy_identities():
         beta = rng.uniform(0.2, 3.0)
         j = rng.uniform(-2.0, 2.0)
         h = rng.uniform(-2.0, 2.0)
-        f = ising.free_energy_density(beta, j, h)
+        f = free_energy(beta, j, h)
         s = ising.entropy_density(beta, j, h)
-        u = ising.internal_energy_density(beta, j, h)
+        u = internal_energy(beta, j, h)
         assert u == pytest.approx(f + s / beta, abs=1e-12)
         # u = d(beta f)/d(beta)
         db = 1e-6 * beta
-        fd = (ising.free_energy_density(beta + db, j, h) * (beta + db)
-              - ising.free_energy_density(beta - db, j, h) * (beta - db)) / (2 * db)
+        fd = (free_energy(beta + db, j, h) * (beta + db)
+              - free_energy(beta - db, j, h) * (beta - db)) / (2 * db)
         assert u == pytest.approx(fd, abs=1e-5)
 
 
-def test_magnetization_density():
-    assert ising.magnetization_density(1.2, 0.0, 0.9) == pytest.approx(
+def test_core_magnetization():
+    # m = sign(h) * (rb + delta_b) = -df/dh
+    assert magnetization(1.2, 0.0, 0.9) == pytest.approx(
         math.tanh(1.2 * 0.9), abs=1e-12)
-    assert ising.magnetization_density(1.2, -0.8, 0.9) == pytest.approx(
-        -ising.magnetization_density(1.2, -0.8, -0.9), abs=1e-14)
+    assert magnetization(1.2, -0.8, 0.9) == pytest.approx(
+        -magnetization(1.2, -0.8, -0.9), abs=1e-14)
     dh = 1e-5
-    fd = -(ising.free_energy_density(1.2, -0.8, 0.9 + dh)
-           - ising.free_energy_density(1.2, -0.8, 0.9 - dh)) / (2 * dh)
-    assert ising.magnetization_density(1.2, -0.8, 0.9) == pytest.approx(fd, abs=1e-6)
+    fd = -(free_energy(1.2, -0.8, 0.9 + dh)
+           - free_energy(1.2, -0.8, 0.9 - dh)) / (2 * dh)
+    assert magnetization(1.2, -0.8, 0.9) == pytest.approx(fd, abs=1e-6)
 
 
 def test_vectorized_evaluation_matches_scalars():
@@ -152,24 +212,10 @@ def test_beta_validation():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             ising.entropy_density(bad, -1.0, 0.5)
-        with pytest.raises(ValueError):
-            ising.transfer_matrix_logZ(4, -1.0, 0.5, bad)
 
 
 # --------------------------------------------------------------------------
-# entropy-field derivative and the optimal field
-
-
-def test_entropy_field_derivative_closed_form():
-    beta, j = 1.0, -1.0
-    assert ising.entropy_density_dh(beta, j, 0.0) == 0.0
-    dh = 1e-5
-    for h in (0.5, 1.0, 2.5):
-        fd = (ising.entropy_density(beta, j, h + dh)
-              - ising.entropy_density(beta, j, h - dh)) / (2 * dh)
-        assert ising.entropy_density_dh(beta, j, h) == pytest.approx(fd, abs=1e-6)
-    assert ising.entropy_density_dh(beta, j, 1.0) > 0
-    assert ising.entropy_density_dh(beta, j, 2.5) < 0
+# the work-only log excess and the optimal field
 
 
 def test_log_excess_matches_core_delta():
@@ -335,7 +381,7 @@ def test_relative_entropy_density_polarized_markers():
     got = ising.relative_entropy_density(2.0, 1.0, 0.3, math.inf, 0.7)
     es = np.full(1, -10 * (0.3 + 0.7))  # all-up configuration only
     n = 14
-    ref = 1.0 * (-(0.3 + 0.7)) + ising.transfer_matrix_logZ(n, 0.3, 0.7, 1.0) / n
+    ref = 1.0 * (-(0.3 + 0.7)) + enumeration_logz(n, 0.3, 0.7, 1.0) / n
     assert got == pytest.approx(ref, abs=1e-6)
 
 

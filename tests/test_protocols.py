@@ -10,12 +10,17 @@ from spinengine.engine import Betas, UndefinedResultError
 from spinengine.protocols import (FREE_FIELDS, PAPER_PROTOCOL, ProtocolFields,
                                   ChainPoint, chain_efficiency_at_max_work,
                                   chain_sweep, efficiency_at_max_work,
-                                  efficiency_thermo_limit,
-                                  ferro_efficiency_limit, sweep_j,
+                                  efficiency_thermo_limit, sweep_j,
                                   work_density)
 from spinengine.thermo import gibbs, von_neumann_entropy
 
 BETAS = Betas(0.5, 1.0)
+
+
+def magnetization(beta, j, h):
+    # m = sign(h) * (rb + delta_b) of the infinite chain
+    core = ising._core(beta * j, beta * abs(h))
+    return float(np.sign(h) * (core.rb + core.delta_b))
 
 
 def matched_fields(h_b, scale=None):
@@ -353,49 +358,52 @@ def test_free_penalty_min_against_scalar_scan(beta_h, beta_c):
             assert d == pytest.approx(
                 ising.relative_entropy_density(beta_h, beta_c, j, h_b, h), abs=1e-12)
             if h not in exact:
-                m_cold = ising.magnetization_density(beta_c, j, h)
-                m_hot = ising.magnetization_density(beta_h, j, h_b)
+                m_cold = magnetization(beta_c, j, h)
+                m_hot = magnetization(beta_h, j, h_b)
                 assert abs(m_cold - m_hot) <= 1e-12
 
 
 # --------------------------------------------------------------------------
-# ferromagnetic precision limit
+# ferromagnetic precision limit: at J = 40 only the ground doublet (all
+# up, all down) is populated, split by 2*h*N, and the best field is the
+# floor h = epsilon
+
+
+def doublet_efficiency(epsilon, n):
+    # eta = (T_h*L_h - T_c*L_c) / (T_h*S_h) with x = 2*beta*epsilon*N,
+    # L = log1p(e^-x) and S_h = L_h + x_h/(1 + e^x_h)
+    x_h = 2.0 * BETAS.beta_h * epsilon * n
+    x_c = 2.0 * BETAS.beta_c * epsilon * n
+    l_h, l_c = math.log1p(math.exp(-x_h)), math.log1p(math.exp(-x_c))
+    s_h = l_h + x_h / (1.0 + math.exp(x_h))
+    return (BETAS.t_h * l_h - BETAS.t_c * l_c) / (BETAS.t_h * s_h)
 
 
 def test_ferro_limit_without_field_floor_is_carnot():
-    assert ferro_efficiency_limit(0.0, 6, BETAS) == BETAS.carnot
+    assert doublet_efficiency(0.0, 6) == BETAS.carnot
+    for n in (2, 6, 12):
+        point = chain_efficiency_at_max_work(n, 40.0, BETAS)
+        assert point.efficiency == pytest.approx(BETAS.carnot, rel=1e-11)
 
 
 def test_ferro_limit_value():
-    def closed_form(eps, n):
-        x_h = BETAS.beta_h * eps * n
-        x_c = BETAS.beta_c * eps * n
-        return BETAS.carnot * math.log1p(math.exp(-x_c)) / math.log1p(math.exp(-x_h))
-
-    got = ferro_efficiency_limit(0.1, 6, BETAS)
-    assert got == pytest.approx(closed_form(0.1, 6), rel=1e-12)
-    assert 0.39 < got < 0.40
+    epsilons = (0.05, 0.1, 0.5)
+    for n in (2, 6, 12, 24):
+        for eps, point in zip(epsilons, chain_sweep(n, [40.0], BETAS, epsilons)):
+            assert point.h_opt == eps
+            assert point.efficiency == pytest.approx(doublet_efficiency(eps, n), rel=1e-11)
+    assert 0.470 < doublet_efficiency(0.1, 6) < 0.471
 
 
 def test_ferro_limit_decays_with_chain_length():
-    values = [ferro_efficiency_limit(0.1, n, BETAS) for n in (6, 12, 24)]
+    values = [chain_efficiency_at_max_work(n, 40.0, BETAS, 0.1).efficiency
+              for n in (6, 12, 24)]
     assert values[0] > values[1] > values[2]
-    assert ferro_efficiency_limit(0.1, 96, BETAS) < 0.01
-
-
-def test_ferro_limit_deep_tail():
-    # doublet splitting far beyond both thermal scales: the log1p forms
-    # underflow but the exact tail ratio survives
-    got = ferro_efficiency_limit(50.0, 24, BETAS)
-    assert got == pytest.approx(BETAS.carnot * math.exp(-600.0), rel=1e-12)
-    assert 0.0 < got < 1e-200
-
-
-def test_ferro_limit_validation():
-    with pytest.raises(ValueError):
-        ferro_efficiency_limit(-0.1, 6, BETAS)
-    with pytest.raises(ValueError):
-        ferro_efficiency_limit(0.1, 0, BETAS)
+    # eta -> 1/(1 + 2*beta_h*epsilon*N) once the doublet is split far past
+    # T_h: the decay in N is algebraic, not exponential
+    point = chain_efficiency_at_max_work(24, 40.0, BETAS, 0.5)
+    assert point.efficiency == pytest.approx(1.0 / (1.0 + 2.0 * BETAS.beta_h * 0.5 * 24),
+                                             rel=1e-5)
 
 
 # --------------------------------------------------------------------------

@@ -8,8 +8,7 @@ import pytest
 
 from spinengine import kernels
 from spinengine.hamiltonians import SIGMA_Z, IsingParams, ising_diagonal
-from spinengine.ising import transfer_matrix_logZ
-from spinengine.thermo import (DensityState, gibbs, log_partition,
+from spinengine.thermo import (DensityState, EnergyTable, gibbs,
                                min_relative_entropy, relative_entropy,
                                relative_entropy_down, trace_distance,
                                von_neumann_entropy)
@@ -29,7 +28,7 @@ def random_unitary(rng, dim):
 
 
 # --------------------------------------------------------------------------
-# gibbs / log_partition
+# gibbs
 
 
 def test_gibbs_infinite_temperature_is_maximally_mixed():
@@ -54,29 +53,15 @@ def test_gibbs_rejects_bad_beta():
             gibbs(SIGMA_Z, beta)
 
 
-def test_log_partition_basics():
-    assert log_partition(np.zeros((5, 5)), 2.0) == pytest.approx(math.log(5))
-    value = log_partition(-SIGMA_Z, 1.0)
-    assert value == pytest.approx(math.log(2 * math.cosh(1)), abs=1e-12)
-
-
-def test_log_partition_matches_transfer_matrix():
-    rng = np.random.default_rng(32)
-    for _ in range(5):
-        j, h, beta = rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.2, 2)
-        table = ising_diagonal(IsingParams(8, j, h))
-        assert log_partition(table, beta) == pytest.approx(
-            transfer_matrix_logZ(8, j, h, beta), abs=1e-10)
-
-
-def test_log_partition_shift_and_monotonicity():
-    rng = np.random.default_rng(33)
-    h = np.diag(rng.uniform(0.5, 3.0, size=6))  # positive spectrum
-    assert log_partition(h + 2.0 * np.eye(6), 1.3) == pytest.approx(
-        log_partition(h, 1.3) - 1.3 * 2.0, abs=1e-12)
-    betas = [0.2, 0.5, 1.0, 2.0, 4.0]
-    values = [log_partition(h, b) for b in betas]
-    assert all(a > b for a, b in zip(values, values[1:]))
+def test_gibbs_ignores_an_energy_shift():
+    # weights are taken from the lowest level, for tables and matrices alike
+    table = ising_diagonal(IsingParams(3, -0.7, 1.1))
+    shifted = EnergyTable(table.energies + 2.0)
+    for beta in (0.2, 1.3, 4.0):
+        want = gibbs(table, beta).populations
+        np.testing.assert_allclose(gibbs(shifted, beta).populations, want, rtol=0, atol=1e-12)
+        dense = gibbs(table.matrix + 2.0 * np.eye(8), beta).populations
+        np.testing.assert_allclose(np.sort(dense), np.sort(want), rtol=0, atol=1e-12)
 
 
 # --------------------------------------------------------------------------

@@ -158,24 +158,35 @@ def optimal_field(beta: float, j):
     then the unique positive solution of ``h = 2|J| tanh(beta h)``,
     located by one bisection for all of ``j``: each element freezes once
     its own bracket is within ``_OPTIMAL_FIELD_TOL``, so a batch follows
-    each element's scalar path exactly.
+    each element's scalar path exactly.  Raises ``ValueError`` where the
+    root is not a float: 2|J| overflows.
+
+    A root above half the float range is bisected at half scale, on
+    h/2 = |J| tanh(2 beta h/2), where lo + hi cannot overflow; halving is
+    exact there, so every other element keeps its bits.
     """
     beta = float(_check_beta(beta))
     j = np.asarray(j, dtype=np.float64)
-    jj = 2.0 * np.abs(j)
-    # slope at 0 is 1 - 2|J|beta < 0, slope at 2|J| positive: root bracketed
-    live = ~((j >= 0) | (jj * beta <= 1.0))
-    lo = np.zeros(jj.shape)
-    hi = np.where(live, jj, 0.0)
-    for _ in range(200):
-        if not live.any():
-            break
-        mid = 0.5 * (lo + hi)
-        below = mid - jj * np.tanh(beta * mid) < 0.0
-        np.copyto(lo, mid, where=live & below)
-        np.copyto(hi, mid, where=live & ~below)
-        live &= hi - lo >= _OPTIMAL_FIELD_TOL
-    return _maybe_float(0.5 * (lo + hi), j)
+    with np.errstate(over="ignore"):
+        jj = 2.0 * np.abs(j)
+        # slope at 0 is 1 - 2|J|beta < 0, slope at 2|J| positive: root bracketed
+        live = ~((j >= 0) | (jj * beta <= 1.0))
+        scale = np.where(jj > 0.5 * np.finfo(np.float64).max, 0.5, 1.0)
+        beta_s = beta / scale
+    if np.any(live & np.isinf(jj)):
+        raise ValueError("optimal field: 2|J| overflows, so the root is not a float")
+    jj = np.where(live, scale * jj, 0.0)
+    lo, hi = np.zeros(jj.shape), jj.copy()
+    with np.errstate(over="ignore"):  # where beta*h overflows, tanh is 1
+        for _ in range(200):
+            if not live.any():
+                break
+            mid = 0.5 * (lo + hi)
+            below = mid - jj * np.tanh(beta_s * mid) < 0.0
+            np.copyto(lo, mid, where=live & below)
+            np.copyto(hi, mid, where=live & ~below)
+            live &= hi - lo >= _OPTIMAL_FIELD_TOL
+    return _maybe_float(0.5 * (lo + hi) / scale, j)
 
 
 def _relative_entropy(bs, br, j, hs, hr, core_s=None):

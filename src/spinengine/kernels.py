@@ -86,11 +86,18 @@ def levels(n: int) -> list[tuple[int, int, int]]:
 
 
 def ground_state_stats(n: int, j: float, h: float, tol: float) -> tuple[float, int]:
-    """Minimum energy and number of configurations within ``tol`` of it."""
+    """Minimum energy and number of configurations within ``tol`` of it.
+
+    Raises ``ValueError`` when some class energy is not finite: an energy
+    that overflowed to -inf would count as a ground state.
+    """
     j, h = float(j), float(h)
     if not (np.isfinite(j) and np.isfinite(h)):
         raise ValueError("coupling and field must be finite")
     m, b, g = np.array(levels(n)).T
-    energies = -h * m - j * b
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = -h * m - j * b
+    if not np.all(np.isfinite(energies)):
+        raise ValueError("class energies have non-finite entries")
     e0 = float(np.min(energies))
     return e0, int(np.sum(g[energies <= e0 + float(tol)]))

@@ -114,16 +114,20 @@ def efficiency_thermo_limit(j: float, fields: ProtocolFields, betas: Betas) -> f
     return w / q_h
 
 
-def _golden_max(f, lo, hi, tol: float):
-    """Deterministic golden-section maximization, elementwise over arrays.
+def _golden_max(work, lo, hi, tol: float) -> np.ndarray:
+    """Deterministic golden-section maximization of ``work(rows, h)`` on
+    every bracket [lo[k], hi[k]] (row k), elementwise.
 
-    Two probes per iteration; assumes unimodality on [lo, hi] (every use
-    here refines around a grid argmax).  Each element freezes once its
-    own bracket is within ``tol`` and later probes leave it untouched,
-    so a batch of brackets follows each element's scalar path exactly.
+    Assumes unimodality on each bracket (every use here refines around a
+    grid argmax).  Both probes of every bracket go to one ``work`` call,
+    with the row indices tiled twice.  Each element freezes once its own
+    bracket is within ``tol`` and later probes leave it untouched, so a
+    batch of brackets follows each element's scalar path exactly.
     """
-    lo = np.asarray(lo, dtype=np.float64) + 0.0
-    hi = np.asarray(hi, dtype=np.float64) + 0.0
+    lo = np.asarray(lo, dtype=np.float64).reshape(-1) + 0.0
+    hi = np.asarray(hi, dtype=np.float64).reshape(-1) + 0.0
+    n = len(lo)
+    rows = np.tile(np.arange(n), 2)
     for _ in range(_GOLDEN_ITERS):
         gap = hi - lo
         live = gap > tol
@@ -131,7 +135,8 @@ def _golden_max(f, lo, hi, tol: float):
             break
         c = hi - _INVPHI * gap
         d = lo + _INVPHI * gap
-        keep_left = f(c) >= f(d)
+        w = work(rows, np.concatenate([c, d]))
+        keep_left = w[:n] >= w[n:]
         hi = np.where(live & keep_left, d, hi)
         lo = np.where(live & ~keep_left, c, lo)
     return 0.5 * (lo + hi)
@@ -174,6 +179,11 @@ def _pruned_argmax(w_of, grid: np.ndarray, cell_bound):
     return int(idx[w == top].min()), top
 
 
+def _bracket(grid: np.ndarray, k: int, w_k):
+    """The grid neighbours of point ``k``, the point itself and its work."""
+    return grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], grid[k], w_k
+
+
 def _grid_argmax(w_of, lo: float, hi: float, step: float, cell_bound=None):
     """Best point of ``w_of`` on the grid lo, lo + step, ..., hi.
 
@@ -196,45 +206,85 @@ def _grid_argmax(w_of, lo: float, hi: float, step: float, cell_bound=None):
         w_grid = _scan(w_of, grid)
         k = int(np.argmax(w_grid))
         found = k, w_grid[k]
-    k, w_k = found
-    return grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], grid[k], w_k
+    return _bracket(grid, *found)
 
 
-def _refine(w_of, scans) -> np.ndarray:
-    """One golden-section refinement of every ``_grid_argmax`` bracket.
+def _packed_grid_argmax(work, floors: np.ndarray, tops: np.ndarray, step: float,
+                        cell_bound=None) -> list:
+    """The :func:`_grid_argmax` result of ``work(rows, h)`` on the grid
+    floors[k], floors[k] + step, ..., tops[k] of every row k.
+
+    Grids of fewer than ``_PRUNE_MIN_POINTS`` points are packed whole, in
+    row order, into blocks of at most ``_SCAN_BLOCK`` points (a grid that
+    would overflow a block starts the next one), and each block is one
+    ``work`` call.  Each row's first argmax, a NaN counting as one, comes
+    from its own slice of the block, as ``np.argmax`` takes it from the
+    row's own scan.  Longer grids fill their calls alone: each goes to
+    :func:`_grid_argmax`, pruned with ``cell_bound(row)`` when given.  A
+    grid is built only when its row comes up, so no two long grids are
+    ever held at once.
+    """
+    scans = [None] * len(floors)
+    block = []
+
+    def scan_block():
+        sizes = [len(grid) for _, grid in block]
+        w = work(np.repeat([row for row, _ in block], sizes),
+                 np.concatenate([grid for _, grid in block]))
+        for (row, grid), w_row in zip(block, np.split(w, np.cumsum(sizes)[:-1])):
+            k = int(np.argmax(w_row))
+            scans[row] = _bracket(grid, k, w_row[k])
+        block.clear()
+
+    # the lengths np.arange will give the grids, known before any exists
+    sizes = np.ceil((tops + 0.5 * step - floors) / step)
+    filled = 0
+    for row, (lo, hi, size) in enumerate(zip(floors, tops, sizes)):
+        if size >= _PRUNE_MIN_POINTS:
+            scans[row] = _grid_argmax(lambda h: work([row], h), lo, hi, step,
+                                      None if cell_bound is None else cell_bound(row))
+            continue
+        grid = np.arange(lo, hi + 0.5 * step, step)
+        if filled + len(grid) > _SCAN_BLOCK:
+            scan_block()
+            filled = 0
+        block.append((row, grid))
+        filled += len(grid)
+    if block:
+        scan_block()
+    return scans
+
+
+def _refine(work, scans) -> np.ndarray:
+    """One golden-section refinement (:func:`_golden_max`) of every
+    ``_grid_argmax`` bracket, row k on ``scans[k]``, all rows in the same
+    ``work(rows, h)`` calls.
 
     Keeps the grid point wherever it beats the refined one: the maximum
     may sit in an exponentially narrow spike at a bracket end that
     refinement steps over.
     """
     lo, hi, h_grid, w_grid = np.array(scans, dtype=np.float64).reshape(-1, 4).T
-    h_ref = _golden_max(w_of, lo, hi, _REFINE_TOL)
-    return np.where(w_of(h_ref) >= w_grid, h_ref, h_grid)
+    h_ref = _golden_max(work, lo, hi, _REFINE_TOL)
+    return np.where(work(np.arange(len(h_ref)), h_ref) >= w_grid, h_ref, h_grid)
 
 
-def _maximize(work, js: np.ndarray, floors: np.ndarray, grid_step: float,
-              cell_bound=None) -> np.ndarray:
-    """The field h >= floor that maximizes ``work(j, h)`` in every row of
-    ``js`` and ``floors``.
+def _grid_tops(js: np.ndarray, floors: np.ndarray, grid_step: float) -> np.ndarray:
+    """The top of every row's field grid: 4*max(1, |J|) above the row's
+    floor, or floor + 1 when that is not above it.
 
-    Each row gets a grid on [floor, 4*max(1, |J|)] (on [floor, floor + 1]
-    when that is empty); one golden-section refinement then runs around
-    all the grid argmaxes at once.  A ``grid_step`` that would give some
-    row more than ``_GRID_POINTS_MAX`` points raises ``ValueError`` before
-    any grid exists.  ``cell_bound(j)``, when given, is the
-    :func:`_grid_argmax` cell bound of the row at coupling ``j``.
+    A ``grid_step`` that would give some row more than
+    ``_GRID_POINTS_MAX`` points raises ``ValueError`` before any grid
+    exists.
     """
-    h_max = 4.0 * np.maximum(1.0, np.abs(js))
-    h_max = np.where(h_max <= floors, floors + 1.0, h_max)
-    points = np.max((h_max - floors) / grid_step, initial=0.0)
+    tops = 4.0 * np.maximum(1.0, np.abs(js))
+    tops = np.where(tops <= floors, floors + 1.0, tops)
+    points = np.max((tops - floors) / grid_step, initial=0.0)
     if not points < _GRID_POINTS_MAX:
         raise ValueError(f"field grid step {grid_step!r} makes {points:.3g} grid points for "
                          f"one coupling, above the cap of {_GRID_POINTS_MAX}; "
                          "raise the grid step")
-    scans = [_grid_argmax(lambda h: work(j, h), floor, hi, grid_step,
-                          None if cell_bound is None else cell_bound(j))
-             for j, floor, hi in zip(js, floors, h_max)]
-    return _refine(lambda h: work(js, h), scans)
+    return tops
 
 
 def _eta(w, s_h, beta_h: float):
@@ -346,18 +396,32 @@ def _free_work(j, h, betas: Betas, core_h=None):
 def sweep_j(j_values: Sequence[float], betas: Betas,
             mode: str = PAPER_PROTOCOL, grid_step: float = 1e-2) -> list[SweepPoint]:
     """Maximize the cycle work density over the corner field h_B >= 0 at
-    every coupling in ``j_values`` (:func:`_maximize`, on the work alone).
-    Reports the optimal field, the work density, and the efficiency there.
-    Paper mode scans only the grid cells that :func:`_paper_cell_bound`
-    cannot rule out; free mode has no such bound and scans every point.
+    every coupling in ``j_values``, on the work alone, and report the
+    optimal field, the work density, and the efficiency there.
+
+    Each coupling gets a field grid on [0, 4*max(1, |J|)]
+    (:func:`_grid_tops`).  Grids of fewer than ``_PRUNE_MIN_POINTS``
+    points, which are most rows of a weak-coupling sweep, share their
+    work calls (:func:`_packed_grid_argmax`); longer ones are scanned one
+    coupling at a time, in paper mode only in the grid cells that
+    :func:`_paper_cell_bound` cannot rule out (free mode has no such
+    bound).  One golden-section refinement (:func:`_refine`) then runs
+    for all couplings at once.
     """
     if mode not in (PAPER_PROTOCOL, FREE_FIELDS):
         raise ValueError(f"unknown protocol mode: {mode!r}")
     work = _paper_work if mode == PAPER_PROTOCOL else _free_work
     js = np.array(j_values, dtype=np.float64).reshape(-1)
-    cell_bound = (lambda j: _paper_cell_bound(j, betas)) if mode == PAPER_PROTOCOL else None
-    h_opt = _maximize(lambda j, h: work(j, h, betas), js, np.zeros(len(js)), grid_step,
-                      cell_bound)
+    floors = np.zeros(len(js))
+
+    def row_work(rows, h):
+        return work(js[rows], h, betas)
+
+    cell_bound = (lambda row: _paper_cell_bound(js[row], betas)) \
+        if mode == PAPER_PROTOCOL else None
+    scans = _packed_grid_argmax(row_work, floors, _grid_tops(js, floors, grid_step),
+                                grid_step, cell_bound)
+    h_opt = _refine(row_work, scans)
     a_h, b_h = betas.beta_h * js, betas.beta_h * np.abs(h_opt)
     core_h = _core(a_h, b_h)
     w_opt = work(js, h_opt, betas, core_h)
@@ -472,10 +536,15 @@ def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
     family, with the corner fields constrained to h >= epsilon, at every
     (epsilon, J) pair; rows are epsilon-major.
 
-    The search (:func:`_maximize`) runs on the work per site alone,
-    gap / N, and the efficiency gap / (T_h*S_h) is computed once, at the
-    optimum.  The sector terms of the rows are built once, for every
-    refinement probe and the optimum.
+    The search runs on the work per site alone, gap / N, and the
+    efficiency gap / (T_h*S_h) is computed once, at the optimum.  Each
+    pair scans its own field grid on [epsilon, 4*max(1, |J|)]
+    (:func:`_grid_tops`) in its own calls: a grid point costs N + 1
+    exponentials per temperature, so these calls are bound by arithmetic
+    already, and packing grids into shared calls as :func:`sweep_j` does
+    measured slower.  One golden-section refinement (:func:`_refine`)
+    then runs for all pairs at once.  The sector terms of the rows are
+    built once; every work call takes the columns of its rows.
     """
     eps = np.array(epsilons, dtype=np.float64).reshape(-1)
     if np.any(eps < 0):
@@ -485,12 +554,14 @@ def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
     eps_rows, j_rows = np.repeat(eps, len(js)), np.tile(js, len(eps))
     row_sectors = _sectors(ring, j_rows, betas)
 
-    def work(j, hs):
-        # a grid scan passes its row's coupling, the refinement j_rows itself
-        sectors = row_sectors if j is j_rows else _sectors(ring, j, betas)
+    def work(rows, hs):
+        sectors = tuple(np.take(part, rows, axis=-1) for part in row_sectors)
         return _chain_gap(ring, sectors, hs, betas)[0] / n
 
-    h_opt = _maximize(work, j_rows, eps_rows, grid_step)
+    tops = _grid_tops(j_rows, eps_rows, grid_step)
+    scans = [_grid_argmax(lambda h: work([row], h), lo, hi, grid_step)
+             for row, (lo, hi) in enumerate(zip(eps_rows, tops))]
+    h_opt = _refine(work, scans)
     gap, hot_entropy = _chain_gap(ring, row_sectors, h_opt, betas)
     s_h = hot_entropy()
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -472,6 +472,22 @@ def test_overflowing_field_is_one_config_error_line():
     assert proc.stderr == "spinengine: config error: energy table has non-finite entries\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    # energies of -inf would count as ground states
+    (["gs-deg", "-N", "4", "-h", "1e308"], "class energies have non-finite entries"),
+    (["gs-deg", "-N", "8", "-J", "1e308", "-h", "-1e4"], "class energies have non-finite entries"),
+    # the root sits near 2|J|, which overflows
+    (["optimal-field", "--j-min", "-1e308", "--j-max", "-1e308"],
+     "optimal field: 2|J| overflows, so the root is not a float"),
+])
+def test_overflowing_result_is_one_config_error_line(capsys, argv, message):
+    # pytest turns a numpy RuntimeWarning into an error, so none escapes here
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"spinengine: config error: {message}\n"
+
+
 def test_help_and_usage_exit_codes(capsys):
     for command, shown in [
         ("sweep-j", "(default: -5.0)"), ("precision", "(default: 6)"),

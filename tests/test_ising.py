@@ -321,6 +321,23 @@ def test_optimal_field_array_path(beta):
     assert np.max(np.abs(got - ref)) <= 1e-10
 
 
+def test_optimal_field_near_the_float_range():
+    # roots above half the float range, where lo + hi of the bisection
+    # would overflow: at these couplings tanh(beta*h) rounds to 1, so the
+    # root is 2|J|; the weak couplings batched with them keep their bits
+    huge = np.array([-4.6e307, -6e307, -8.9e307])
+    for beta in (1.0, 1e-300, 1e308):
+        np.testing.assert_allclose(ising.optimal_field(beta, huge), 2.0 * np.abs(huge),
+                                   rtol=1e-15)
+    js = np.array([-6e307, -1.0, -3.0, 2e307, -4e307])
+    got = ising.optimal_field(1.0, js)
+    assert np.array_equal(got, [ising.optimal_field(1.0, float(j)) for j in js])
+    assert got[1] == bisect_optimal_field(1.0, -1.0) and got[3] == 0.0
+    assert got[4] == pytest.approx(8e307, rel=1e-15)
+    with pytest.raises(ValueError, match="overflows"):
+        ising.optimal_field(1.0, [-1.0, -1e308])
+
+
 # --------------------------------------------------------------------------
 # relative entropy densities
 

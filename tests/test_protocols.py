@@ -180,7 +180,7 @@ def test_paper_sweep_matches_full_core_scan():
     js = np.array([-1e4, -500.0, -499.0, -3.0, 0.0, 1.0, 200.0, 250.0, 499.0])
     scans = [protocols._grid_argmax(lambda h: work_eta(j, h)[0],
                                     0.0, 4.0 * max(1.0, abs(j)), 1e-2) for j in js]
-    h_ref = protocols._refine(lambda h: work_eta(js, h)[0], scans)
+    h_ref = protocols._refine(lambda rows, h: work_eta(js[rows], h)[0], scans)
     w_ref, eta_ref = work_eta(js, h_ref)
     got = sweep_j(js, BETAS, PAPER_PROTOCOL)
     np.testing.assert_array_equal([p[:4] for p in got],
@@ -252,6 +252,64 @@ def test_pruned_scan_matches_full_scan_on_synthetic_work(case):
 
     got = protocols._grid_argmax(w_of, 0.0, n - 1.0, 1.0, exact_cell_max)
     assert_same_bits(got, full_grid_argmax(w_of, 0.0, n - 1.0, 1.0))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("mode", [PAPER_PROTOCOL, FREE_FIELDS])
+@pytest.mark.parametrize("step", [1e-2, 0.5])
+def test_packed_scan_matches_one_scan_per_coupling(mode, step):
+    # short grids share blocks; J = 4.9 follows 8004 points of J = +-5 and
+    # would straddle the block boundary; J = -500 (and at step 1e-2 the
+    # 4096-point J = 10.2375 and the nan rows J = 200, 250) scan alone,
+    # pruned in paper mode; at step 0.5 the nan rows are short and packed;
+    # J = 0 has its maximum at the first grid point
+    js = np.array([0.5, -5.0, 5.0, -5.0, 5.0, 4.9, 0.0, 200.0, -500.0, 250.0,
+                   10.2375, 10.235, -1.0, 3.0])
+    floors = np.zeros(len(js))
+    tops = protocols._grid_tops(js, floors, step)
+    sizes = [len(np.arange(0.0, top + 0.5 * step, step)) for top in tops]
+    if step == 1e-2:
+        assert sum(sizes[1:5]) < protocols._SCAN_BLOCK < sum(sizes[1:6])
+        assert sizes[-4] == protocols._PRUNE_MIN_POINTS == sizes[-3] + 1
+    paper = mode == PAPER_PROTOCOL
+    work = protocols._paper_work if paper else protocols._free_work
+    cell_bound = (lambda row: protocols._paper_cell_bound(js[row], BETAS)) if paper else None
+    got = protocols._packed_grid_argmax(lambda rows, h: work(js[rows], h, BETAS),
+                                        floors, tops, step, cell_bound)
+    for row, j in enumerate(js):
+        want = protocols._grid_argmax(lambda h: work(j, h, BETAS), 0.0, tops[row], step,
+                                      cell_bound(row) if paper else None)
+        assert_same_bits(got[row], want)
+    assert np.isnan(got[7][3]) and np.isnan(got[9][3])
+
+
+def test_packed_scan_takes_each_rows_first_maximum():
+    # synthetic work tables on integer grids: ties, and nan before, after
+    # and at the maximum, in rows that share a block; the first maximum of
+    # each row's own scan wins, a nan counting as one
+    sizes = [7, 300, 5, 3000, 40, 1, 2500, 2600, 64]
+    rng = np.random.default_rng(5)
+    tables = [np.round(rng.normal(size=n), 1) for n in sizes]
+    tables[1][[10, 200]] = 9.0               # a tie
+    tables[3][[5, 2999]] = np.nan            # nan first and last
+    tables[4][[0, 39]] = 7.0                 # tie at both ends
+    tables[6][2000] = np.nan                 # nan after the maximum
+    tables[7][:] = 1.0                       # constant
+    tables[8][[3, 63]] = [np.inf, np.inf]    # infinite ties
+    calls = []
+
+    def work(rows, h):
+        calls.append(len(h))
+        rows = np.broadcast_to(rows, h.shape)
+        return np.array([tables[r][int(x)] for r, x in zip(rows, h)])
+
+    floors = np.zeros(len(sizes))
+    tops = np.array(sizes, dtype=np.float64) - 1.0
+    got = protocols._packed_grid_argmax(work, floors, tops, 1.0)
+    assert len(calls) == 2 and max(calls) <= protocols._SCAN_BLOCK
+    for row, table in enumerate(tables):
+        assert_same_bits(got[row], full_grid_argmax(lambda h: table[h.astype(np.int64)],
+                                                    0.0, sizes[row] - 1.0, 1.0))
 
 
 def test_paper_cell_bound_premises():
@@ -326,7 +384,7 @@ def test_pruned_sweep_evaluates_few_grid_points(monkeypatch):
 
 
 def test_golden_max_batch_matches_scalar_calls():
-    def peak(x):
+    def peak(rows, x):
         return -np.abs(x - 1.25)
 
     lo = np.array([0.0, 1.0, 0.5, 1.2, 1.2])
@@ -632,7 +690,7 @@ def pointwise_chain_optimum(n, j, betas, epsilon):
         return evaluate(hs)[0]
 
     scan = protocols._grid_argmax(w_of, epsilon, h_max, 1e-2)
-    h_opt = protocols._refine(w_of, [scan])
+    h_opt = protocols._refine(lambda rows, h: w_of(h), [scan])
     w_opt, eta_opt = evaluate(h_opt)
     return ChainPoint(float(j), float(epsilon), float(h_opt[0]),
                       float(w_opt[0]), float(eta_opt[0]))

@@ -94,9 +94,13 @@ def _write_text(path, text: str) -> None:
 
 
 def _emit_csv(path, header: str, params: dict, rows) -> None:
-    lines = [header, "# params: " + _canonical_json(params)]
-    lines.extend(",".join(_cell(c) for c in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    _emit_csv_lines(path, header, params, (",".join(_cell(c) for c in row) for row in rows))
+
+
+def _emit_csv_lines(path, header: str, params: dict, lines) -> None:
+    """Write the CSV header, the params comment and the data lines, each
+    already formatted."""
+    _write_text(path, "\n".join([header, "# params: " + _canonical_json(params), *lines]) + "\n")
 
 
 def _json_safe(value):
@@ -160,9 +164,12 @@ def cmd_precision(args) -> int:
 
 def cmd_optimal_field(args) -> int:
     js = _j_values(args)
-    rows = [(b, j, float(h)) for b in args.beta
-            for j, h in zip(js, ising.optimal_field(b, js))]
-    _emit_csv(args.output, "beta,J,h_opt", _params(args), rows)
+    h_opt = ising.optimal_field([[b] for b in args.beta], js).tolist()
+    # each beta and J cell is formatted once, not once per row
+    j_cells = [_cell(j) for j in js]
+    lines = [f"{b},{j},{h!r}" for b, h_row in zip(map(_cell, args.beta), h_opt)
+             for j, h in zip(j_cells, h_row)]
+    _emit_csv_lines(args.output, "beta,J,h_opt", _params(args), lines)
     return EXIT_OK
 
 

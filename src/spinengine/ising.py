@@ -150,13 +150,13 @@ def entropy_density(beta, j, h):
     return _maybe_float(out, beta, j, h)
 
 
-def optimal_field(beta: float, j):
+def optimal_field(beta, j):
     """Entropy-maximizing field of the infinite chain at fixed (beta, J),
-    elementwise over ``j``.
+    elementwise over ``beta`` broadcast against ``j``.
 
     Zero unless the coupling is antiferromagnetic with ``2|J|beta > 1``;
     then the unique positive solution of ``h = 2|J| tanh(beta h)``,
-    located by one bisection for all of ``j``: each element freezes once
+    located by one bisection for all elements: each element freezes once
     its own bracket is within ``_OPTIMAL_FIELD_TOL``, so a batch follows
     each element's scalar path exactly.  Raises ``ValueError`` where the
     root is not a float: 2|J| overflows.
@@ -165,7 +165,7 @@ def optimal_field(beta: float, j):
     h/2 = |J| tanh(2 beta h/2), where lo + hi cannot overflow; halving is
     exact there, so every other element keeps its bits.
     """
-    beta = float(_check_beta(beta))
+    beta = _check_beta(beta)
     j = np.asarray(j, dtype=np.float64)
     with np.errstate(over="ignore"):
         jj = 2.0 * np.abs(j)
@@ -186,7 +186,7 @@ def optimal_field(beta: float, j):
             np.copyto(lo, mid, where=live & below)
             np.copyto(hi, mid, where=live & ~below)
             live &= hi - lo >= _OPTIMAL_FIELD_TOL
-    return _maybe_float(0.5 * (lo + hi) / scale, j)
+    return _maybe_float(0.5 * (lo + hi) / scale, beta, j)
 
 
 def _relative_entropy(bs, br, j, hs, hr, core_s=None):

@@ -33,18 +33,12 @@ import numpy as np
 
 from . import ising, kernels
 from .engine import Betas, UndefinedResultError
+from .gridsearch import _PRUNE_RTOL, _grid_argmax, _nested_argmax, _refine
 from .ising import _core
 
 PAPER_PROTOCOL = "paper"
 FREE_FIELDS = "free"
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_ITERS = 160  # for brackets that rounding keeps wider than the tolerance
-_REFINE_TOL = 1e-8  # bracket width at which a refined field stops moving
-_SCAN_BLOCK = 8192  # grid points per evaluation in _grid_argmax
-_CELL = 64  # grid points per cell of a pruned scan
-_PRUNE_MIN_POINTS = 4096  # smaller grids are scanned whole
-_PRUNE_RTOL = 1e-9  # relative rounding margin of a cell bound
 _EXP_FLOOR = -700.0  # lowest Boltzmann exponent of a partition sum (see _weights)
 # most field grid points per coupling: 50x the strong-coupling grids in use
 # (2e5 points), and 80 MB per grid array
@@ -114,169 +108,16 @@ def efficiency_thermo_limit(j: float, fields: ProtocolFields, betas: Betas) -> f
     return w / q_h
 
 
-def _golden_max(work, lo, hi, tol: float) -> np.ndarray:
-    """Deterministic golden-section maximization of ``work(rows, h)`` on
-    every bracket [lo[k], hi[k]] (row k), elementwise.
-
-    Assumes unimodality on each bracket (every use here refines around a
-    grid argmax).  Both probes of every bracket go to one ``work`` call,
-    with the row indices tiled twice.  Each element freezes once its own
-    bracket is within ``tol`` and later probes leave it untouched, so a
-    batch of brackets follows each element's scalar path exactly.
-    """
-    lo = np.asarray(lo, dtype=np.float64).reshape(-1) + 0.0
-    hi = np.asarray(hi, dtype=np.float64).reshape(-1) + 0.0
-    n = len(lo)
-    rows = np.tile(np.arange(n), 2)
-    for _ in range(_GOLDEN_ITERS):
-        gap = hi - lo
-        live = gap > tol
-        if not np.any(live):
-            break
-        c = hi - _INVPHI * gap
-        d = lo + _INVPHI * gap
-        w = work(rows, np.concatenate([c, d]))
-        keep_left = w[:n] >= w[n:]
-        hi = np.where(live & keep_left, d, hi)
-        lo = np.where(live & ~keep_left, c, lo)
-    return 0.5 * (lo + hi)
-
-
-def _scan(w_of, h: np.ndarray) -> np.ndarray:
-    """``w_of`` over ``h`` in blocks of ``_SCAN_BLOCK`` points, which keeps
-    the temporaries of each evaluation small."""
-    return np.concatenate([w_of(h[i:i + _SCAN_BLOCK]) for i in range(0, len(h), _SCAN_BLOCK)])
-
-
-def _pruned_argmax(w_of, grid: np.ndarray, cell_bound):
-    """Index and value of the first maximum of ``w_of`` on ``grid``, or
-    None where only a full scan can tell.
-
-    The grid is cut into cells of ``_CELL`` points and evaluated at the
-    cell ends.  A cell whose bound ``cell_bound(h_ends, w_ends)`` lies
-    below the best end value by more than a rounding margin cannot hold
-    the maximum; the inner points of all other cells (ties and NaN bounds
-    included) are evaluated in one scan.  A NaN at the first point is the
-    argmax, as with ``np.argmax``; any other non-finite value returns None.
-    """
-    last = len(grid) - 1
-    ends = np.append(np.arange(0, last, _CELL), last)
-    w_ends = _scan(w_of, grid[ends])
-    if np.isnan(w_ends[0]):
-        return 0, w_ends[0]
-    if not np.all(np.isfinite(w_ends)):
-        return None
-    best = w_ends.max()
-    bound = cell_bound(grid[ends], w_ends)
-    kept = ends[:-1][~(bound < best - _PRUNE_RTOL * abs(best))]
-    inner = (kept[:, None] + np.arange(1, _CELL)).ravel()
-    inner = inner[inner < last]
-    w_inner = _scan(w_of, grid[inner])
-    if not np.all(np.isfinite(w_inner)):
-        return None
-    idx, w = np.append(ends, inner), np.append(w_ends, w_inner)
-    top = w.max()
-    return int(idx[w == top].min()), top
-
-
-def _bracket(grid: np.ndarray, k: int, w_k):
-    """The grid neighbours of point ``k``, the point itself and its work."""
-    return grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], grid[k], w_k
-
-
-def _grid_argmax(w_of, lo: float, hi: float, step: float, cell_bound=None):
-    """Best point of ``w_of`` on the grid lo, lo + step, ..., hi.
-
-    Returns the bracket (the grid neighbours of the argmax), the grid
-    field and the grid work; the argmax is the first maximum, a NaN
-    counting as one, as with ``np.argmax``.  The grid lives only inside
-    this call, so consecutive scans never hold two grids at once.
-
-    With ``cell_bound`` a grid of at least ``_PRUNE_MIN_POINTS`` points
-    is scanned only in the cells that can hold the argmax
-    (:func:`_pruned_argmax`), with the same result.  ``cell_bound(h, w)``
-    maps the fields ``h`` at the cell ends and the work ``w`` there to an
-    upper bound on ``w_of`` over each cell between consecutive ends.
-    """
-    grid = np.arange(lo, hi + 0.5 * step, step)
-    found = None
-    if cell_bound is not None and len(grid) >= _PRUNE_MIN_POINTS:
-        found = _pruned_argmax(w_of, grid, cell_bound)
-    if found is None:
-        w_grid = _scan(w_of, grid)
-        k = int(np.argmax(w_grid))
-        found = k, w_grid[k]
-    return _bracket(grid, *found)
-
-
-def _packed_grid_argmax(work, floors: np.ndarray, tops: np.ndarray, step: float,
-                        cell_bound=None) -> list:
-    """The :func:`_grid_argmax` result of ``work(rows, h)`` on the grid
-    floors[k], floors[k] + step, ..., tops[k] of every row k.
-
-    Grids of fewer than ``_PRUNE_MIN_POINTS`` points are packed whole, in
-    row order, into blocks of at most ``_SCAN_BLOCK`` points (a grid that
-    would overflow a block starts the next one), and each block is one
-    ``work`` call.  Each row's first argmax, a NaN counting as one, comes
-    from its own slice of the block, as ``np.argmax`` takes it from the
-    row's own scan.  Longer grids fill their calls alone: each goes to
-    :func:`_grid_argmax`, pruned with ``cell_bound(row)`` when given.  A
-    grid is built only when its row comes up, so no two long grids are
-    ever held at once.
-    """
-    scans = [None] * len(floors)
-    block = []
-
-    def scan_block():
-        sizes = [len(grid) for _, grid in block]
-        w = work(np.repeat([row for row, _ in block], sizes),
-                 np.concatenate([grid for _, grid in block]))
-        for (row, grid), w_row in zip(block, np.split(w, np.cumsum(sizes)[:-1])):
-            k = int(np.argmax(w_row))
-            scans[row] = _bracket(grid, k, w_row[k])
-        block.clear()
-
-    # the lengths np.arange will give the grids, known before any exists
-    sizes = np.ceil((tops + 0.5 * step - floors) / step)
-    filled = 0
-    for row, (lo, hi, size) in enumerate(zip(floors, tops, sizes)):
-        if size >= _PRUNE_MIN_POINTS:
-            scans[row] = _grid_argmax(lambda h: work([row], h), lo, hi, step,
-                                      None if cell_bound is None else cell_bound(row))
-            continue
-        grid = np.arange(lo, hi + 0.5 * step, step)
-        if filled + len(grid) > _SCAN_BLOCK:
-            scan_block()
-            filled = 0
-        block.append((row, grid))
-        filled += len(grid)
-    if block:
-        scan_block()
-    return scans
-
-
-def _refine(work, scans) -> np.ndarray:
-    """One golden-section refinement (:func:`_golden_max`) of every
-    ``_grid_argmax`` bracket, row k on ``scans[k]``, all rows in the same
-    ``work(rows, h)`` calls.
-
-    Keeps the grid point wherever it beats the refined one: the maximum
-    may sit in an exponentially narrow spike at a bracket end that
-    refinement steps over.
-    """
-    lo, hi, h_grid, w_grid = np.array(scans, dtype=np.float64).reshape(-1, 4).T
-    h_ref = _golden_max(work, lo, hi, _REFINE_TOL)
-    return np.where(work(np.arange(len(h_ref)), h_ref) >= w_grid, h_ref, h_grid)
-
-
 def _grid_tops(js: np.ndarray, floors: np.ndarray, grid_step: float) -> np.ndarray:
     """The top of every row's field grid: 4*max(1, |J|) above the row's
     floor, or floor + 1 when that is not above it.
 
-    A ``grid_step`` that would give some row more than
-    ``_GRID_POINTS_MAX`` points raises ``ValueError`` before any grid
-    exists.
+    A ``grid_step`` that is not positive and finite, or that would give
+    some row more than ``_GRID_POINTS_MAX`` points, raises ``ValueError``
+    before any grid exists.
     """
+    if not 0.0 < grid_step < math.inf:
+        raise ValueError(f"field grid step {grid_step!r} must be positive and finite")
     tops = 4.0 * np.maximum(1.0, np.abs(js))
     tops = np.where(tops <= floors, floors + 1.0, tops)
     points = np.max((tops - floors) / grid_step, initial=0.0)
@@ -309,9 +150,12 @@ def _paper_work(j, h, betas: Betas, core_h=None):
     return delta_h / bh - ising._log_excess(bc * j, bc * np.abs(h)) / bc
 
 
-def _paper_cell_bound(j: float, betas: Betas):
-    """The :func:`_grid_argmax` cell bound of :func:`_paper_work` at
-    coupling ``j``, on fields h >= 0: the smaller of two certified bounds.
+def _paper_cell_bound(j, h, w, betas: Betas) -> np.ndarray:
+    """Upper bound of :func:`_paper_work` over each cell between
+    consecutive fields h >= 0 along the last axis of ``h``, with ``w``
+    the work there and ``j`` the coupling, broadcast against them (one
+    per row of cells in :func:`gridsearch._nested_argmax`): the smaller
+    of two bounds, each certified for any cell width.
 
     * Lipschitz (Piyavskii-Shubert): the branch switch at h = 2|J| does
       not depend on beta, so the ground terms of both temperatures cancel
@@ -327,18 +171,14 @@ def _paper_cell_bound(j: float, betas: Betas):
     scale of the rounding in w = T_h*delta_h - T_c*delta_c.
     """
     bh = betas.beta_h
-    switch = max(-2.0 * j, 0.0)
+    switch = np.maximum(-2.0 * np.asarray(j, dtype=np.float64), 0.0)
     excess_switch = ising._log_excess(bh * j, bh * switch) / bh
-
-    def bound(h, w):
-        excess = ising._log_excess(bh * j, bh * h) / bh
-        excess = np.maximum(excess[:-1], excess[1:])
-        excess = np.where((h[:-1] < switch) & (switch < h[1:]),
-                          np.maximum(excess, excess_switch), excess)
-        lipschitz = 0.5 * (w[:-1] + w[1:] + (h[1:] - h[:-1]))
-        return np.minimum(lipschitz, excess) + _PRUNE_RTOL * excess
-
-    return bound
+    excess = ising._log_excess(bh * j, bh * h) / bh
+    excess = np.maximum(excess[..., :-1], excess[..., 1:])
+    excess = np.where((h[..., :-1] < switch) & (switch < h[..., 1:]),
+                      np.maximum(excess, excess_switch), excess)
+    lipschitz = 0.5 * (w[..., :-1] + w[..., 1:] + (h[..., 1:] - h[..., :-1]))
+    return np.minimum(lipschitz, excess) + _PRUNE_RTOL * excess
 
 
 def _free_penalty_min(j, h_b, betas: Betas, core_s=None):
@@ -400,13 +240,12 @@ def sweep_j(j_values: Sequence[float], betas: Betas,
     optimal field, the work density, and the efficiency there.
 
     Each coupling gets a field grid on [0, 4*max(1, |J|)]
-    (:func:`_grid_tops`).  Grids of fewer than ``_PRUNE_MIN_POINTS``
-    points, which are most rows of a weak-coupling sweep, share their
-    work calls (:func:`_packed_grid_argmax`); longer ones are scanned one
-    coupling at a time, in paper mode only in the grid cells that
-    :func:`_paper_cell_bound` cannot rule out (free mode has no such
-    bound).  One golden-section refinement (:func:`_refine`) then runs
-    for all couplings at once.
+    (:func:`_grid_tops`), and one nested scan
+    (:func:`gridsearch._nested_argmax`) searches the grids of all
+    couplings in shared work calls: in paper mode only in the cells that
+    :func:`_paper_cell_bound` cannot rule out, in free mode (no such
+    bound) on every grid point.  One golden-section refinement
+    (:func:`gridsearch._refine`) then runs for all couplings at once.
     """
     if mode not in (PAPER_PROTOCOL, FREE_FIELDS):
         raise ValueError(f"unknown protocol mode: {mode!r}")
@@ -417,10 +256,11 @@ def sweep_j(j_values: Sequence[float], betas: Betas,
     def row_work(rows, h):
         return work(js[rows], h, betas)
 
-    cell_bound = (lambda row: _paper_cell_bound(js[row], betas)) \
-        if mode == PAPER_PROTOCOL else None
-    scans = _packed_grid_argmax(row_work, floors, _grid_tops(js, floors, grid_step),
-                                grid_step, cell_bound)
+    def cell_bound(rows, h, w):
+        return _paper_cell_bound(js[rows], h, w, betas)
+
+    scans = _nested_argmax(row_work, floors, _grid_tops(js, floors, grid_step), grid_step,
+                           cell_bound if mode == PAPER_PROTOCOL else None)
     h_opt = _refine(row_work, scans)
     a_h, b_h = betas.beta_h * js, betas.beta_h * np.abs(h_opt)
     core_h = _core(a_h, b_h)
@@ -542,9 +382,10 @@ def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
     (:func:`_grid_tops`) in its own calls: a grid point costs N + 1
     exponentials per temperature, so these calls are bound by arithmetic
     already, and packing grids into shared calls as :func:`sweep_j` does
-    measured slower.  One golden-section refinement (:func:`_refine`)
-    then runs for all pairs at once.  The sector terms of the rows are
-    built once; every work call takes the columns of its rows.
+    measured slower.  One golden-section refinement
+    (:func:`gridsearch._refine`) then runs for all pairs at once.  The
+    sector terms of the rows are built once; every work call takes the
+    columns of its rows.
     """
     eps = np.array(epsilons, dtype=np.float64).reshape(-1)
     if np.any(eps < 0):

@@ -338,6 +338,24 @@ def test_optimal_field_near_the_float_range():
         ising.optimal_field(1.0, [-1.0, -1e308])
 
 
+def test_optimal_field_beta_column_matches_scalar_beta_calls():
+    # one bisection for a column of betas against a row of couplings, the
+    # half-scale roots near the float maximum included, equals one call
+    # per beta bit for bit
+    betas = np.array([0.5, 1.0, 3.0, 1e-300, 1e308])
+    js = np.concatenate([np.linspace(-3.0, 0.5, 71), [-4.6e307, -8.9e307, -6e307, 2e307]])
+    got = ising.optimal_field(betas[:, None], js)
+    assert got.shape == (len(betas), len(js))
+    want = np.array([ising.optimal_field(float(b), js) for b in betas])
+    assert got.tobytes() == want.tobytes()
+    assert ising.optimal_field(np.array([1.0, 2.0]), -1.0).tolist() == \
+        [ising.optimal_field(1.0, -1.0), ising.optimal_field(2.0, -1.0)]
+    with pytest.raises(ValueError, match="overflows"):
+        ising.optimal_field(betas[:, None], [-1.0, -1e308])
+    with pytest.raises(ValueError, match="positive"):
+        ising.optimal_field([[1.0], [0.0]], js)
+
+
 # --------------------------------------------------------------------------
 # relative entropy densities
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinengine import ising, kernels, protocols
+from spinengine import gridsearch, ising, kernels, protocols
 from spinengine.engine import Betas, UndefinedResultError
 from spinengine.protocols import (FREE_FIELDS, PAPER_PROTOCOL, ProtocolFields,
                                   ChainPoint, chain_efficiency_at_max_work,
@@ -126,6 +126,16 @@ def test_oversized_field_grid_rejected():
             search()
 
 
+@pytest.mark.parametrize("step", [-0.1, 0.0, math.inf, math.nan])
+def test_bad_field_grid_step_rejected(step):
+    # grid points are computed from their index, so a step that is not
+    # positive and finite is refused before any scan
+    for search in (lambda: sweep_j([0.0, -2.0], BETAS, grid_step=step),
+                   lambda: chain_sweep(4, [0.0], BETAS, [0.1], grid_step=step)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            search()
+
+
 def test_sweep_reproduces_efficiency_curve_shape():
     j_values = [-5.0, -4.0, -3.0, -2.0, -1.0, -0.5, -0.2, 0.0,
                 1.0, 2.0, 3.0, 5.0]
@@ -178,9 +188,9 @@ def test_paper_sweep_matches_full_core_scan():
         return w, eta
 
     js = np.array([-1e4, -500.0, -499.0, -3.0, 0.0, 1.0, 200.0, 250.0, 499.0])
-    scans = [protocols._grid_argmax(lambda h: work_eta(j, h)[0],
+    scans = [gridsearch._grid_argmax(lambda h: work_eta(j, h)[0],
                                     0.0, 4.0 * max(1.0, abs(j)), 1e-2) for j in js]
-    h_ref = protocols._refine(lambda rows, h: work_eta(js[rows], h)[0], scans)
+    h_ref = gridsearch._refine(lambda rows, h: work_eta(js[rows], h)[0], scans)
     w_ref, eta_ref = work_eta(js, h_ref)
     got = sweep_j(js, BETAS, PAPER_PROTOCOL)
     np.testing.assert_array_equal([p[:4] for p in got],
@@ -199,10 +209,39 @@ def assert_same_bits(got, want):
     assert np.array(got, dtype=np.float64).tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
+def paper_bound(js, betas):
+    # the nested scan's cell bound in paper mode, as sweep_j builds it
+    js = np.asarray(js, dtype=np.float64).reshape(-1)
+    return lambda rows, h, w: protocols._paper_cell_bound(js[rows], h, w, betas)
+
+
+def table_scans(tables, cell_bound=None, calls=None):
+    # the nested scan of work(rows, h) on synthetic tables over the
+    # integer grids 0..n-1, recording the size of each work call
+    def work(rows, h):
+        if calls is not None:
+            calls.append(len(h))
+        rows = np.broadcast_to(rows, h.shape)
+        return np.array([tables[r][int(x)] for r, x in zip(rows, h)])
+
+    tops = np.array([len(t) - 1.0 for t in tables])
+    return gridsearch._nested_argmax(work, np.zeros(len(tables)), tops, 1.0, cell_bound)
+
+
+def exact_cell_max(tables):
+    # each cell's exact maximum over the integer grid, as a cell bound
+    def bound(rows, h, w):
+        ends = h.astype(np.int64)
+        rows = np.broadcast_to(rows, ends.shape)
+        return np.array([[tables[r][a:b + 1].max() for r, a, b in zip(rr, ee[:-1], ee[1:])]
+                         for rr, ee in zip(rows, ends)])
+    return bound
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_pruned_paper_scan_matches_full_scan_on_random_grids():
-    # log-uniform draws over the whole coupling range: weak grids below
-    # the pruning threshold, strong antiferromagnets with their switch at
+    # log-uniform draws over the whole coupling range: weak grids of a few
+    # hundred points, strong antiferromagnets with their switch at
     # h = 2|J|, strong ferromagnets down to the nan rows (beta_c*J > ~186);
     # a draw takes the finest step that keeps its grid under 4e5 points
     rng = np.random.default_rng(20161018)
@@ -213,26 +252,38 @@ def test_pruned_paper_scan_matches_full_scan_on_random_grids():
         j = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 4.0)
         h_max = 4.0 * max(1.0, abs(j))
         step = rng.choice([s for s in (1e-3, 1e-2, 0.1) if h_max / s <= 4e5] or [0.1])
-        pruned += h_max / step >= protocols._PRUNE_MIN_POINTS
+        pruned += h_max / step >= 4096
 
         def w_of(h):
             return protocols._paper_work(j, h, betas)
 
-        got = protocols._grid_argmax(w_of, 0.0, h_max, step,
-                                     protocols._paper_cell_bound(j, betas))
-        assert_same_bits(got, full_grid_argmax(w_of, 0.0, h_max, step))
+        got = gridsearch._nested_argmax(lambda rows, h: w_of(h), np.zeros(1), np.array([h_max]),
+                                       step, paper_bound([j], betas))
+        assert_same_bits(got[0], full_grid_argmax(w_of, 0.0, h_max, step))
     assert pruned >= 120
 
 
-@pytest.mark.parametrize("case", ["ties", "nan-first", "nan-inner-end", "nan-inner", "inf-end"])
+@pytest.mark.parametrize("case", ["ties", "nan-first", "nan-inner-end", "nan-inner", "inf-end",
+                                  "rounded-bound"])
 def test_pruned_scan_matches_full_scan_on_synthetic_work(case):
     # a work table on the integer grid 0..n-1, with its exact maximum over
     # each cell as the cell bound: every cell holding a tie is kept (the
     # ties sit at 0, where the rounding margin is 0 too), and the first
-    # maximum in index order wins
-    n, cell = 10_000, protocols._CELL
+    # maximum in index order wins; the marked points are multiples of the
+    # stride of the second-to-last level.  "rounded-bound" lowers every
+    # bound by half the rounding margin: the cell that holds the first of
+    # two maxima must still be kept
+    n, cell = 10_000, gridsearch._BRANCH ** 2
     table = -1.0 - np.abs(np.arange(n) - 5000.0)
-    if case == "ties":
+    bound = exact_cell_max([table])
+    if case == "rounded-bound":
+        table = 1000.0 - np.abs(np.arange(n) - 5000.0)
+        table[70] = 1000.0
+        exact = exact_cell_max([table])
+
+        def bound(rows, h, w):
+            return exact(rows, h, w) * (1.0 - 0.5 * gridsearch._PRUNE_RTOL)
+    elif case == "ties":
         table[[70, 2 * cell, 3000, 5000, 7 * cell + 5]] = 0.0
     elif case == "nan-first":
         table[0] = np.nan
@@ -243,25 +294,18 @@ def test_pruned_scan_matches_full_scan_on_synthetic_work(case):
     else:
         table[4 * cell] = np.inf
 
-    def w_of(h):
-        return table[h.astype(np.int64)]
-
-    def exact_cell_max(h, w):
-        ends = h.astype(np.int64)
-        return np.array([table[a:b + 1].max() for a, b in zip(ends[:-1], ends[1:])])
-
-    got = protocols._grid_argmax(w_of, 0.0, n - 1.0, 1.0, exact_cell_max)
-    assert_same_bits(got, full_grid_argmax(w_of, 0.0, n - 1.0, 1.0))
+    got = table_scans([table], bound)
+    assert_same_bits(got[0], full_grid_argmax(lambda h: table[h.astype(np.int64)],
+                                              0.0, n - 1.0, 1.0))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("mode", [PAPER_PROTOCOL, FREE_FIELDS])
 @pytest.mark.parametrize("step", [1e-2, 0.5])
 def test_packed_scan_matches_one_scan_per_coupling(mode, step):
-    # short grids share blocks; J = 4.9 follows 8004 points of J = +-5 and
-    # would straddle the block boundary; J = -500 (and at step 1e-2 the
-    # 4096-point J = 10.2375 and the nan rows J = 200, 250) scan alone,
-    # pruned in paper mode; at step 0.5 the nan rows are short and packed;
+    # all rows share the work calls of one nested scan; J = 4.9 follows
+    # 8004 points of J = +-5; J = -500 (and at step 1e-2 the 4096-point
+    # J = 10.2375 and the nan rows J = 200, 250) have the longest grids;
     # J = 0 has its maximum at the first grid point
     js = np.array([0.5, -5.0, 5.0, -5.0, 5.0, 4.9, 0.0, 200.0, -500.0, 250.0,
                    10.2375, 10.235, -1.0, 3.0])
@@ -269,23 +313,20 @@ def test_packed_scan_matches_one_scan_per_coupling(mode, step):
     tops = protocols._grid_tops(js, floors, step)
     sizes = [len(np.arange(0.0, top + 0.5 * step, step)) for top in tops]
     if step == 1e-2:
-        assert sum(sizes[1:5]) < protocols._SCAN_BLOCK < sum(sizes[1:6])
-        assert sizes[-4] == protocols._PRUNE_MIN_POINTS == sizes[-3] + 1
+        assert sum(sizes[1:5]) < gridsearch._SCAN_BLOCK < sum(sizes[1:6])
     paper = mode == PAPER_PROTOCOL
     work = protocols._paper_work if paper else protocols._free_work
-    cell_bound = (lambda row: protocols._paper_cell_bound(js[row], BETAS)) if paper else None
-    got = protocols._packed_grid_argmax(lambda rows, h: work(js[rows], h, BETAS),
-                                        floors, tops, step, cell_bound)
+    got = gridsearch._nested_argmax(lambda rows, h: work(js[rows], h, BETAS), floors, tops, step,
+                                   paper_bound(js, BETAS) if paper else None)
     for row, j in enumerate(js):
-        want = protocols._grid_argmax(lambda h: work(j, h, BETAS), 0.0, tops[row], step,
-                                      cell_bound(row) if paper else None)
+        want = full_grid_argmax(lambda h: work(j, h, BETAS), 0.0, tops[row], step)
         assert_same_bits(got[row], want)
     assert np.isnan(got[7][3]) and np.isnan(got[9][3])
 
 
 def test_packed_scan_takes_each_rows_first_maximum():
     # synthetic work tables on integer grids: ties, and nan before, after
-    # and at the maximum, in rows that share a block; the first maximum of
+    # and at the maximum, in rows that share calls; the first maximum of
     # each row's own scan wins, a nan counting as one
     sizes = [7, 300, 5, 3000, 40, 1, 2500, 2600, 64]
     rng = np.random.default_rng(5)
@@ -297,19 +338,78 @@ def test_packed_scan_takes_each_rows_first_maximum():
     tables[7][:] = 1.0                       # constant
     tables[8][[3, 63]] = [np.inf, np.inf]    # infinite ties
     calls = []
-
-    def work(rows, h):
-        calls.append(len(h))
-        rows = np.broadcast_to(rows, h.shape)
-        return np.array([tables[r][int(x)] for r, x in zip(rows, h)])
-
-    floors = np.zeros(len(sizes))
-    tops = np.array(sizes, dtype=np.float64) - 1.0
-    got = protocols._packed_grid_argmax(work, floors, tops, 1.0)
-    assert len(calls) == 2 and max(calls) <= protocols._SCAN_BLOCK
+    got = table_scans(tables, calls=calls)
+    # the end points of all rows, then the inner points of every row with
+    # finite ends in one shared call, then one full scan of each row with
+    # a non-finite value (rows 3 and 8 at an end, row 6 inside)
+    inner = sum(max(n - 2, 0) for row, n in enumerate(sizes) if row not in (3, 8))
+    assert calls == [2 * len(sizes), inner, 3000, 2500, 64]
+    assert max(calls) <= gridsearch._SCAN_BLOCK
     for row, table in enumerate(tables):
         assert_same_bits(got[row], full_grid_argmax(lambda h: table[h.astype(np.int64)],
                                                     0.0, sizes[row] - 1.0, 1.0))
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+def test_nested_scan_of_one_and_two_point_grids(bounded):
+    # a grid of one point is its own argmax and bracket; a grid of two has
+    # no cell to cut, with or without a cell bound
+    tables = [np.array([0.5]), np.array([1.0, 2.0]), np.array([2.0, 1.0]),
+              np.array([3.0, 3.0]), np.array([np.nan, 1.0]), np.array([-1.0])]
+    got = table_scans(tables, exact_cell_max(tables) if bounded else None)
+    for row, table in enumerate(tables):
+        assert_same_bits(got[row], full_grid_argmax(lambda h: table[h.astype(np.int64)],
+                                                    0.0, len(table) - 1.0, 1.0))
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+def test_nested_scan_rescans_a_row_with_an_inner_non_finite_value(monkeypatch, bounded):
+    # a nan or inf anywhere but at the first point sends its row, and only
+    # that row, to one unpruned _grid_argmax
+    tables = [-np.abs(np.arange(1000.0) - 300.0) for _ in range(4)]
+    tables[1][700] = np.nan
+    tables[2][0] = np.nan
+    tables[3][999] = np.inf
+    rescanned = []
+    grid_argmax = gridsearch._grid_argmax
+
+    def recording_grid_argmax(w_of, lo, hi, step):
+        rescanned.append(hi)
+        return grid_argmax(w_of, lo, hi, step)
+
+    monkeypatch.setattr(gridsearch, "_grid_argmax", recording_grid_argmax)
+    got = table_scans(tables, exact_cell_max(tables) if bounded else None)
+    assert rescanned == [999.0, 999.0]
+    for row, table in enumerate(tables):
+        assert_same_bits(got[row], full_grid_argmax(lambda h: table[h.astype(np.int64)],
+                                                    0.0, 999.0, 1.0))
+    assert got[1][2] == 700.0 and got[2][2] == 0.0 and got[3][3] == np.inf
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("mode", [PAPER_PROTOCOL, FREE_FIELDS])
+def test_sweep_matches_full_scan_and_refinement_per_coupling(mode):
+    # seeded draws of betas, couplings and grid steps, with the nan rows
+    # J = 200 and 1e3: every row equals one unpruned scan of its own grid,
+    # refined by _refine, bit for bit
+    rng = np.random.default_rng(23 if mode == PAPER_PROTOCOL else 24)
+    work = protocols._paper_work if mode == PAPER_PROTOCOL else protocols._free_work
+    for _ in range(8 if mode == PAPER_PROTOCOL else 4):
+        beta_h, beta_c = sorted(10.0 ** rng.uniform(-2.0, 1.5, size=2))
+        betas = Betas(beta_h, beta_c * 1.01)
+        top_j = 2000.0 if mode == PAPER_PROTOCOL else 50.0
+        js = np.append(rng.choice((-1.0, 1.0), 6) * 10.0 ** rng.uniform(-3.0, np.log10(top_j), 6),
+                       [200.0, 1e3])
+        step = 10.0 ** rng.uniform(np.log10(0.003 if mode == PAPER_PROTOCOL else 0.05),
+                                   np.log10(0.5))
+        floors = np.zeros(len(js))
+        tops = protocols._grid_tops(js, floors, step)
+        scans = [full_grid_argmax(lambda h: work(j, h, betas), 0.0, top, step)
+                 for j, top in zip(js, tops)]
+        h_ref = gridsearch._refine(lambda rows, h: work(js[rows], h, betas), scans)
+        got = sweep_j(js, betas, mode, grid_step=step)
+        assert_same_bits([p.h_opt for p in got], h_ref)
+        assert_same_bits([p.work_density for p in got], work(js, h_ref, betas))
 
 
 def test_paper_cell_bound_premises():
@@ -317,7 +417,7 @@ def test_paper_cell_bound_premises():
     # 4000 random (beta_h, beta_c, J, h), weak and strong coupling, against
     # pairs of nearby fields h1 < h2 (finite differences)
     rng = np.random.default_rng(1972)
-    rtol = protocols._PRUNE_RTOL
+    rtol = gridsearch._PRUNE_RTOL
     for _ in range(500):
         beta_h, beta_c = sorted(10.0 ** rng.uniform(-3.0, 3.0, size=2))
         betas = Betas(beta_h, beta_c)
@@ -347,40 +447,53 @@ def test_paper_cell_bound_premises():
 
 @pytest.mark.parametrize("beta_h,beta_c", [(0.5, 1.0), (0.05, 2.0), (1.0, 2.5)])
 def test_paper_cell_bound_covers_every_grid_point(beta_h, beta_c):
-    # the bound of each 64-point cell lies above the work at every grid
-    # point of the cell, and its excess part alone (an infinite Lipschitz
-    # part) above T_h*delta_h, the cells around the peak at h = 2|J| included
-    # (beta_c*J stays below the nan rows, whose scan stops at h = 0)
+    # at every cell width the nested scan forms (each power of _BRANCH
+    # below the grid length, with a shorter last cell), the bound of each
+    # cell lies above the work at every grid point of the cell, and its
+    # excess part alone (an infinite Lipschitz part) above T_h*delta_h,
+    # the cells around the peak at h = 2|J| included (beta_c*J stays below
+    # the nan rows, whose scan stops at h = 0)
     betas = Betas(beta_h, beta_c)
     for j in (-100.0, -7.3, -1.0, -0.02, 0.0, 0.5, 3.0, 60.0):
         grid = np.arange(0.0, 4.0 * max(1.0, abs(j)) + 0.5e-2, 1e-2)
         w = protocols._paper_work(j, grid, betas)
         excess = ising._log_excess(beta_h * j, beta_h * grid) / beta_h
-        ends = np.append(np.arange(0, len(grid) - 1, protocols._CELL), len(grid) - 1)
-        bound = protocols._paper_cell_bound(j, betas)
-        both = bound(grid[ends], w[ends])
-        excess_only = bound(grid[ends], np.full(len(ends), np.inf))
-        assert np.all(both >= np.maximum(np.maximum.reduceat(w, ends[:-1]), w[ends[1:]]))
-        assert np.all(excess_only >= np.maximum(np.maximum.reduceat(excess, ends[:-1]),
-                                                excess[ends[1:]]))
+        width = 1
+        while width < len(grid) - 1:
+            ends = np.append(np.arange(0, len(grid) - 1, width), len(grid) - 1)
+            h_ends = grid[ends][None]
+            both = protocols._paper_cell_bound(np.array([[j]]), h_ends, w[ends][None], betas)[0]
+            excess_only = protocols._paper_cell_bound(
+                np.array([[j]]), h_ends, np.full((1, len(ends)), np.inf), betas)[0]
+            assert np.all(both >= np.maximum(np.maximum.reduceat(w, ends[:-1]), w[ends[1:]]))
+            assert np.all(excess_only >= np.maximum(np.maximum.reduceat(excess, ends[:-1]),
+                                                    excess[ends[1:]]))
+            width *= gridsearch._BRANCH
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_pruned_sweep_evaluates_few_grid_points(monkeypatch):
     # J = -499 is a pruned antiferromagnet, J = 499 a nan row that stops
-    # at its cell ends; the count includes the refinement and the rows
+    # at its end points; the default weak sweep (J = -5..5 in steps of
+    # 0.1) shares its calls; each count includes the refinement and the rows
     evaluated = []
 
     def counting_work(j, h, betas, core_h=None):
         evaluated.append(np.size(h))
         return paper_work(j, h, betas, core_h)
 
+    def grid_points(js):
+        return sum(len(np.arange(0.0, 4.0 * max(1.0, abs(j)) + 0.005, 1e-2)) for j in js)
+
     paper_work = protocols._paper_work
     monkeypatch.setattr(protocols, "_paper_work", counting_work)
     rows = sweep_j([-499.0, 499.0], BETAS)
-    grid_points = 2 * len(np.arange(0.0, 4.0 * 499.0 + 0.005, 1e-2))
-    assert sum(evaluated) <= 0.05 * grid_points
+    assert sum(evaluated) <= 0.05 * grid_points([-499.0, 499.0])
     assert rows[0].work_density > 0.0 and math.isnan(rows[1].work_density)
+    evaluated.clear()
+    weak = [-5.0 + 0.1 * k for k in range(101)]
+    sweep_j(weak, BETAS)
+    assert sum(evaluated) <= 0.25 * grid_points(weak)
 
 
 def test_golden_max_batch_matches_scalar_calls():
@@ -389,9 +502,9 @@ def test_golden_max_batch_matches_scalar_calls():
 
     lo = np.array([0.0, 1.0, 0.5, 1.2, 1.2])
     hi = np.array([3.0, 2.0, 2.5, 1.3, 1.2 + 5e-9])
-    batch = protocols._golden_max(peak, lo, hi, 1e-8)
+    batch = gridsearch._golden_max(peak, lo, hi, 1e-8)
     for k in range(len(lo)):
-        assert batch[k] == protocols._golden_max(peak, lo[k], hi[k], 1e-8)
+        assert batch[k] == gridsearch._golden_max(peak, lo[k], hi[k], 1e-8)
     assert np.all(np.abs(batch[:4] - 1.25) <= 1e-8)
 
 
@@ -689,8 +802,8 @@ def pointwise_chain_optimum(n, j, betas, epsilon):
     def w_of(hs):
         return evaluate(hs)[0]
 
-    scan = protocols._grid_argmax(w_of, epsilon, h_max, 1e-2)
-    h_opt = protocols._refine(lambda rows, h: w_of(h), [scan])
+    scan = gridsearch._grid_argmax(w_of, epsilon, h_max, 1e-2)
+    h_opt = gridsearch._refine(lambda rows, h: w_of(h), [scan])
     w_opt, eta_opt = evaluate(h_opt)
     return ChainPoint(float(j), float(epsilon), float(h_opt[0]),
                       float(w_opt[0]), float(eta_opt[0]))

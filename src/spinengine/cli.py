@@ -320,8 +320,14 @@ def _j_grid(lo, hi, step):
                   type=_checked(float, lambda x: x > 0, "--j-step must be positive")))
 
 
-_BETAS = (_flag("--beta-h", default=0.5, type=float, help="hot inverse temperature"),
-          _flag("--beta-c", default=1.0, type=float, help="cold inverse temperature"))
+def _inverse_temperature(name):
+    return _checked(float, lambda b: 0 < b < math.inf, f"{name} must be positive and finite")
+
+
+_BETAS = (_flag("--beta-h", default=0.5, type=_inverse_temperature("--beta-h"),
+                help="hot inverse temperature"),
+          _flag("--beta-c", default=1.0, type=_inverse_temperature("--beta-c"),
+                help="cold inverse temperature"))
 _GRID_STEP = _flag("--grid-step", default=1e-2,
                    type=_checked(float, lambda x: 0 < x < math.inf,
                                  "--grid-step must be positive and finite"),
@@ -360,7 +366,7 @@ _COMMANDS = {
         _GRID_STEP)),
     "optimal-field": (cmd_optimal_field, "optimal corner field vs J per temperature (CSV)", (
         _flag("--beta", action="append", default=(1.0, 2.0, 3.0),
-              type=_checked(float, lambda b: not b <= 0, "--beta values must be positive"),
+              type=_inverse_temperature("--beta values"),
               help="inverse temperature; repeat for several curves"),
         *_j_grid(-3.0, 0.0, 0.01))),
     "bound": (cmd_bound, "four-corner efficiency bound (JSON)", (

@@ -72,7 +72,7 @@ def _grid_argmax(w_of, lo: float, hi: float, step: float):
 
 
 def _nested_argmax(work, floors: np.ndarray, tops: np.ndarray, step: float,
-                   cell_bound=None) -> np.ndarray:
+                   cell_bound=None, block: int = _SCAN_BLOCK) -> np.ndarray:
     """The :func:`_grid_argmax` result of ``work(rows, h)`` on the grid
     floors[k], floors[k] + step, ..., tops[k] of every row k, one row of
     the returned array each, from one nested scan of all rows.
@@ -82,7 +82,7 @@ def _nested_argmax(work, floors: np.ndarray, tops: np.ndarray, step: float,
     as one cell between its end points.  At each level every cell is cut
     at the largest power of ``_BRANCH`` below its width (at stride 1
     without ``cell_bound``); the new points of all rows go to shared
-    ``work`` calls of at most ``_SCAN_BLOCK`` points.  ``cell_bound(rows,
+    ``work`` calls of at most ``block`` points.  ``cell_bound(rows,
     h, w)`` maps the fields and the work at consecutive points along the
     last axis to an upper bound on the work over each cell between them;
     a cell whose bound lies below its row's best value by more than a
@@ -103,8 +103,8 @@ def _nested_argmax(work, floors: np.ndarray, tops: np.ndarray, step: float,
         in blocks, fold them into each row's first maximum, and return the
         values when ``keep``."""
         kept = []
-        for a in range(0, total, _SCAN_BLOCK):
-            rows, idx = points(a, min(a + _SCAN_BLOCK, total))
+        for a in range(0, total, block):
+            rows, idx = points(a, min(a + block, total))
             w = work(rows, floors[rows] + idx * deltas[rows])
             fallback[rows[~np.isfinite(w)]] = True
             before = best[rows]

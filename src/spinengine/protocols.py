@@ -33,7 +33,7 @@ import numpy as np
 
 from . import ising, kernels
 from .engine import Betas, UndefinedResultError
-from .gridsearch import _PRUNE_RTOL, _grid_argmax, _nested_argmax, _refine
+from .gridsearch import _PRUNE_RTOL, _SCAN_BLOCK, _nested_argmax, _refine
 from .ising import _core
 
 PAPER_PROTOCOL = "paper"
@@ -43,6 +43,9 @@ _EXP_FLOOR = -700.0  # lowest Boltzmann exponent of a partition sum (see _weight
 # most field grid points per coupling: 50x the strong-coupling grids in use
 # (2e5 points), and 80 MB per grid array
 _GRID_POINTS_MAX = 10_000_000
+# most fields times sectors in one finite-chain work call: 8192 fields at
+# N = 24 (3.3 MB of weights) ran about 3 times slower per field than 5000
+_SECTOR_TERMS = 1 << 17
 
 
 class ProtocolFields(NamedTuple):
@@ -293,16 +296,22 @@ def _ring(n: int):
     return m[0], b, g
 
 
-def _weights(betas: Betas, x) -> np.ndarray:
-    """Boltzmann weights e^{-beta*x} of energies x >= 0 at both
-    temperatures, hot then cold along a new second-to-last axis, each at
-    least e^_EXP_FLOOR (1e-304).
+def _temperatures(betas: Betas) -> np.ndarray:
+    """Both inverse temperatures as a column, hot then cold."""
+    return np.array([[betas.beta_h], [betas.beta_c]])
+
+
+def _weights(beta: np.ndarray, x) -> np.ndarray:
+    """Boltzmann weights e^{-beta*x} of energies x >= 0 at each inverse
+    temperature of the column ``beta`` (:func:`_temperatures`, or its hot
+    row alone), along a new second-to-last axis, each at least
+    e^_EXP_FLOOR (1e-304).
 
     Every sum of them here has a term of at least 1, which absorbs the
     floor, and numpy's exp is 20 to 200 times slower where its result
     would be subnormal or 0.
     """
-    w = -np.array([[betas.beta_h], [betas.beta_c]]) * x[..., None, :]
+    w = -beta * x[..., None, :]
     np.maximum(w, _EXP_FLOOR, out=w)
     return np.exp(w, out=w)
 
@@ -327,16 +336,37 @@ def _sectors(ring, j, betas: Betas):
     """The sector terms of :func:`_chain_gap` on the :func:`_ring` at
     coupling ``j`` (a scalar, or one coupling per field along the last
     axis): each sector's lowest bond energy f_M = min -J*B, its sums C_M
-    at both temperatures (:func:`_weights`), and each class's excess
-    -J*B - f_M."""
+    at both temperatures (:func:`_weights`), and its hot sum D_M."""
     _, b, g = ring
     bond = -(b * j)
     f = bond.min(axis=0)
     excess = bond - f
-    return f, _sum_rows(g[..., None, :] * _weights(betas, excess)), excess
+    c = _sum_rows(g[..., None, :] * _weights(_temperatures(betas), excess))
+    return f, c, _sum_rows(g * excess * np.exp(-betas.beta_h * excess))
 
 
-def _chain_gap(ring, sectors, hs: np.ndarray, betas: Betas):
+def _columns(parts, rows) -> tuple:
+    """Columns ``rows`` (last axis) of each array of ``parts``, one per
+    field; a single column, which broadcasts, when all rows are one."""
+    rows = np.asarray(rows)
+    if rows.size and np.all(rows == rows.flat[0]):
+        rows = rows.reshape(-1)[:1]
+    return tuple(np.take(part, rows, axis=-1) for part in parts)
+
+
+def _sector_sums(m, f, c, hs, beta):
+    """The ground-shifted sector energies f_M - h*M - s at each field,
+    with s = min_M (f_M - h*M), and the sums z = sum_M C_M e^{-beta (f_M -
+    h*M - s)}, one row per inverse temperature of the column ``beta``
+    (``c`` holds C_M at the same temperatures).  1 <= z <= 2^N."""
+    shifted = f - m * hs
+    shifted -= shifted.min(axis=0)
+    weights = _weights(beta, shifted)
+    weights *= c
+    return shifted, _sum_rows(weights)
+
+
+def _chain_gap(ring, sectors, hs, betas: Betas):
     """Free-energy gap T_h*logZ_h - T_c*logZ_c of the ring at each field,
     and a function of no arguments that returns the hot entropy there.
 
@@ -347,26 +377,54 @@ def _chain_gap(ring, sectors, hs: np.ndarray, betas: Betas):
         C_M = sum_{B in M} g e^{-beta (-J*B - f_M)},
 
     with f_M the sector's lowest -J*B and s = min_M (f_M - h*M) the ground
-    energy, so a field costs one exponential per sector and temperature.
-    Every exponent is <= 0, and both temperatures share s, so strong
-    couplings do not cancel away the signal.  The hot entropy adds
-    D_M = sum_{B in M} g (-J*B - f_M) e^{-beta_h (-J*B - f_M)} from the
-    same classes.
+    energy, so a field costs one exponential per sector and temperature
+    (:func:`_sector_sums`).  Every exponent is <= 0, and both temperatures
+    share s, so strong couplings do not cancel away the signal.  The hot
+    entropy adds D_M = sum_{B in M} g (-J*B - f_M) e^{-beta_h (-J*B - f_M)};
+    the gap reads only f_M and C_M, the first two of ``sectors``.
     """
-    m, _, g = ring
-    f, c, excess = sectors
-    shifted = f - m * hs
-    shifted -= shifted.min(axis=0)
-    weights = _weights(betas, shifted)
-    weights *= c
-    z_h, z_c = _sum_rows(weights)
+    f, c = sectors[:2]
+    shifted, (z_h, z_c) = _sector_sums(ring[0], f, c, hs, _temperatures(betas))
 
     def hot_entropy():
-        d_h = _sum_rows(g * excess * np.exp(-betas.beta_h * excess))
+        d_h = sectors[2]
         energy = _sum_rows(np.exp(-betas.beta_h * shifted) * (shifted * c[:, 0] + d_h)) / z_h
         return betas.beta_h * energy + np.log(z_h)
 
     return betas.t_h * np.log(z_h) - betas.t_c * np.log(z_c), hot_entropy
+
+
+def _chain_cell_bound(rows, h, w, betas: Betas, j, hot_excess, block: int) -> np.ndarray:
+    """Upper bound of the ring's work per site over each cell between
+    consecutive fields h >= 0 along the last axis of ``h`` (one row of
+    cells per grid row ``rows``, as :func:`gridsearch._nested_argmax`
+    passes them), with ``w`` the work there and ``j`` the coupling of every
+    grid row: the smaller of two bounds, each certified for any cell width.
+
+    * Lipschitz, every row: dw/dh = (<M>_h - <M>_c)/N, and spin-flip
+      symmetry puts <M> in [0, N] on h >= 0, so a cell of width H holds
+      at most (w_a + w_b + H)/2.
+    * Excess, rows with J >= 0: z_c >= 1 (:func:`_sector_sums`), so
+      w <= T_h*log z_h / N, which ``hot_excess(rows, h)`` returns for at
+      most ``block`` fields a call.  For J >= 0 the ground sector is M = N
+      at every h >= 0, so T_h*log z_h has slope <M>_h - N <= 0 and its
+      cell maximum sits at the cell's left end.  Rows with J < 0 switch
+      ground sectors at up to N/2 fields and keep the Lipschitz bound
+      alone.
+
+    The bound is widened by ``_PRUNE_RTOL``*(T_h + T_c)*ln 2: each term
+    T*log z / N of w lies in [0, T*ln 2], and w, which can cancel, is
+    rounded at that absolute scale.
+    """
+    bound = 0.5 * (w[:, :-1] + w[:, 1:] + (h[:, 1:] - h[:, :-1]))
+    ferro = np.flatnonzero(j[rows] >= 0)
+    if len(ferro):
+        left = h[ferro, :-1].ravel()
+        left_rows = np.repeat(rows[ferro], w.shape[1] - 1)
+        excess = np.concatenate([hot_excess(left_rows[i:i + block], left[i:i + block])
+                                 for i in range(0, len(left), block)])
+        bound[ferro] = np.minimum(bound[ferro], excess.reshape(len(ferro), -1))
+    return bound + _PRUNE_RTOL * (betas.t_h + betas.t_c) * math.log(2.0)
 
 
 def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
@@ -378,14 +436,15 @@ def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
 
     The search runs on the work per site alone, gap / N, and the
     efficiency gap / (T_h*S_h) is computed once, at the optimum.  Each
-    pair scans its own field grid on [epsilon, 4*max(1, |J|)]
-    (:func:`_grid_tops`) in its own calls: a grid point costs N + 1
-    exponentials per temperature, so these calls are bound by arithmetic
-    already, and packing grids into shared calls as :func:`sweep_j` does
-    measured slower.  One golden-section refinement
-    (:func:`gridsearch._refine`) then runs for all pairs at once.  The
-    sector terms of the rows are built once; every work call takes the
-    columns of its rows.
+    pair has its own field grid on [epsilon, 4*max(1, |J|)]
+    (:func:`_grid_tops`), and one nested scan
+    (:func:`gridsearch._nested_argmax`) searches the grids of all pairs
+    in shared work calls, only in the cells that
+    :func:`_chain_cell_bound` cannot rule out.  One golden-section
+    refinement (:func:`gridsearch._refine`) then runs for all pairs at
+    once.  The sector terms of the rows are built once; a work call takes
+    the f_M and C_M columns of its rows, one column when they are all one
+    row.
     """
     eps = np.array(epsilons, dtype=np.float64).reshape(-1)
     if np.any(eps < 0):
@@ -394,14 +453,22 @@ def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
     js = np.array(j_values, dtype=np.float64).reshape(-1)
     eps_rows, j_rows = np.repeat(eps, len(js)), np.tile(js, len(eps))
     row_sectors = _sectors(ring, j_rows, betas)
+    hot = _temperatures(betas)[:1]
+    block = min(_SCAN_BLOCK, _SECTOR_TERMS // len(ring[0]))
 
     def work(rows, hs):
-        sectors = tuple(np.take(part, rows, axis=-1) for part in row_sectors)
-        return _chain_gap(ring, sectors, hs, betas)[0] / n
+        return _chain_gap(ring, _columns(row_sectors[:2], rows), hs, betas)[0] / n
 
-    tops = _grid_tops(j_rows, eps_rows, grid_step)
-    scans = [_grid_argmax(lambda h: work([row], h), lo, hi, grid_step)
-             for row, (lo, hi) in enumerate(zip(eps_rows, tops))]
+    def hot_excess(rows, hs):
+        f, c = _columns(row_sectors[:2], rows)
+        _, (z_h,) = _sector_sums(ring[0], f, c[:, :1], hs, hot)
+        return betas.t_h * np.log(z_h) / n
+
+    def cell_bound(rows, h, w):
+        return _chain_cell_bound(rows[:, 0], h, w, betas, j_rows, hot_excess, block)
+
+    scans = _nested_argmax(work, eps_rows, _grid_tops(j_rows, eps_rows, grid_step), grid_step,
+                           cell_bound, block)
     h_opt = _refine(work, scans)
     gap, hot_entropy = _chain_gap(ring, row_sectors, h_opt, betas)
     s_h = hot_entropy()

@@ -423,6 +423,40 @@ def test_nonfinite_grid_flag_names_the_flag(capsys, argv, flag):
     assert f"argument {flag}:" in captured.err and "finite" in captured.err
 
 
+
+@pytest.mark.parametrize("argv, flag", [
+    (["optimal-field", "--beta", "nan"], "--beta"),
+    (["optimal-field", "--beta", "1", "--beta", "inf"], "--beta"),
+    (["optimal-field", "--beta", "0"], "--beta"),
+    (["sweep-j", "--beta-h", "nan"], "--beta-h"),
+    (["sweep-j", "--beta-c", "inf"], "--beta-c"),
+    (["precision", "--epsilon", "0", "--beta-c", "nan"], "--beta-c"),
+    (["bound", "--beta-h", "inf"], "--beta-h"),
+    (["cycle", "--beta-h", "-1"], "--beta-h"),
+])
+def test_bad_inverse_temperature_names_the_flag(capsys, argv, flag):
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"argument {flag}:" in captured.err and "positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("command, entries, key, flag", [
+    ("optimal-field", {"beta": [1.0, math.nan]}, "beta", "--beta"),  # written as NaN
+    ("sweep-j", {"beta_h": "nan"}, "beta_h", "--beta-h"),
+    ("bound", {"beta_c": math.inf}, "beta_c", "--beta-c"),
+])
+def test_bad_inverse_temperature_in_config_names_key_and_flag(tmp_path, capsys, command,
+                                                              entries, key, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries), encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert repr(key) in captured.err and f"argument {flag}:" in captured.err
+
 def test_config_exit_codes(tmp_path):
     assert main(["precision", "-N", "25", "--epsilon", "0"]) == EXIT_CONFIG
     assert main(["precision"]) == EXIT_CONFIG  # no epsilon given

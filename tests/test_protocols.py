@@ -833,3 +833,102 @@ def test_chain_validation():
         chain_efficiency_at_max_work(6, 1.0, BETAS, epsilon=-1.0)
     with pytest.raises(ValueError):
         chain_sweep(6, [1.0], BETAS, [0.0, -1.0])
+
+
+def chain_search(monkeypatch, n, js, betas, floors, step):
+    """The work and cell bound callbacks that chain_sweep hands to the
+    nested scan, with the floors and tops of its rows."""
+    captured = {}
+    nested = protocols._nested_argmax
+
+    def recording(work, floors, tops, step, cell_bound, *rest):
+        captured.update(work=work, floors=floors, tops=tops, cell_bound=cell_bound)
+        return nested(work, floors, tops, step, cell_bound, *rest)
+
+    monkeypatch.setattr(protocols, "_nested_argmax", recording)
+    chain_sweep(n, js, betas, floors, grid_step=step)
+    monkeypatch.undo()
+    return captured
+
+
+@pytest.mark.parametrize("beta_h,beta_c", [(0.5, 1.0), (1e-2, 0.7), (1.0, 30.0), (1e-2, 30.0)])
+def test_chain_cell_bound_covers_every_grid_point(monkeypatch, beta_h, beta_c):
+    # at every cell width the nested scan forms (each power of _BRANCH
+    # below the grid length, with a shorter last cell), the bound of each
+    # cell lies above chain_sweep's work at every grid point of the cell,
+    # and so does its excess part alone (an infinite Lipschitz part); the
+    # grids end at 4*max(1, |J|), past the antiferromagnets' last switch.
+    # Each bound also lies at least half the rounding margin above both
+    # ends of its cell, so a cell that ties the best to rounding is kept
+    betas = Betas(beta_h, beta_c)
+    margin = gridsearch._PRUNE_RTOL * (betas.t_h + betas.t_c) * math.log(2.0)
+    js = [s * j for j in (1e-3, 0.5, 5.0, 200.0) for s in (-1.0, 1.0)]
+    step = 0.05
+    for n in (1, 2, 3, 6, 10, 24):
+        search = chain_search(monkeypatch, n, js, betas, [0.0, 0.3], step)
+        work, cell_bound = search["work"], search["cell_bound"]
+        for row, (floor, top) in enumerate(zip(search["floors"], search["tops"])):
+            grid = np.arange(floor, top + 0.5 * step, step)
+            w = work(np.full(len(grid), row), grid)
+            width = 1
+            while width < len(grid) - 1:
+                ends = np.append(np.arange(0, len(grid) - 1, width), len(grid) - 1)
+                cell_max = np.maximum(np.maximum.reduceat(w, ends[:-1]), w[ends[1:]])
+                both, excess_only = (
+                    cell_bound(np.array([[row]]), grid[ends][None], w_ends[None])[0]
+                    for w_ends in (w[ends], np.full(len(ends), np.inf)))
+                case = (n, js[row % len(js)], floor, width)
+                assert np.all(both >= cell_max), case
+                assert np.all(excess_only >= cell_max), case
+                assert np.all(both >= np.maximum(w[ends[:-1]], w[ends[1:]]) + 0.5 * margin)
+                width *= gridsearch._BRANCH
+
+
+def test_chain_sweep_matches_full_scan_and_refinement_per_row():
+    # seeded draws of N, betas, couplings (strong ones of both signs),
+    # floors up to 100 and grid steps: every row equals one unpruned scan
+    # of its own grid, refined by _refine, bit for bit
+    rng = np.random.default_rng(2024)
+    for _ in range(10):
+        n = int(rng.integers(1, 25))
+        beta_h, beta_c = sorted(10.0 ** rng.uniform(-2.0, 1.5, size=2))
+        betas = Betas(beta_h, beta_c * 1.01)
+        js = np.append(rng.choice((-1.0, 1.0), 3) * 10.0 ** rng.uniform(-3.0, 3.0, 3),
+                       rng.choice((-1.0, 1.0)) * rng.uniform(30.0, 300.0))
+        floors = rng.choice([0.0, 0.05, 0.3, 2.0, 100.0], size=2, replace=False)
+        j_rows, floor_rows = np.tile(js, 2), np.repeat(floors, len(js))
+        tops = protocols._grid_tops(j_rows, floor_rows, 1.0)
+        step = max(10.0 ** rng.uniform(np.log10(0.003), np.log10(0.5)),
+                   np.max(tops - floor_rows) / 2e4)
+        ring = protocols._ring(n)
+
+        def work(j, h):
+            return protocols._chain_gap(ring, protocols._sectors(ring, j, betas), h, betas)[0] / n
+
+        scans = [full_grid_argmax(lambda h: work(j, h), floor, top, step)
+                 for j, floor, top in zip(j_rows, floor_rows, tops)]
+        h_ref = gridsearch._refine(lambda rows, h: work(j_rows[rows], h), scans)
+        got = chain_sweep(n, js, betas, floors, grid_step=step)
+        assert_same_bits([p.h_opt for p in got], h_ref)
+        assert_same_bits([p.work_density for p in got], work(j_rows, h_ref))
+
+
+def test_pruned_chain_sweep_evaluates_few_grid_points(monkeypatch):
+    # the precision run of the chains benchmark (N = 10, floors 0 and 0.1,
+    # J = 0..20 in steps of 2): the work calls and the excess bound, golden
+    # refinement included, evaluate at most 5% of its grid points
+    evaluated = []
+
+    def counting_sums(m, f, c, hs, beta):
+        evaluated.append(np.size(hs))
+        return sector_sums(m, f, c, hs, beta)
+
+    sector_sums = protocols._sector_sums
+    monkeypatch.setattr(protocols, "_sector_sums", counting_sums)
+    js, floors = [2.0 * k for k in range(11)], [0.0, 0.1]
+    rows = chain_sweep(10, js, BETAS, floors)
+    evaluated.pop()  # the efficiency at the optimum
+    grid_points = sum(len(np.arange(eps, 4.0 * max(1.0, j) + 0.005, 1e-2))
+                      for eps in floors for j in js)
+    assert sum(evaluated) <= 0.05 * grid_points
+    assert all(point.work_density > 0.0 for point in rows)

@@ -153,6 +153,16 @@ def _paper_work(j, h, betas: Betas, core_h=None):
     return delta_h / bh - ising._log_excess(bc * j, bc * np.abs(h)) / bc
 
 
+def _peaked_cell_max(h, values, peak, peak_value) -> np.ndarray:
+    """Maximum over each cell between consecutive fields along the last
+    axis of ``h`` of a function that rises up to ``peak`` and falls after
+    it, from its ``values`` at the fields and its ``peak_value`` at
+    ``peak`` (both broadcast against the cells): the larger cell end, or
+    the peak value when the cell contains the peak."""
+    ends = np.maximum(values[..., :-1], values[..., 1:])
+    return np.where((h[..., :-1] < peak) & (peak < h[..., 1:]), np.maximum(ends, peak_value), ends)
+
+
 def _paper_cell_bound(j, h, w, betas: Betas) -> np.ndarray:
     """Upper bound of :func:`_paper_work` over each cell between
     consecutive fields h >= 0 along the last axis of ``h``, with ``w``
@@ -168,20 +178,41 @@ def _paper_cell_bound(j, h, w, betas: Betas) -> np.ndarray:
       m_h - rb (rb = 0 below the switch, 1 above it): it rises up to the
       switch for J < 0 and falls after it (on all of h >= 0 for J >= 0),
       so its cell maximum sits at a cell end, or at h = 2|J| when the cell
-      contains it.
+      contains it (:func:`_peaked_cell_max`).
 
     The bound is widened by ``_PRUNE_RTOL`` times the excess bound, the
     scale of the rounding in w = T_h*delta_h - T_c*delta_c.
     """
     bh = betas.beta_h
     switch = np.maximum(-2.0 * np.asarray(j, dtype=np.float64), 0.0)
-    excess_switch = ising._log_excess(bh * j, bh * switch) / bh
-    excess = ising._log_excess(bh * j, bh * h) / bh
-    excess = np.maximum(excess[..., :-1], excess[..., 1:])
-    excess = np.where((h[..., :-1] < switch) & (switch < h[..., 1:]),
-                      np.maximum(excess, excess_switch), excess)
+    excess = _peaked_cell_max(h, ising._log_excess(bh * j, bh * h) / bh,
+                              switch, ising._log_excess(bh * j, bh * switch) / bh)
     lipschitz = 0.5 * (w[..., :-1] + w[..., 1:] + (h[..., 1:] - h[..., :-1]))
     return np.minimum(lipschitz, excess) + _PRUNE_RTOL * excess
+
+
+def _free_cell_bound(j, h, peak, betas: Betas) -> np.ndarray:
+    """Upper bound of :func:`_free_work` over each cell between
+    consecutive fields h >= 0 along the last axis of ``h``, with ``j`` the
+    coupling and ``peak`` = ``ising.optimal_field(beta_h, J)``, broadcast
+    against them (one per row of cells in
+    :func:`gridsearch._nested_argmax`), certified for any cell width.
+
+    w = (T_h - T_c)*s_h - T_c*D_min with D_min >= 0, so w <= (T_h -
+    T_c)*s_h.  The hot entropy s_h rises up to the optimal field and falls
+    after it, so its cell maximum sits at a cell end, or at the optimal
+    field when the cell contains it (:func:`_peaked_cell_max`).  s_h is
+    computed by the same expression as in :func:`_free_work`, so the bound
+    lies above w at every grid point bit for bit; it is widened by
+    ``_PRUNE_RTOL`` times its size, for the rounding of s_h between the
+    grid points and at the peak.
+    """
+    def hot_entropy(h):
+        a_h, b_h = betas.beta_h * j, betas.beta_h * np.abs(h)
+        return (betas.t_h - betas.t_c) * _core(a_h, b_h).entropy(a_h, b_h)
+
+    bound = _peaked_cell_max(h, hot_entropy(h), peak, hot_entropy(peak))
+    return bound + _PRUNE_RTOL * np.abs(bound)
 
 
 def _free_penalty_min(j, h_b, betas: Betas, core_s=None):
@@ -245,25 +276,30 @@ def sweep_j(j_values: Sequence[float], betas: Betas,
     Each coupling gets a field grid on [0, 4*max(1, |J|)]
     (:func:`_grid_tops`), and one nested scan
     (:func:`gridsearch._nested_argmax`) searches the grids of all
-    couplings in shared work calls: in paper mode only in the cells that
-    :func:`_paper_cell_bound` cannot rule out, in free mode (no such
-    bound) on every grid point.  One golden-section refinement
+    couplings in shared work calls, only in the cells that the mode's
+    certified bound cannot rule out (:func:`_paper_cell_bound`, or
+    :func:`_free_cell_bound` with one :func:`ising.optimal_field` call for
+    all couplings).  One golden-section refinement
     (:func:`gridsearch._refine`) then runs for all couplings at once.
     """
     if mode not in (PAPER_PROTOCOL, FREE_FIELDS):
         raise ValueError(f"unknown protocol mode: {mode!r}")
-    work = _paper_work if mode == PAPER_PROTOCOL else _free_work
+    paper = mode == PAPER_PROTOCOL
+    work = _paper_work if paper else _free_work
     js = np.array(j_values, dtype=np.float64).reshape(-1)
     floors = np.zeros(len(js))
+    tops = _grid_tops(js, floors, grid_step)
+    peaks = None if paper else ising.optimal_field(betas.beta_h, js)
 
     def row_work(rows, h):
         return work(js[rows], h, betas)
 
     def cell_bound(rows, h, w):
-        return _paper_cell_bound(js[rows], h, w, betas)
+        if paper:
+            return _paper_cell_bound(js[rows], h, w, betas)
+        return _free_cell_bound(js[rows], h, peaks[rows], betas)
 
-    scans = _nested_argmax(row_work, floors, _grid_tops(js, floors, grid_step), grid_step,
-                           cell_bound if mode == PAPER_PROTOCOL else None)
+    scans = _nested_argmax(row_work, floors, tops, grid_step, cell_bound)
     h_opt = _refine(row_work, scans)
     a_h, b_h = betas.beta_h * js, betas.beta_h * np.abs(h_opt)
     core_h = _core(a_h, b_h)

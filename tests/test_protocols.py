@@ -188,8 +188,8 @@ def test_paper_sweep_matches_full_core_scan():
         return w, eta
 
     js = np.array([-1e4, -500.0, -499.0, -3.0, 0.0, 1.0, 200.0, 250.0, 499.0])
-    scans = [gridsearch._grid_argmax(lambda h: work_eta(j, h)[0],
-                                    0.0, 4.0 * max(1.0, abs(j)), 1e-2) for j in js]
+    scans = [full_grid_argmax(lambda h: work_eta(j, h)[0], 0.0, 4.0 * max(1.0, abs(j)), 1e-2)
+             for j in js]
     h_ref = gridsearch._refine(lambda rows, h: work_eta(js[rows], h)[0], scans)
     w_ref, eta_ref = work_eta(js, h_ref)
     got = sweep_j(js, BETAS, PAPER_PROTOCOL)
@@ -198,9 +198,10 @@ def test_paper_sweep_matches_full_core_scan():
 
 
 def full_grid_argmax(w_of, lo, hi, step):
-    # the unpruned scan: every grid point in one call, first maximum wins
+    # the unpruned scan: every grid point, in calls of 8192 points that keep
+    # the temporaries of a 4e6-point grid small; the first maximum wins
     grid = np.arange(lo, hi + 0.5 * step, step)
-    w_grid = w_of(grid)
+    w_grid = np.concatenate([w_of(grid[i:i + 8192]) for i in range(0, len(grid), 8192)])
     k = int(np.argmax(w_grid))
     return grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], grid[k], w_grid[k]
 
@@ -215,17 +216,35 @@ def paper_bound(js, betas):
     return lambda rows, h, w: protocols._paper_cell_bound(js[rows], h, w, betas)
 
 
-def table_scans(tables, cell_bound=None, calls=None):
+def free_bound(js, betas):
+    # the nested scan's cell bound in free mode, as sweep_j builds it
+    js = np.asarray(js, dtype=np.float64).reshape(-1)
+    peaks = ising.optimal_field(betas.beta_h, js)
+    return lambda rows, h, w: protocols._free_cell_bound(js[rows], h, peaks[rows], betas)
+
+
+def never_prunes(rows, h, w):
+    # a cell bound that keeps every cell
+    return np.full(w[..., 1:].shape, np.inf)
+
+
+def table_scans(tables, cell_bound=never_prunes, calls=None):
     # the nested scan of work(rows, h) on synthetic tables over the
-    # integer grids 0..n-1, recording the size of each work call
+    # integer grids 0..n-1, recording the rows and fields of each work call
     def work(rows, h):
-        if calls is not None:
-            calls.append(len(h))
         rows = np.broadcast_to(rows, h.shape)
+        if calls is not None:
+            calls.append((np.array(rows), np.array(h)))
         return np.array([tables[r][int(x)] for r, x in zip(rows, h)])
 
     tops = np.array([len(t) - 1.0 for t in tables])
     return gridsearch._nested_argmax(work, np.zeros(len(tables)), tops, 1.0, cell_bound)
+
+
+def full_scans(calls, sizes):
+    # the rows that one work call evaluates at every grid point, in call order
+    return [int(rows[0]) for rows, h in calls
+            if np.all(rows == rows[0]) and np.array_equal(h, np.arange(sizes[rows[0]]))]
 
 
 def exact_cell_max(tables):
@@ -316,8 +335,9 @@ def test_packed_scan_matches_one_scan_per_coupling(mode, step):
         assert sum(sizes[1:5]) < gridsearch._SCAN_BLOCK < sum(sizes[1:6])
     paper = mode == PAPER_PROTOCOL
     work = protocols._paper_work if paper else protocols._free_work
+    bound = paper_bound if paper else free_bound
     got = gridsearch._nested_argmax(lambda rows, h: work(js[rows], h, BETAS), floors, tops, step,
-                                   paper_bound(js, BETAS) if paper else None)
+                                   bound(js, BETAS))
     for row, j in enumerate(js):
         want = full_grid_argmax(lambda h: work(j, h, BETAS), 0.0, tops[row], step)
         assert_same_bits(got[row], want)
@@ -339,12 +359,12 @@ def test_packed_scan_takes_each_rows_first_maximum():
     tables[8][[3, 63]] = [np.inf, np.inf]    # infinite ties
     calls = []
     got = table_scans(tables, calls=calls)
-    # the end points of all rows, then the inner points of every row with
-    # finite ends in one shared call, then one full scan of each row with
-    # a non-finite value (rows 3 and 8 at an end, row 6 inside)
-    inner = sum(max(n - 2, 0) for row, n in enumerate(sizes) if row not in (3, 8))
-    assert calls == [2 * len(sizes), inner, 3000, 2500, 64]
-    assert max(calls) <= gridsearch._SCAN_BLOCK
+    # the end points of all rows come first, in one call; the new points of
+    # each level go to shared calls; only the rows with a non-finite value
+    # (rows 3 and 8 at an end, row 6 inside) are scanned again in full
+    assert len(calls[0][1]) == 2 * len(sizes)
+    assert max(len(h) for _, h in calls) <= gridsearch._SCAN_BLOCK
+    assert full_scans(calls, sizes) == [3, 6, 8]
     for row, table in enumerate(tables):
         assert_same_bits(got[row], full_grid_argmax(lambda h: table[h.astype(np.int64)],
                                                     0.0, sizes[row] - 1.0, 1.0))
@@ -356,30 +376,23 @@ def test_nested_scan_of_one_and_two_point_grids(bounded):
     # no cell to cut, with or without a cell bound
     tables = [np.array([0.5]), np.array([1.0, 2.0]), np.array([2.0, 1.0]),
               np.array([3.0, 3.0]), np.array([np.nan, 1.0]), np.array([-1.0])]
-    got = table_scans(tables, exact_cell_max(tables) if bounded else None)
+    got = table_scans(tables, exact_cell_max(tables) if bounded else never_prunes)
     for row, table in enumerate(tables):
         assert_same_bits(got[row], full_grid_argmax(lambda h: table[h.astype(np.int64)],
                                                     0.0, len(table) - 1.0, 1.0))
 
 
 @pytest.mark.parametrize("bounded", [False, True])
-def test_nested_scan_rescans_a_row_with_an_inner_non_finite_value(monkeypatch, bounded):
+def test_nested_scan_rescans_a_row_with_an_inner_non_finite_value(bounded):
     # a nan or inf anywhere but at the first point sends its row, and only
-    # that row, to one unpruned _grid_argmax
+    # that row, to one more scan of every grid point
     tables = [-np.abs(np.arange(1000.0) - 300.0) for _ in range(4)]
     tables[1][700] = np.nan
     tables[2][0] = np.nan
     tables[3][999] = np.inf
-    rescanned = []
-    grid_argmax = gridsearch._grid_argmax
-
-    def recording_grid_argmax(w_of, lo, hi, step):
-        rescanned.append(hi)
-        return grid_argmax(w_of, lo, hi, step)
-
-    monkeypatch.setattr(gridsearch, "_grid_argmax", recording_grid_argmax)
-    got = table_scans(tables, exact_cell_max(tables) if bounded else None)
-    assert rescanned == [999.0, 999.0]
+    calls = []
+    got = table_scans(tables, exact_cell_max(tables) if bounded else never_prunes, calls)
+    assert full_scans(calls, [1000] * len(tables)) == [1, 3]
     for row, table in enumerate(tables):
         assert_same_bits(got[row], full_grid_argmax(lambda h: table[h.astype(np.int64)],
                                                     0.0, 999.0, 1.0))
@@ -389,17 +402,20 @@ def test_nested_scan_rescans_a_row_with_an_inner_non_finite_value(monkeypatch, b
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("mode", [PAPER_PROTOCOL, FREE_FIELDS])
 def test_sweep_matches_full_scan_and_refinement_per_coupling(mode):
-    # seeded draws of betas, couplings and grid steps, with the nan rows
-    # J = 200 and 1e3: every row equals one unpruned scan of its own grid,
-    # refined by _refine, bit for bit
+    # seeded draws of betas, couplings (out to |J| = 500 in free mode, with
+    # a strong antiferromagnet in every draw and a step of at least 0.05)
+    # and grid steps, with the nan rows J = 200 and 1e3: every row equals
+    # one unpruned scan of its own grid, refined by _refine, bit for bit
     rng = np.random.default_rng(23 if mode == PAPER_PROTOCOL else 24)
     work = protocols._paper_work if mode == PAPER_PROTOCOL else protocols._free_work
     for _ in range(8 if mode == PAPER_PROTOCOL else 4):
         beta_h, beta_c = sorted(10.0 ** rng.uniform(-2.0, 1.5, size=2))
         betas = Betas(beta_h, beta_c * 1.01)
-        top_j = 2000.0 if mode == PAPER_PROTOCOL else 50.0
+        top_j = 2000.0 if mode == PAPER_PROTOCOL else 500.0
         js = np.append(rng.choice((-1.0, 1.0), 6) * 10.0 ** rng.uniform(-3.0, np.log10(top_j), 6),
                        [200.0, 1e3])
+        if mode == FREE_FIELDS:
+            js = np.append(js, -rng.uniform(100.0, top_j))
         step = 10.0 ** rng.uniform(np.log10(0.003 if mode == PAPER_PROTOCOL else 0.05),
                                    np.log10(0.5))
         floors = np.zeros(len(js))
@@ -471,6 +487,73 @@ def test_paper_cell_bound_covers_every_grid_point(beta_h, beta_c):
             width *= gridsearch._BRANCH
 
 
+def hot_entropy_term(j, h, betas):
+    # (T_h - T_c)*s_h, the first term of _free_work and its bound
+    a_h, b_h = betas.beta_h * j, betas.beta_h * np.abs(h)
+    return (betas.t_h - betas.t_c) * ising._core(a_h, b_h).entropy(a_h, b_h)
+
+
+def test_free_cell_bound_premises():
+    # the premises of _free_cell_bound at 4000 random (beta_h, beta_c, J, h),
+    # weak and strong coupling, against pairs of nearby fields h1 < h2
+    # (finite differences): the free work lies below (T_h - T_c)*s_h, and
+    # s_h rises up to ising.optimal_field(beta_h, J) and falls after it
+    rng = np.random.default_rng(1984)
+    rtol = gridsearch._PRUNE_RTOL
+    for _ in range(500):
+        beta_h, beta_c = sorted(10.0 ** rng.uniform(-3.0, 3.0, size=2))
+        betas = Betas(beta_h, beta_c)
+        j = rng.choice((-1.0, 1.0), size=8) * 10.0 ** rng.uniform(-3.0, 4.0, size=8)
+        peak = ising.optimal_field(beta_h, j)
+        h1 = np.where(rng.random(8) < 0.5, rng.uniform(0.0, 4.0, 8) * np.maximum(1.0, np.abs(j)),
+                      peak + rng.normal(0.0, 1.0, 8) / beta_h)
+        h1 = np.abs(h1) + 1e-300
+        h2 = h1 + 10.0 ** rng.uniform(-4.0, 0.0, 8)
+        s1, s2 = hot_entropy_term(j, h1, betas), hot_entropy_term(j, h2, betas)
+        assert np.all(np.isfinite(s1) & np.isfinite(s2))
+        # strong ferromagnets (beta_c*J above ~186) are nan at every field
+        with np.errstate(invalid="ignore"):
+            w1, w2 = protocols._free_work(j, h1, betas), protocols._free_work(j, h2, betas)
+        assert np.all(~(w1 > s1) & ~(w2 > s2))
+        rising, falling = h2 <= peak, h1 >= peak
+        assert np.all(s2[rising] >= s1[rising] - rtol * s2[rising])
+        assert np.all(s2[falling] <= s1[falling] + rtol * s1[falling])
+
+
+@pytest.mark.parametrize("beta_h,beta_c", [(0.5, 1.0), (0.05, 2.0), (1.0, 2.5), (3.0, 30.0)])
+def test_free_cell_bound_covers_every_grid_point(beta_h, beta_c):
+    # at every cell width the nested scan forms (each power of _BRANCH
+    # below the grid length, with a shorter last cell), the bound of each
+    # cell lies above the free work and above (T_h - T_c)*s_h at every grid
+    # point of the cell, and at least half the rounding margin above both
+    # cell ends of the latter; rows whose work is nan are skipped (strong
+    # ferromagnets, beta_c*J above ~186, are nan at every field)
+    betas = Betas(beta_h, beta_c)
+    rtol = gridsearch._PRUNE_RTOL
+    checked = 0
+    for j in (-100.0, -7.3, -1.0, -0.3, -0.02, 0.0, 0.5, 3.0, 60.0):
+        grid = np.arange(0.0, 4.0 * max(1.0, abs(j)) + 0.5e-2, 1e-2)
+        with np.errstate(invalid="ignore"):
+            w = protocols._free_work(j, grid, betas)
+        if np.any(np.isnan(w)):
+            continue
+        checked += 1
+        s = hot_entropy_term(j, grid, betas)
+        bound = free_bound([j], betas)
+        width = 1
+        while width < len(grid) - 1:
+            ends = np.append(np.arange(0, len(grid) - 1, width), len(grid) - 1)
+            got = bound(np.array([[0]]), grid[ends][None], w[ends][None])[0]
+            case = (j, width)
+            assert np.all(got >= np.maximum(np.maximum.reduceat(w, ends[:-1]), w[ends[1:]])), case
+            cell_s = np.maximum(np.maximum.reduceat(s, ends[:-1]), s[ends[1:]])
+            assert np.all(got >= cell_s), case
+            s_ends = np.maximum(s[ends[:-1]], s[ends[1:]])
+            assert np.all(got >= s_ends + 0.5 * rtol * np.abs(s_ends)), case
+            width *= gridsearch._BRANCH
+    assert checked >= 8
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_pruned_sweep_evaluates_few_grid_points(monkeypatch):
     # J = -499 is a pruned antiferromagnet, J = 499 a nan row that stops
@@ -494,6 +577,31 @@ def test_pruned_sweep_evaluates_few_grid_points(monkeypatch):
     weak = [-5.0 + 0.1 * k for k in range(101)]
     sweep_j(weak, BETAS)
     assert sum(evaluated) <= 0.25 * grid_points(weak)
+
+
+def test_pruned_free_sweep_evaluates_few_grid_points(monkeypatch):
+    # the free sweep at J = -1e4 (4e6 grid points) evaluates the work, golden
+    # refinement included, and its cell bound each at 0.01% of its grid
+    # points at most
+    evaluated, bounded = [], []
+    free_work, free_cell_bound = protocols._free_work, protocols._free_cell_bound
+
+    def counting_work(j, h, betas, core_h=None):
+        evaluated.append(np.size(h))
+        return free_work(j, h, betas, core_h)
+
+    def counting_bound(j, h, peak, betas):
+        bounded.append(np.size(h))
+        return free_cell_bound(j, h, peak, betas)
+
+    monkeypatch.setattr(protocols, "_free_work", counting_work)
+    monkeypatch.setattr(protocols, "_free_cell_bound", counting_bound)
+    row = sweep_j([-1e4], BETAS, FREE_FIELDS)[0]
+    grid_points = len(np.arange(0.0, 4e4 + 0.005, 1e-2))
+    assert sum(evaluated) <= 1e-4 * grid_points
+    assert sum(bounded) <= 1e-4 * grid_points
+    assert row.work_density == pytest.approx((BETAS.t_h - BETAS.t_c) * math.log((1 + 5 ** 0.5) / 2),
+                                             rel=1e-12)
 
 
 def test_golden_max_batch_matches_scalar_calls():
@@ -802,7 +910,7 @@ def pointwise_chain_optimum(n, j, betas, epsilon):
     def w_of(hs):
         return evaluate(hs)[0]
 
-    scan = gridsearch._grid_argmax(w_of, epsilon, h_max, 1e-2)
+    scan = full_grid_argmax(w_of, epsilon, h_max, 1e-2)
     h_opt = gridsearch._refine(lambda rows, h: w_of(h), [scan])
     w_opt, eta_opt = evaluate(h_opt)
     return ChainPoint(float(j), float(epsilon), float(h_opt[0]),

@@ -30,9 +30,10 @@ Determinism contract: identical invocations produce byte-identical
 output.  Floats are printed as their shortest round-trip decimal, CSV
 is UTF-8 with "\n" line endings, the header row comes first, and the
 second line echoes the resolved parameters as canonical JSON in a
-comment ``# params: {...}``.  Grid points are evaluated in index order
-on one thread; ``--threads`` is still accepted and validated but has no
-effect.
+comment ``# params: {...}``.  Grid points are evaluated on one thread,
+in a fixed order that depends only on the arguments (the field search
+visits them level by level, see ``gridsearch``); ``--threads`` is still
+accepted and validated but has no effect.
 """
 
 from __future__ import annotations
@@ -93,11 +94,7 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _emit_csv(path, header: str, params: dict, rows) -> None:
-    _emit_csv_lines(path, header, params, (",".join(_cell(c) for c in row) for row in rows))
-
-
-def _emit_csv_lines(path, header: str, params: dict, lines) -> None:
+def _emit_csv(path, header: str, params: dict, lines) -> None:
     """Write the CSV header, the params comment and the data lines, each
     already formatted."""
     _write_text(path, "\n".join([header, "# params: " + _canonical_json(params), *lines]) + "\n")
@@ -147,7 +144,8 @@ def _j_values(args) -> list[float]:
 def cmd_sweep_j(args) -> int:
     betas = Betas(args.beta_h, args.beta_c)
     rows = protocols.sweep_j(_j_values(args), betas, args.mode, grid_step=args.grid_step)
-    _emit_csv(args.output, "J,h_opt,work_density,efficiency,mode", _params(args), rows)
+    _emit_csv(args.output, "J,h_opt,work_density,efficiency,mode", _params(args),
+              (",".join(map(_cell, row)) for row in rows))
     return EXIT_OK
 
 
@@ -157,8 +155,8 @@ def cmd_precision(args) -> int:
         raise ConfigError("--epsilon list must not be empty")
     points = protocols.chain_sweep(args.n, _j_values(args), betas, args.epsilon,
                                    grid_step=args.grid_step)
-    rows = [(p.j, p.epsilon, p.efficiency) for p in points]
-    _emit_csv(args.output, "J,epsilon,efficiency", _params(args), rows)
+    _emit_csv(args.output, "J,epsilon,efficiency", _params(args),
+              (",".join(map(_cell, (p.j, p.epsilon, p.efficiency))) for p in points))
     return EXIT_OK
 
 
@@ -169,7 +167,7 @@ def cmd_optimal_field(args) -> int:
     j_cells = [_cell(j) for j in js]
     lines = [f"{b},{j},{h!r}" for b, h_row in zip(map(_cell, args.beta), h_opt)
              for j, h in zip(j_cells, h_row)]
-    _emit_csv_lines(args.output, "beta,J,h_opt", _params(args), lines)
+    _emit_csv(args.output, "beta,J,h_opt", _params(args), lines)
     return EXIT_OK
 
 
@@ -235,24 +233,18 @@ def cmd_gs_deg(args) -> int:
 
 
 def _parse_controls(specs, n: int):
-    """Parse repeatable ``site<k>:<axes>`` control specs, e.g. site0:x,z."""
-    ops = []
-    parsed = []
+    """Parse repeatable ``site<k>:<axes>`` control specs, e.g. site0:x,z;
+    :func:`control.site_controls` checks the site and the axes."""
+    ops, parsed = [], []
     for spec in specs:
-        head, sep, axes_part = spec.partition(":")
-        head = head.strip().lower()
-        if not sep or not head.startswith("site"):
+        match = re.fullmatch(r"site(\d+):(.*)", spec.strip().lower())
+        if match is None:
             raise ConfigError(f"--controls entry {spec!r} must look like site0:x,z")
+        site, axes = int(match[1]), [a.strip() for a in match[2].split(",")]
         try:
-            site = int(head[4:])
-        except ValueError:
-            raise ConfigError(f"--controls entry {spec!r}: bad site index")
-        if not (0 <= site < n):
-            raise ConfigError(f"--controls entry {spec!r}: site out of range for N={n}")
-        axes = [a for a in (p.strip().lower() for p in axes_part.split(",")) if a]
-        if not axes:
-            raise ConfigError(f"--controls entry {spec!r}: no axes given")
-        ops.extend(control_lib.site_controls(n, site, axes))
+            ops.extend(control_lib.site_controls(n, site, axes))
+        except ValueError as exc:
+            raise ConfigError(f"--controls entry {spec!r}: {exc}") from None
         parsed.append(f"site{site}:" + ",".join(axes))
     return ops, parsed
 

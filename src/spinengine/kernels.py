@@ -20,8 +20,9 @@ views:
   (``r = 0``) are their own classes.  Anything that depends on a
   configuration only through ``(M, B)`` sums over these few classes
   (27 at ``n = 10``, 146 at ``n = 24``) instead of all ``2**n``.  The
-  classes come grouped into the ``n + 1`` magnetization sectors (11 at
-  ``n = 10``, 25 at ``n = 24``), so a sum in which the field enters only
+  classes come as one table of the ``n + 1`` magnetization sectors (11
+  at ``n = 10``, 25 at ``n = 24``), each padded to the longest with
+  zero-degeneracy copies, so a sum in which the field enters only
   through ``-h * M`` can be taken once per sector.
 """
 
@@ -68,21 +69,29 @@ def ising_energies(n: int, j: float, h) -> np.ndarray:
     return out
 
 
-def levels(n: int) -> list[tuple[int, int, int]]:
-    """``(M, B, g)`` for every class of the periodic chain: magnetization
-    sum, bond sum and the exact number of configurations in the class.
+def levels(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ring's ``(M, B, g)`` classes (magnetization sum, bond sum and
+    the exact number of configurations) grouped into its ``n + 1``
+    magnetization sectors: M as a column of shape (sectors, 1) in
+    descending order, and B and g of shape (longest sector, sectors, 1),
+    all float64.
 
-    The classes come in order of descending M, so each magnetization
-    sector is one contiguous run.  The degeneracies sum to ``2**n``.
+    Sector ``k`` (``k`` down spins) holds its classes along axis 0 in
+    ascending domain count ``r`` (B = n - 4r), padded to the longest
+    sector with ``g = 0`` copies of its first class.  The degeneracies
+    sum to ``2**n``.
     """
     _check_length(n)
-    out = [(n, n, 1)]
-    for k in range(1, n):
-        for r in range(1, min(k, n - k) + 1):
-            g = n * comb(k - 1, r - 1) * comb(n - k - 1, r - 1) // r
-            out.append((n - 2 * k, n - 4 * r, g))
-    out.append((-n, n, 1))
-    return out
+    longest = max(1, n // 2)
+    b, g = [], []
+    for k in range(n + 1):
+        domains = range(1, min(k, n - k) + 1) or [0]  # r = 0: a polarized state
+        pad = longest - len(domains)
+        b += [n - 4 * r for r in domains] + [n - 4 * domains[0]] * pad
+        g += [n * comb(k - 1, r - 1) * comb(n - k - 1, r - 1) // r if r else 1
+              for r in domains] + [0] * pad
+    b, g = np.array(b + g, dtype=np.float64).reshape(2, n + 1, longest, 1).swapaxes(1, 2)
+    return n - 2.0 * np.arange(n + 1)[:, None], b, g
 
 
 def ground_state_stats(n: int, j: float, h: float, tol: float) -> tuple[float, int]:
@@ -94,7 +103,7 @@ def ground_state_stats(n: int, j: float, h: float, tol: float) -> tuple[float, i
     j, h = float(j), float(h)
     if not (np.isfinite(j) and np.isfinite(h)):
         raise ValueError("coupling and field must be finite")
-    m, b, g = np.array(levels(n)).T
+    m, b, g = levels(n)
     with np.errstate(over="ignore", invalid="ignore"):
         energies = -h * m - j * b
     if not np.all(np.isfinite(energies)):

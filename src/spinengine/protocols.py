@@ -25,7 +25,6 @@ magnitude below the ground-state term).
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple, Sequence
 
@@ -137,20 +136,19 @@ def _eta(w, s_h, beta_h: float):
         return np.where(s_h > 0.0, w * beta_h / np.where(s_h > 0.0, s_h, 1.0), 0.0)
 
 
-def _paper_work(j, h, betas: Betas, core_h=None):
+def _paper_work(j, h, betas: Betas):
     """Vectorized work density of the shared-field family h_C = h_B = h.
 
     ``j`` is a scalar or broadcasts against ``h``.  With matched pure
     corners the ledger collapses to the exact identity
     w = T_h*delta_h - T_c*delta_c on the reduced log-corrections, which
-    stays fully accurate when both terms are ~1e-18.  ``core_h`` is the
-    hot ``_core`` at (beta_h*J, beta_h*|h|) when the caller holds it.
+    stays fully accurate when both terms are ~1e-18.
     """
     j = np.asarray(j, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     bh, bc = betas.beta_h, betas.beta_c
-    delta_h = ising._log_excess(bh * j, bh * np.abs(h)) if core_h is None else core_h.delta
-    return delta_h / bh - ising._log_excess(bc * j, bc * np.abs(h)) / bc
+    return ising._log_excess(bh * j, bh * np.abs(h)) / bh \
+        - ising._log_excess(bc * j, bc * np.abs(h)) / bc
 
 
 def _peaked_cell_max(h, values, peak, peak_value) -> np.ndarray:
@@ -215,11 +213,11 @@ def _free_cell_bound(j, h, peak, betas: Betas) -> np.ndarray:
     return bound + _PRUNE_RTOL * np.abs(bound)
 
 
-def _free_penalty_min(j, h_b, betas: Betas, core_s=None):
+def _free_penalty_min(j, h_b, betas: Betas, core_s):
     """Minimal cold-entry penalty min over h_C >= 0 of D(hot B || cold C)
     per site, and the h_C that attains it, elementwise over ``h_b``
-    (``j`` is a scalar or broadcasts against it).  ``core_s`` is the hot
-    ``_core`` at (beta_h*J, beta_h*|h_B|) when the caller holds it.
+    (``j`` is a scalar or broadcasts against it), given ``core_s``, the
+    hot ``_core`` at (beta_h*J, beta_h*|h_B|).
 
     The minimizer is the I-projection of the hot state onto the cold
     Gibbs family: the penalty is convex in h_C and stationary where the
@@ -238,8 +236,6 @@ def _free_penalty_min(j, h_b, betas: Betas, core_s=None):
     j = np.asarray(j, dtype=np.float64)
     h_b = np.asarray(h_b, dtype=np.float64)
     bh, bc = betas.beta_h, betas.beta_c
-    if core_s is None:
-        core_s = _core(bh * j, bh * np.abs(h_b))
     m = core_s.rb + core_s.delta_b
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_sinh = np.log(m) - 2.0 * bc * j \
@@ -255,14 +251,13 @@ def _free_penalty_min(j, h_b, betas: Betas, core_s=None):
     return np.take_along_axis(values, pick, 0)[0], np.take_along_axis(candidates, pick, 0)[0]
 
 
-def _free_work(j, h, betas: Betas, core_h=None):
+def _free_work(j, h, betas: Betas):
     """Vectorized work density with h_B = h and each matching field
-    relaxed; ``core_h`` as in :func:`_paper_work`."""
+    relaxed."""
     j = np.asarray(j, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     a_h, b_h = betas.beta_h * j, betas.beta_h * np.abs(h)
-    if core_h is None:
-        core_h = _core(a_h, b_h)
+    core_h = _core(a_h, b_h)
     d_min, _ = _free_penalty_min(j, h, betas, core_h)
     return (betas.t_h - betas.t_c) * core_h.entropy(a_h, b_h) - betas.t_c * d_min
 
@@ -301,10 +296,9 @@ def sweep_j(j_values: Sequence[float], betas: Betas,
 
     scans = _nested_argmax(row_work, floors, tops, grid_step, cell_bound)
     h_opt = _refine(row_work, scans)
+    w_opt = work(js, h_opt, betas)
     a_h, b_h = betas.beta_h * js, betas.beta_h * np.abs(h_opt)
-    core_h = _core(a_h, b_h)
-    w_opt = work(js, h_opt, betas, core_h)
-    eta_opt = _eta(w_opt, core_h.entropy(a_h, b_h), betas.beta_h)
+    eta_opt = _eta(w_opt, _core(a_h, b_h).entropy(a_h, b_h), betas.beta_h)
     return [SweepPoint(float(j), float(h), float(w), float(eta), mode)
             for j, h, w, eta in zip(js, h_opt, w_opt, eta_opt)]
 
@@ -318,19 +312,6 @@ def efficiency_at_max_work(j: float, betas: Betas, mode: str = PAPER_PROTOCOL,
 # ---------------------------------------------------------------------------
 # finite chains
 # ---------------------------------------------------------------------------
-
-def _ring(n: int):
-    """The ring's (M, B, g) classes (:func:`kernels.levels`) grouped into
-    magnetization sectors: each sector's M (descending) as a column of
-    shape (sectors, 1), and B and g of shape (longest sector, sectors, 1),
-    a sector's classes along axis 0, padded with zero-degeneracy copies
-    of its first class."""
-    sectors = [list(cls) for _, cls in itertools.groupby(kernels.levels(n), lambda c: c[0])]
-    longest = max(map(len, sectors))
-    padded = [cls + [(*cls[0][:2], 0)] * (longest - len(cls)) for cls in sectors]
-    m, b, g = np.array(padded, dtype=np.float64).transpose(2, 1, 0)[..., None]
-    return m[0], b, g
-
 
 def _temperatures(betas: Betas) -> np.ndarray:
     """Both inverse temperatures as a column, hot then cold."""
@@ -368,12 +349,13 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     return x[0]
 
 
-def _sectors(ring, j, betas: Betas):
-    """The sector terms of :func:`_chain_gap` on the :func:`_ring` at
-    coupling ``j`` (a scalar, or one coupling per field along the last
-    axis): each sector's lowest bond energy f_M = min -J*B, its sums C_M
-    at both temperatures (:func:`_weights`), and its hot sum D_M."""
-    _, b, g = ring
+def _sectors(levels, j, betas: Betas):
+    """The sector terms of :func:`_chain_gap` on the ring's sector table
+    ``levels`` (:func:`kernels.levels`) at coupling ``j`` (a scalar, or
+    one coupling per field along the last axis): each sector's lowest
+    bond energy f_M = min -J*B, its sums C_M at both temperatures
+    (:func:`_weights`), and its hot sum D_M."""
+    _, b, g = levels
     bond = -(b * j)
     f = bond.min(axis=0)
     excess = bond - f
@@ -402,9 +384,10 @@ def _sector_sums(m, f, c, hs, beta):
     return shifted, _sum_rows(weights)
 
 
-def _chain_gap(ring, sectors, hs, betas: Betas):
-    """Free-energy gap T_h*logZ_h - T_c*logZ_c of the ring at each field,
-    and a function of no arguments that returns the hot entropy there.
+def _chain_gap(levels, sectors, hs, betas: Betas):
+    """Free-energy gap T_h*logZ_h - T_c*logZ_c of the ring with sector
+    table ``levels`` (:func:`kernels.levels`) at each field, and a
+    function of no arguments that returns the hot entropy there.
 
     The field enters the energy only through -h*M, so each partition sum
     runs over the magnetization sectors (:func:`_sectors`):
@@ -420,7 +403,7 @@ def _chain_gap(ring, sectors, hs, betas: Betas):
     the gap reads only f_M and C_M, the first two of ``sectors``.
     """
     f, c = sectors[:2]
-    shifted, (z_h, z_c) = _sector_sums(ring[0], f, c, hs, _temperatures(betas))
+    shifted, (z_h, z_c) = _sector_sums(levels[0], f, c, hs, _temperatures(betas))
 
     def hot_entropy():
         d_h = sectors[2]
@@ -471,33 +454,33 @@ def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
     (epsilon, J) pair; rows are epsilon-major.
 
     The search runs on the work per site alone, gap / N, and the
-    efficiency gap / (T_h*S_h) is computed once, at the optimum.  Each
-    pair has its own field grid on [epsilon, 4*max(1, |J|)]
-    (:func:`_grid_tops`), and one nested scan
+    efficiency gap / (T_h*S_h) (:func:`_eta`) is computed once, at the
+    optimum.  Each pair has its own field grid on [epsilon,
+    4*max(1, |J|)] (:func:`_grid_tops`), and one nested scan
     (:func:`gridsearch._nested_argmax`) searches the grids of all pairs
     in shared work calls, only in the cells that
     :func:`_chain_cell_bound` cannot rule out.  One golden-section
     refinement (:func:`gridsearch._refine`) then runs for all pairs at
-    once.  The sector terms of the rows are built once; a work call takes
-    the f_M and C_M columns of its rows, one column when they are all one
-    row.
+    once.  The ring's sector table (:func:`kernels.levels`) and the
+    sector terms of the rows are built once; a work call takes the f_M
+    and C_M columns of its rows, one column when they are all one row.
     """
     eps = np.array(epsilons, dtype=np.float64).reshape(-1)
     if np.any(eps < 0):
         raise ValueError("field floor must be nonnegative")
-    ring = _ring(n)
+    levels = kernels.levels(n)
     js = np.array(j_values, dtype=np.float64).reshape(-1)
     eps_rows, j_rows = np.repeat(eps, len(js)), np.tile(js, len(eps))
-    row_sectors = _sectors(ring, j_rows, betas)
+    row_sectors = _sectors(levels, j_rows, betas)
     hot = _temperatures(betas)[:1]
-    block = min(_SCAN_BLOCK, _SECTOR_TERMS // len(ring[0]))
+    block = min(_SCAN_BLOCK, _SECTOR_TERMS // len(levels[0]))
 
     def work(rows, hs):
-        return _chain_gap(ring, _columns(row_sectors[:2], rows), hs, betas)[0] / n
+        return _chain_gap(levels, _columns(row_sectors[:2], rows), hs, betas)[0] / n
 
     def hot_excess(rows, hs):
         f, c = _columns(row_sectors[:2], rows)
-        _, (z_h,) = _sector_sums(ring[0], f, c[:, :1], hs, hot)
+        _, (z_h,) = _sector_sums(levels[0], f, c[:, :1], hs, hot)
         return betas.t_h * np.log(z_h) / n
 
     def cell_bound(rows, h, w):
@@ -506,10 +489,8 @@ def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
     scans = _nested_argmax(work, eps_rows, _grid_tops(j_rows, eps_rows, grid_step), grid_step,
                            cell_bound, block)
     h_opt = _refine(work, scans)
-    gap, hot_entropy = _chain_gap(ring, row_sectors, h_opt, betas)
-    s_h = hot_entropy()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        eta = np.where(s_h > 0.0, gap / (betas.t_h * np.where(s_h > 0, s_h, 1.0)), 0.0)
+    gap, hot_entropy = _chain_gap(levels, row_sectors, h_opt, betas)
+    eta = _eta(gap, hot_entropy(), betas.beta_h)
     return [ChainPoint(float(j), float(floor), float(h), float(w), float(e))
             for j, floor, h, w, e in zip(j_rows, eps_rows, h_opt, gap / n, eta)]
 

@@ -442,6 +442,22 @@ def test_bad_inverse_temperature_names_the_flag(capsys, argv, flag):
     assert f"argument {flag}:" in captured.err and "positive and finite" in captured.err
 
 
+@pytest.mark.parametrize("spec", ["bogus", "site9:x", "site0:", "site0:q", "sitex:z",
+                                  "site0:x,", "site-1:x"])
+def test_bad_control_spec_names_the_entry(capsys, spec):
+    assert main(["control", "-N", "2", "--controls", spec]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"--controls entry {spec!r}" in captured.err
+
+
+def test_control_specs_echo_normalized(capsys):
+    assert main(["control", "-N", "3", "--controls", " SITE2:Z, x", "--controls",
+                 "site00:y"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["controls"] == ["site2:z,x", "site0:y"]
+
+
 @pytest.mark.parametrize("command, entries, key, flag", [
     ("optimal-field", {"beta": [1.0, math.nan]}, "beta", "--beta"),  # written as NaN
     ("sweep-j", {"beta_h": "nan"}, "beta_h", "--beta-h"),

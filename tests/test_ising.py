@@ -121,13 +121,13 @@ def test_transfer_matrix_logz_matches_sector_sums_past_enumeration():
     # Z_N = lambda_+^N + lambda_-^N, and the magnetization-sector sums
     rng = np.random.default_rng(54)
     for n in (16, 20, 24):
-        ring = protocols._ring(n)
+        levels = kernels.levels(n)
         for _ in range(5):
             j, h = rng.uniform(-2.0, 2.0, size=2)
             betas = Betas(*sorted(rng.uniform(0.2, 2.0, size=2)))
             log_z = [transfer_matrix_log_z(n, j, h, beta)
                      for beta in (betas.beta_h, betas.beta_c)]
-            gap, _ = protocols._chain_gap(ring, protocols._sectors(ring, j, betas),
+            gap, _ = protocols._chain_gap(levels, protocols._sectors(levels, j, betas),
                                           np.array([h]), betas)
             scale = betas.t_h * abs(log_z[0]) + betas.t_c * abs(log_z[1])
             assert abs(gap[0] - (betas.t_h * log_z[0] - betas.t_c * log_z[1])) <= 1e-12 * scale

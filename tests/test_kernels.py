@@ -1,6 +1,7 @@
 """Ising ring kernels: the bitmask table and the (M, B) level classes,
 checked against brute-force enumeration."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -35,22 +36,52 @@ def test_all_up_is_index_zero():
     assert e[0] == -6 * 1.0 - 6 * 2.0
 
 
+def classes(n):
+    """The (M, B, g) classes of the sector table, padding left out."""
+    m, b, g = kernels.levels(n)
+    m = np.broadcast_to(m, b.shape)
+    real = g > 0
+    return list(zip(m[real].astype(int).tolist(), b[real].astype(int).tolist(),
+                    g[real].astype(int).tolist()))
+
+
 def test_levels_match_enumerated_histogram():
     for n in range(1, 17):
         msum = -kernels.ising_energies(n, 0.0, 1.0)
         bsum = -kernels.ising_energies(n, 1.0, 0.0)
         counts = Counter(zip(msum.astype(int).tolist(), bsum.astype(int).tolist()))
-        classes = kernels.levels(n)
-        assert len(classes) == len(counts)
-        assert {(m, b): g for m, b, g in classes} == counts
-        assert sum(g for _, _, g in classes) == 2 ** n
+        found = classes(n)
+        assert len(found) == len(counts)
+        assert {(m, b): g for m, b, g in found} == counts
+        assert sum(g for _, _, g in found) == 2 ** n
 
 
 def test_levels_grouped_by_descending_magnetization():
     for n in range(1, 25):
-        ms = [m for m, _, _ in kernels.levels(n)]
+        m, b, g = kernels.levels(n)
+        assert m.shape == (n + 1, 1) and b.shape == g.shape == (max(1, n // 2), n + 1, 1)
+        assert m.dtype == b.dtype == g.dtype == np.float64
+        ms = m[:, 0].tolist()
         assert ms == sorted(ms, reverse=True)
         assert len(set(ms)) == n + 1
+
+
+def test_sector_table():
+    # sector k holds the configurations with k down spins, in ascending
+    # domain count r (B = N - 4r, r = 0 for the polarized sectors), padded
+    # with g = 0 copies of the sector's first class
+    for n in range(1, 25):
+        m, b, g = kernels.levels(n)
+        assert m[:, 0].tolist() == [n - 2 * k for k in range(n + 1)]
+        assert np.all(np.diff(m[:, 0]) < 0)
+        for k in range(n + 1):
+            bs, gs = b[:, k, 0], g[:, k, 0]
+            assert sum(gs) == math.comb(n, k)
+            count = max(1, min(k, n - k))
+            first_r = 1 if 0 < k < n else 0
+            assert bs[:count].tolist() == [n - 4 * r for r in range(first_r, first_r + count)]
+            assert np.all(gs[:count] > 0) and np.all(gs == np.round(gs))
+            assert np.all(gs[count:] == 0.0) and np.all(bs[count:] == bs[0])
 
 
 def test_tables_from_one_enumeration(monkeypatch):

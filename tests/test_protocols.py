@@ -561,9 +561,9 @@ def test_pruned_sweep_evaluates_few_grid_points(monkeypatch):
     # 0.1) shares its calls; each count includes the refinement and the rows
     evaluated = []
 
-    def counting_work(j, h, betas, core_h=None):
+    def counting_work(j, h, betas):
         evaluated.append(np.size(h))
-        return paper_work(j, h, betas, core_h)
+        return paper_work(j, h, betas)
 
     def grid_points(js):
         return sum(len(np.arange(0.0, 4.0 * max(1.0, abs(j)) + 0.005, 1e-2)) for j in js)
@@ -586,9 +586,9 @@ def test_pruned_free_sweep_evaluates_few_grid_points(monkeypatch):
     evaluated, bounded = [], []
     free_work, free_cell_bound = protocols._free_work, protocols._free_cell_bound
 
-    def counting_work(j, h, betas, core_h=None):
+    def counting_work(j, h, betas):
         evaluated.append(np.size(h))
-        return free_work(j, h, betas, core_h)
+        return free_work(j, h, betas)
 
     def counting_bound(j, h, peak, betas):
         bounded.append(np.size(h))
@@ -625,7 +625,8 @@ def test_free_penalty_min_against_scalar_scan(beta_h, beta_c):
         top = 4.0 * max(1.0, abs(j))
         h_bs = np.unique(np.concatenate([[0.0, 1e-12, 2.0 * abs(j) + 1e-9],
                                          np.linspace(0.0, top, 5)]))
-        d_min, h_c = protocols._free_penalty_min(j, h_bs, betas)
+        core_s = ising._core(beta_h * j, beta_h * h_bs)
+        d_min, h_c = protocols._free_penalty_min(j, h_bs, betas, core_s)
         # includes the points where the hot magnetization rounds to 1
         assert np.all(np.isfinite(d_min)) and np.all(np.isfinite(h_c))
         for h_b, d, h in zip(h_bs, d_min, h_c):
@@ -770,7 +771,9 @@ def enumerated_chain_point(n, j, h, betas):
 def class_gap_entropy(n, j, hs, betas):
     """Gap and hot entropy at each field, summed class by class over the
     (M, B, g) levels with one ground shift per field."""
-    m, b, g = np.array(kernels.levels(n), dtype=np.float64).T
+    m, b, g = kernels.levels(n)
+    real = g > 0  # the padding of the sector table left out
+    m, b, g = np.broadcast_to(m, b.shape)[real], b[real], g[real]
     shifted = -j * b[None, :] - hs[:, None] * m[None, :]
     shifted -= shifted.min(axis=1, keepdims=True)
 
@@ -793,8 +796,9 @@ def sector_fields(j):
 
 
 def sector_gap_entropy(n, j, hs, betas):
-    ring = protocols._ring(n)
-    gap, hot_entropy = protocols._chain_gap(ring, protocols._sectors(ring, j, betas), hs, betas)
+    levels = kernels.levels(n)
+    gap, hot_entropy = protocols._chain_gap(levels, protocols._sectors(levels, j, betas), hs,
+                                            betas)
     return gap, hot_entropy()
 
 
@@ -871,19 +875,14 @@ def pointwise_chain_optimum(n, j, betas, epsilon):
     refinement on the full evaluation (work, efficiency and the hot
     entropy), each temperature building its own sector sums.
 
-    The classes of each magnetization sector are padded with zero
-    degeneracies to the longest sector, and every sum is taken by
-    halving, so that the bits match the batched ``chain_sweep``.
+    The classes come as the padded sector table of ``kernels.levels``,
+    and every sum is taken by halving, so that the bits match the
+    batched ``chain_sweep``.
     """
     h_max = 4.0 * max(1.0, abs(j))
     if h_max <= epsilon:
         h_max = epsilon + 1.0
-    levels = kernels.levels(n)
-    ms = sorted({m for m, _, _ in levels}, reverse=True)
-    sectors = [[(b, g) for m, b, g in levels if m == m_sector] for m_sector in ms]
-    longest = max(len(cls) for cls in sectors)
-    b, g = np.array([cls + [(cls[0][0], 0)] * (longest - len(cls)) for cls in sectors]).T
-    m = np.array(ms, dtype=np.float64)
+    m, b, g = (x[..., 0] for x in kernels.levels(n))
     bond = -j * b
     f = bond.min(axis=0)
     excess = bond - f
@@ -1008,10 +1007,11 @@ def test_chain_sweep_matches_full_scan_and_refinement_per_row():
         tops = protocols._grid_tops(j_rows, floor_rows, 1.0)
         step = max(10.0 ** rng.uniform(np.log10(0.003), np.log10(0.5)),
                    np.max(tops - floor_rows) / 2e4)
-        ring = protocols._ring(n)
+        levels = kernels.levels(n)
 
         def work(j, h):
-            return protocols._chain_gap(ring, protocols._sectors(ring, j, betas), h, betas)[0] / n
+            return protocols._chain_gap(levels, protocols._sectors(levels, j, betas), h,
+                                        betas)[0] / n
 
         scans = [full_grid_argmax(lambda h: work(j, h), floor, top, step)
                  for j, floor, top in zip(j_rows, floor_rows, tops)]

@@ -143,7 +143,7 @@ def _j_values(args) -> list[float]:
 
 def cmd_sweep_j(args) -> int:
     betas = Betas(args.beta_h, args.beta_c)
-    rows = protocols.sweep_j(_j_values(args), betas, args.mode, grid_step=args.grid_step)
+    rows = protocols.sweep_j(_j_values(args), betas, args.mode)
     _emit_csv(args.output, "J,h_opt,work_density,efficiency,mode", _params(args),
               (",".join(map(_cell, row)) for row in rows))
     return EXIT_OK
@@ -323,7 +323,8 @@ _BETAS = (_flag("--beta-h", default=0.5, type=_inverse_temperature("--beta-h"),
 _GRID_STEP = _flag("--grid-step", default=1e-2,
                    type=_checked(float, lambda x: 0 < x < math.inf,
                                  "--grid-step must be positive and finite"),
-                   help="field grid spacing for the work maximization")
+                   help="field grid spacing of the antiferromagnetic ring search "
+                        "(precision); sweep-j solves its optimum and only echoes it")
 _CLASSES = ("identity", "commuting", "full")
 _CORNERS = (
     _chain_length(2), _flag("-J", dest="j", default=0.0, type=float, help="coupling"),

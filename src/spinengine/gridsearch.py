@@ -1,10 +1,11 @@
 """Maximization of a work function over field grids, many grids at once.
 
-The one search the sweeps of :mod:`spinengine.protocols` use: a grid
-argmax per row from one nested scan of all rows that drops the cells a
-caller's certified bound rules out (:func:`_nested_argmax`), then one
-golden-section refinement of every row's bracket in shared calls
-(:func:`_refine`).  The work callback is ``work(rows, h)``, with ``rows``
+The one field search left in :mod:`spinengine.protocols`, for the
+antiferromagnetic rows of the finite-chain sweep, whose optimum has no
+closed form yet: a grid argmax per row from one nested scan of all rows
+that drops the cells a caller's certified bound rules out
+(:func:`_nested_argmax`), then one golden-section refinement of every
+row's bracket in shared calls (:func:`_refine`).  The work callback is ``work(rows, h)``, with ``rows``
 the row index of each field in ``h``.
 """
 

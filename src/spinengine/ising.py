@@ -25,7 +25,7 @@ import numpy as np
 from . import kernels
 
 _LOG2 = math.log(2.0)
-_OPTIMAL_FIELD_TOL = 1e-13  # bisection bracket width of optimal_field
+_BISECT_TOL = 1e-13  # bracket width at which _bisect stops
 
 
 class _Core(NamedTuple):
@@ -150,20 +150,47 @@ def entropy_density(beta, j, h):
     return _maybe_float(out, beta, j, h)
 
 
+def _bisect(below, lo, hi, live) -> np.ndarray:
+    """Root of a function that changes sign once on every bracket [lo, hi],
+    elementwise: ``below(mid)`` is true where the root lies above ``mid``.
+
+    One loop serves all elements; each element of ``live`` moves until its
+    bracket is narrower than ``_BISECT_TOL`` or holds no float strictly
+    inside, and the others keep [lo, hi], so a batch follows each element's
+    scalar path exactly.  Returns the bracket midpoints.  The midpoint is
+    taken as lo/2 + hi/2, which cannot overflow, and it rounds to lo or hi
+    exactly when no float lies strictly between them.  Every caller
+    brackets its root by 2|J|, so a ``live`` bracket top that overflowed
+    raises ``ValueError``: the root is not a float.
+    """
+    if np.any(live & np.isinf(hi)):
+        raise ValueError("optimal field: 2|J| overflows, so the root is not a float")
+    lo, hi, live = lo.copy(), hi.copy(), live.copy()
+    # floats are 1e-13 or more apart only from 512 on, so below it the
+    # width rule always ends an element first, and the float rule is skipped
+    floats = np.any(live & (hi >= 512.0))
+    mid = 0.5 * lo + 0.5 * hi
+    for _ in range(200):
+        if not live.any():
+            break
+        up = below(mid) & live
+        np.copyto(lo, mid, where=up)
+        np.copyto(hi, mid, where=live ^ up)
+        mid = 0.5 * lo + 0.5 * hi
+        live &= hi - lo >= _BISECT_TOL
+        if floats:
+            live &= (lo < mid) & (mid < hi)
+    return mid
+
+
 def optimal_field(beta, j):
     """Entropy-maximizing field of the infinite chain at fixed (beta, J),
     elementwise over ``beta`` broadcast against ``j``.
 
     Zero unless the coupling is antiferromagnetic with ``2|J|beta > 1``;
-    then the unique positive solution of ``h = 2|J| tanh(beta h)``,
-    located by one bisection for all elements: each element freezes once
-    its own bracket is within ``_OPTIMAL_FIELD_TOL``, so a batch follows
-    each element's scalar path exactly.  Raises ``ValueError`` where the
-    root is not a float: 2|J| overflows.
-
-    A root above half the float range is bisected at half scale, on
-    h/2 = |J| tanh(2 beta h/2), where lo + hi cannot overflow; halving is
-    exact there, so every other element keeps its bits.
+    then the unique positive solution of ``h = 2|J| tanh(beta h)``, in
+    [0, 2|J|], located by one bisection for all elements (:func:`_bisect`).
+    Raises ``ValueError`` where the root is not a float: 2|J| overflows.
     """
     beta = _check_beta(beta)
     j = np.asarray(j, dtype=np.float64)
@@ -171,22 +198,13 @@ def optimal_field(beta, j):
         jj = 2.0 * np.abs(j)
         # slope at 0 is 1 - 2|J|beta < 0, slope at 2|J| positive: root bracketed
         live = ~((j >= 0) | (jj * beta <= 1.0))
-        scale = np.where(jj > 0.5 * np.finfo(np.float64).max, 0.5, 1.0)
-        beta_s = beta / scale
-    if np.any(live & np.isinf(jj)):
-        raise ValueError("optimal field: 2|J| overflows, so the root is not a float")
-    jj = np.where(live, scale * jj, 0.0)
-    lo, hi = np.zeros(jj.shape), jj.copy()
+    jj = np.where(live, jj, 0.0)
+
+    def below(h):
+        return h - jj * np.tanh(beta * h) < 0.0
+
     with np.errstate(over="ignore"):  # where beta*h overflows, tanh is 1
-        for _ in range(200):
-            if not live.any():
-                break
-            mid = 0.5 * (lo + hi)
-            below = mid - jj * np.tanh(beta_s * mid) < 0.0
-            np.copyto(lo, mid, where=live & below)
-            np.copyto(hi, mid, where=live & ~below)
-            live &= hi - lo >= _OPTIMAL_FIELD_TOL
-    return _maybe_float(0.5 * (lo + hi) / scale, beta, j)
+        return _maybe_float(_bisect(below, np.zeros(jj.shape), jj, live), beta, j)
 
 
 def _relative_entropy(bs, br, j, hs, hr, core_s=None):

@@ -10,12 +10,14 @@ coupling J is fixed by the medium.  The per-site ledger is
 
 where ``ds`` is the entropy-density gain along the hot isotherm and the
 ``d`` terms are relative-entropy densities of the states entering each
-isotherm against the local Gibbs state there.  Two searchable families:
+isotherm against the local Gibbs state there.  Two families:
 
 * ``PAPER_PROTOCOL``: pure polarized corners A, D (infinite-field
-  marker) and a shared field h_C = h_B, so the only knob is h_B.
+  marker) and a shared field h_C = h_B, so the only knob is h_B.  Its
+  work-optimal field is solved in closed form (:func:`_paper_field`).
 * ``FREE_FIELDS``: additionally relaxes each matching field to minimize
-  the corresponding penalty.
+  the corresponding penalty.  Its optimum is the paper optimum, at the
+  same field (:func:`sweep_j`).
 
 Everything evaluates through the reduced transfer-matrix parts rather
 than total free energies; total-energy differences at strong coupling
@@ -151,162 +153,72 @@ def _paper_work(j, h, betas: Betas):
         - ising._log_excess(bc * j, bc * np.abs(h)) / bc
 
 
-def _peaked_cell_max(h, values, peak, peak_value) -> np.ndarray:
-    """Maximum over each cell between consecutive fields along the last
-    axis of ``h`` of a function that rises up to ``peak`` and falls after
-    it, from its ``values`` at the fields and its ``peak_value`` at
-    ``peak`` (both broadcast against the cells): the larger cell end, or
-    the peak value when the cell contains the peak."""
-    ends = np.maximum(values[..., :-1], values[..., 1:])
-    return np.where((h[..., :-1] < peak) & (peak < h[..., 1:]), np.maximum(ends, peak_value), ends)
+def _paper_field(js: np.ndarray, betas: Betas) -> np.ndarray:
+    """Work-optimal field h >= 0 of :func:`_paper_work` at every coupling
+    of ``js``, in closed form up to one bisection for all couplings.
 
+    The work has dw/dh = m_h - m_c, and on h > 0 the two magnetizations
+    m = sinh b / sqrt(sinh^2 b + e^{-4a}) are equal iff
 
-def _paper_cell_bound(j, h, w, betas: Betas) -> np.ndarray:
-    """Upper bound of :func:`_paper_work` over each cell between
-    consecutive fields h >= 0 along the last axis of ``h``, with ``w``
-    the work there and ``j`` the coupling, broadcast against them (one
-    per row of cells in :func:`gridsearch._nested_argmax`): the smaller
-    of two bounds, each certified for any cell width.
+        g(h) = log sinh(beta_c h) - log sinh(beta_h h) + 2 (beta_c - beta_h) J = 0.
 
-    * Lipschitz (Piyavskii-Shubert): the branch switch at h = 2|J| does
-      not depend on beta, so the ground terms of both temperatures cancel
-      and dw/dh = m_h - m_c lies in [-1, 1]; a cell of width H then holds
-      at most (w_a + w_b + H)/2.
-    * Excess: w <= T_h*delta_h, since delta_c >= 0.  T_h*delta_h has slope
-      m_h - rb (rb = 0 below the switch, 1 above it): it rises up to the
-      switch for J < 0 and falls after it (on all of h >= 0 for J >= 0),
-      so its cell maximum sits at a cell end, or at h = 2|J| when the cell
-      contains it (:func:`_peaked_cell_max`).
-
-    The bound is widened by ``_PRUNE_RTOL`` times the excess bound, the
-    scale of the rounding in w = T_h*delta_h - T_c*delta_c.
+    g rises strictly in h (beta coth(beta h) rises with beta), from
+    ln(beta_c/beta_h) + 2 (beta_c - beta_h) J at h -> 0 to infinity, and
+    m_h > m_c where g < 0.  So h = 0 for J >= 0 and for
+    -J <= 1/(2 beta_L), with beta_L = (beta_c - beta_h)/ln(beta_c/beta_h)
+    the logarithmic mean; every other coupling has one root, where the
+    work peaks, in [max(0, 2|J| - 1/beta_L), 2|J|] (:func:`ising._bisect`).
+    g is taken as (beta_c - beta_h)(h - 2|J|) plus the logs of
+    1 - e^{-2 beta h}, which does not cancel at strong coupling.  Raises
+    ``ValueError`` where the root is not a float: 2|J| overflows.
     """
-    bh = betas.beta_h
-    switch = np.maximum(-2.0 * np.asarray(j, dtype=np.float64), 0.0)
-    excess = _peaked_cell_max(h, ising._log_excess(bh * j, bh * h) / bh,
-                              switch, ising._log_excess(bh * j, bh * switch) / bh)
-    lipschitz = 0.5 * (w[..., :-1] + w[..., 1:] + (h[..., 1:] - h[..., :-1]))
-    return np.minimum(lipschitz, excess) + _PRUNE_RTOL * excess
-
-
-def _free_cell_bound(j, h, peak, betas: Betas) -> np.ndarray:
-    """Upper bound of :func:`_free_work` over each cell between
-    consecutive fields h >= 0 along the last axis of ``h``, with ``j`` the
-    coupling and ``peak`` = ``ising.optimal_field(beta_h, J)``, broadcast
-    against them (one per row of cells in
-    :func:`gridsearch._nested_argmax`), certified for any cell width.
-
-    w = (T_h - T_c)*s_h - T_c*D_min with D_min >= 0, so w <= (T_h -
-    T_c)*s_h.  The hot entropy s_h rises up to the optimal field and falls
-    after it, so its cell maximum sits at a cell end, or at the optimal
-    field when the cell contains it (:func:`_peaked_cell_max`).  s_h is
-    computed by the same expression as in :func:`_free_work`, so the bound
-    lies above w at every grid point bit for bit; it is widened by
-    ``_PRUNE_RTOL`` times its size, for the rounding of s_h between the
-    grid points and at the peak.
-    """
-    def hot_entropy(h):
-        a_h, b_h = betas.beta_h * j, betas.beta_h * np.abs(h)
-        return (betas.t_h - betas.t_c) * _core(a_h, b_h).entropy(a_h, b_h)
-
-    bound = _peaked_cell_max(h, hot_entropy(h), peak, hot_entropy(peak))
-    return bound + _PRUNE_RTOL * np.abs(bound)
-
-
-def _free_penalty_min(j, h_b, betas: Betas, core_s):
-    """Minimal cold-entry penalty min over h_C >= 0 of D(hot B || cold C)
-    per site, and the h_C that attains it, elementwise over ``h_b``
-    (``j`` is a scalar or broadcasts against it), given ``core_s``, the
-    hot ``_core`` at (beta_h*J, beta_h*|h_B|).
-
-    The minimizer is the I-projection of the hot state onto the cold
-    Gibbs family: the penalty is convex in h_C and stationary where the
-    cold magnetization matches the hot one, m.  The chain's
-    m = sinh b / sqrt(sinh^2 b + e^{-4a}) inverts in closed form,
-    sinh(beta_c h_C) = m e^{-2 beta_c J} / sqrt((1 - m)(1 + m)), taken in
-    logs with the exact complement ``one_minus_m``; where m rounds to 1
-    the root is not finite and h_B takes its place.
-
-    The exact candidates 0, h_B and (beta_h/beta_c)*h_B compete with the
-    root, come first and win ties: where one of them is the exact
-    minimizer (a structural zero such as the scaled field at J = 0, or
-    an exponentially steep well) the rounded root leaves a small excess.
-    All four go through one broadcast :func:`ising._relative_entropy`.
-    """
-    j = np.asarray(j, dtype=np.float64)
-    h_b = np.asarray(h_b, dtype=np.float64)
     bh, bc = betas.beta_h, betas.beta_c
-    m = core_s.rb + core_s.delta_b
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_sinh = np.log(m) - 2.0 * bc * j \
-            - 0.5 * (np.log(core_s.one_minus_m) + np.log1p(m))
-        # asinh(e^L), in log form where e^L would overflow
-        asinh = np.where(log_sinh > 0.0,
-                         log_sinh + np.log1p(np.sqrt(1.0 + np.exp(-2.0 * log_sinh))),
-                         np.arcsinh(np.exp(log_sinh)))
-    root = np.where(np.isfinite(asinh), asinh / bc, h_b)
-    candidates = np.stack(np.broadcast_arrays(0.0, h_b, (bh / bc) * h_b, root))
-    values = ising._relative_entropy(bh, bc, j, h_b, candidates, core_s)
-    pick = np.argmin(values, axis=0)[None]
-    return np.take_along_axis(values, pick, 0)[0], np.take_along_axis(candidates, pick, 0)[0]
+    gap = bc - bh
+    inv_log_mean = math.log1p(gap / bh) / gap
+    with np.errstate(over="ignore"):
+        jj = -2.0 * js
+    live = jj > inv_log_mean
+    hi = np.where(live, jj, 0.0)
 
+    def below(h):
+        return gap * (h - hi) + np.log(-np.expm1(-2.0 * bc * h)) \
+            - np.log(-np.expm1(-2.0 * bh * h)) < 0.0
 
-def _free_work(j, h, betas: Betas):
-    """Vectorized work density with h_B = h and each matching field
-    relaxed."""
-    j = np.asarray(j, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    a_h, b_h = betas.beta_h * j, betas.beta_h * np.abs(h)
-    core_h = _core(a_h, b_h)
-    d_min, _ = _free_penalty_min(j, h, betas, core_h)
-    return (betas.t_h - betas.t_c) * core_h.entropy(a_h, b_h) - betas.t_c * d_min
+    # log 0, and -inf minus -inf, at the h = 0 of the rows off live
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return ising._bisect(below, np.maximum(hi - inv_log_mean, 0.0), hi, live)
 
 
 def sweep_j(j_values: Sequence[float], betas: Betas,
-            mode: str = PAPER_PROTOCOL, grid_step: float = 1e-2) -> list[SweepPoint]:
+            mode: str = PAPER_PROTOCOL) -> list[SweepPoint]:
     """Maximize the cycle work density over the corner field h_B >= 0 at
-    every coupling in ``j_values``, on the work alone, and report the
-    optimal field, the work density, and the efficiency there.
+    every coupling in ``j_values``, and report the optimal field, the work
+    density, and the efficiency there.
 
-    Each coupling gets a field grid on [0, 4*max(1, |J|)]
-    (:func:`_grid_tops`), and one nested scan
-    (:func:`gridsearch._nested_argmax`) searches the grids of all
-    couplings in shared work calls, only in the cells that the mode's
-    certified bound cannot rule out (:func:`_paper_cell_bound`, or
-    :func:`_free_cell_bound` with one :func:`ising.optimal_field` call for
-    all couplings).  One golden-section refinement
-    (:func:`gridsearch._refine`) then runs for all couplings at once.
+    The paper optimum is solved, not searched (:func:`_paper_field`); the
+    work there comes from :func:`_paper_work` and the efficiency from one
+    hot ``_core`` call for all couplings.  Free corner fields reach the
+    same maximum at the same field (envelope theorem): with h_C relaxed
+    to its minimizer h_C*, dw_free/dh_B = (h_C* - h_B) d<M>_h/dh, so the
+    free work is stationary only where h_C* = h_B, which is the paper
+    family's own stationarity condition m_c = m_h, and w_free >= w_paper
+    at every field.  So ``FREE_FIELDS`` returns the paper optimum under
+    its own ``mode``.
     """
     if mode not in (PAPER_PROTOCOL, FREE_FIELDS):
         raise ValueError(f"unknown protocol mode: {mode!r}")
-    paper = mode == PAPER_PROTOCOL
-    work = _paper_work if paper else _free_work
     js = np.array(j_values, dtype=np.float64).reshape(-1)
-    floors = np.zeros(len(js))
-    tops = _grid_tops(js, floors, grid_step)
-    peaks = None if paper else ising.optimal_field(betas.beta_h, js)
-
-    def row_work(rows, h):
-        return work(js[rows], h, betas)
-
-    def cell_bound(rows, h, w):
-        if paper:
-            return _paper_cell_bound(js[rows], h, w, betas)
-        return _free_cell_bound(js[rows], h, peaks[rows], betas)
-
-    scans = _nested_argmax(row_work, floors, tops, grid_step, cell_bound)
-    h_opt = _refine(row_work, scans)
-    w_opt = work(js, h_opt, betas)
-    a_h, b_h = betas.beta_h * js, betas.beta_h * np.abs(h_opt)
+    h_opt = _paper_field(js, betas)
+    w_opt = _paper_work(js, h_opt, betas)
+    a_h, b_h = betas.beta_h * js, betas.beta_h * h_opt
     eta_opt = _eta(w_opt, _core(a_h, b_h).entropy(a_h, b_h), betas.beta_h)
     return [SweepPoint(float(j), float(h), float(w), float(eta), mode)
             for j, h, w, eta in zip(js, h_opt, w_opt, eta_opt)]
 
 
-def efficiency_at_max_work(j: float, betas: Betas, mode: str = PAPER_PROTOCOL,
-                           grid_step: float = 1e-2) -> SweepPoint:
+def efficiency_at_max_work(j: float, betas: Betas, mode: str = PAPER_PROTOCOL) -> SweepPoint:
     """:func:`sweep_j` at a single coupling."""
-    return sweep_j([j], betas, mode, grid_step)[0]
+    return sweep_j([j], betas, mode)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -413,36 +325,23 @@ def _chain_gap(levels, sectors, hs, betas: Betas):
     return betas.t_h * np.log(z_h) - betas.t_c * np.log(z_c), hot_entropy
 
 
-def _chain_cell_bound(rows, h, w, betas: Betas, j, hot_excess, block: int) -> np.ndarray:
+def _chain_cell_bound(h, w, betas: Betas) -> np.ndarray:
     """Upper bound of the ring's work per site over each cell between
-    consecutive fields h >= 0 along the last axis of ``h`` (one row of
-    cells per grid row ``rows``, as :func:`gridsearch._nested_argmax`
-    passes them), with ``w`` the work there and ``j`` the coupling of every
-    grid row: the smaller of two bounds, each certified for any cell width.
+    consecutive fields h >= 0 along the last axis of ``h``, with ``w`` the
+    work there, certified for any cell width (Piyavskii-Shubert): dw/dh =
+    (<M>_h - <M>_c)/N, and spin-flip symmetry puts <M> in [0, N] on
+    h >= 0, so a cell of width H holds at most (w_a + w_b + H)/2.
 
-    * Lipschitz, every row: dw/dh = (<M>_h - <M>_c)/N, and spin-flip
-      symmetry puts <M> in [0, N] on h >= 0, so a cell of width H holds
-      at most (w_a + w_b + H)/2.
-    * Excess, rows with J >= 0: z_c >= 1 (:func:`_sector_sums`), so
-      w <= T_h*log z_h / N, which ``hot_excess(rows, h)`` returns for at
-      most ``block`` fields a call.  For J >= 0 the ground sector is M = N
-      at every h >= 0, so T_h*log z_h has slope <M>_h - N <= 0 and its
-      cell maximum sits at the cell's left end.  Rows with J < 0 switch
-      ground sectors at up to N/2 fields and keep the Lipschitz bound
-      alone.
+    The antiferromagnetic rows it serves switch ground sectors at one
+    field: with k <= N/2 down spins the lowest class has k isolated down
+    spins, E_k = (|J| - h) N + k (2h - 4|J|), so every sector crosses at
+    h = 2|J| at once.
 
     The bound is widened by ``_PRUNE_RTOL``*(T_h + T_c)*ln 2: each term
     T*log z / N of w lies in [0, T*ln 2], and w, which can cancel, is
     rounded at that absolute scale.
     """
     bound = 0.5 * (w[:, :-1] + w[:, 1:] + (h[:, 1:] - h[:, :-1]))
-    ferro = np.flatnonzero(j[rows] >= 0)
-    if len(ferro):
-        left = h[ferro, :-1].ravel()
-        left_rows = np.repeat(rows[ferro], w.shape[1] - 1)
-        excess = np.concatenate([hot_excess(left_rows[i:i + block], left[i:i + block])
-                                 for i in range(0, len(left), block)])
-        bound[ferro] = np.minimum(bound[ferro], excess.reshape(len(ferro), -1))
     return bound + _PRUNE_RTOL * (betas.t_h + betas.t_c) * math.log(2.0)
 
 
@@ -453,17 +352,20 @@ def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
     family, with the corner fields constrained to h >= epsilon, at every
     (epsilon, J) pair; rows are epsilon-major.
 
-    The search runs on the work per site alone, gap / N, and the
-    efficiency gap / (T_h*S_h) (:func:`_eta`) is computed once, at the
-    optimum.  Each pair has its own field grid on [epsilon,
+    A ferromagnetic row (J >= 0) has its optimum at the floor epsilon:
+    by Griffiths' second inequality <M> rises with beta at h >= 0, so the
+    work per site, whose slope is (<M>_h - <M>_c)/N, never rises with h.
+    An antiferromagnetic pair gets a field grid on [epsilon,
     4*max(1, |J|)] (:func:`_grid_tops`), and one nested scan
-    (:func:`gridsearch._nested_argmax`) searches the grids of all pairs
-    in shared work calls, only in the cells that
-    :func:`_chain_cell_bound` cannot rule out.  One golden-section
-    refinement (:func:`gridsearch._refine`) then runs for all pairs at
-    once.  The ring's sector table (:func:`kernels.levels`) and the
-    sector terms of the rows are built once; a work call takes the f_M
-    and C_M columns of its rows, one column when they are all one row.
+    (:func:`gridsearch._nested_argmax`) searches the grids of all such
+    pairs in shared work calls, on the work per site alone, only in the
+    cells that :func:`_chain_cell_bound` cannot rule out.  One
+    golden-section refinement (:func:`gridsearch._refine`) then runs for
+    all of them at once.  The ring's sector table (:func:`kernels.levels`)
+    and the sector terms of the rows are built once; a work call takes the
+    f_M and C_M columns of its rows, one column when they are all one row.
+    The work and the efficiency gap / (T_h*S_h) (:func:`_eta`) of every
+    row then come from one :func:`_chain_gap` call at the optimal fields.
     """
     eps = np.array(epsilons, dtype=np.float64).reshape(-1)
     if np.any(eps < 0):
@@ -472,23 +374,17 @@ def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
     js = np.array(j_values, dtype=np.float64).reshape(-1)
     eps_rows, j_rows = np.repeat(eps, len(js)), np.tile(js, len(eps))
     row_sectors = _sectors(levels, j_rows, betas)
-    hot = _temperatures(betas)[:1]
-    block = min(_SCAN_BLOCK, _SECTOR_TERMS // len(levels[0]))
+    h_opt = eps_rows.copy()
+    anti = np.flatnonzero(j_rows < 0)
+    if len(anti):
+        def work(rows, hs):
+            return _chain_gap(levels, _columns(row_sectors[:2], anti[rows]), hs, betas)[0] / n
 
-    def work(rows, hs):
-        return _chain_gap(levels, _columns(row_sectors[:2], rows), hs, betas)[0] / n
-
-    def hot_excess(rows, hs):
-        f, c = _columns(row_sectors[:2], rows)
-        _, (z_h,) = _sector_sums(levels[0], f, c[:, :1], hs, hot)
-        return betas.t_h * np.log(z_h) / n
-
-    def cell_bound(rows, h, w):
-        return _chain_cell_bound(rows[:, 0], h, w, betas, j_rows, hot_excess, block)
-
-    scans = _nested_argmax(work, eps_rows, _grid_tops(j_rows, eps_rows, grid_step), grid_step,
-                           cell_bound, block)
-    h_opt = _refine(work, scans)
+        floors = eps_rows[anti]
+        scans = _nested_argmax(work, floors, _grid_tops(j_rows[anti], floors, grid_step),
+                               grid_step, lambda rows, h, w: _chain_cell_bound(h, w, betas),
+                               min(_SCAN_BLOCK, _SECTOR_TERMS // len(levels[0])))
+        h_opt[anti] = _refine(work, scans)
     gap, hot_entropy = _chain_gap(levels, row_sectors, h_opt, betas)
     eta = _eta(gap, hot_entropy(), betas.beta_h)
     return [ChainPoint(float(j), float(floor), float(h), float(w), float(e))

@@ -65,6 +65,13 @@ def test_criterion_2_antiferromagnetic_limit():
             eta = protocols.efficiency_thermo_limit(-40.0, fields, BETAS)
             assert w >= floor
             assert eta >= 0.49
+        # the solved optimum tends to the frustrated chain's log(golden
+        # ratio) entropy per site at both temperatures, and to Carnot
+        limit = (BETAS.t_h - BETAS.t_c) * math.log((1 + math.sqrt(5)) / 2)
+        assert limit == pytest.approx(0.4812118, abs=1e-7)
+        for point in protocols.sweep_j([-40.0, -1e3], BETAS):
+            assert point.work_density == pytest.approx(limit, rel=1e-12)
+            assert point.efficiency == pytest.approx(BETAS.carnot, abs=1e-12)
 
 
 def doublet_efficiency(epsilon, n):
@@ -84,6 +91,14 @@ def test_criterion_3_ferromagnetic_collapse():
         point = protocols.efficiency_at_max_work(40.0, BETAS)
         assert point.efficiency < 0.05
         assert point.work_density < 1e-3
+        # the ferromagnet's optimum is h = 0, where the efficiency is
+        # 1/(1 + 2*beta_h*J) once e^{-2 beta_h J} is negligible
+        for j, eta in ((40.0, 0.0243902), (150.0, 0.0066225)):
+            point = protocols.efficiency_at_max_work(j, BETAS)
+            assert point.h_opt == 0.0
+            assert point.efficiency == pytest.approx(1.0 / (1.0 + 2.0 * BETAS.beta_h * j),
+                                                     rel=1e-12)
+            assert point.efficiency == pytest.approx(eta, abs=5e-8)
         values = []
         for n in (6, 12, 24):
             chain = protocols.chain_sweep(n, [40.0], BETAS, [0.1])[0]

@@ -396,7 +396,8 @@ def test_bad_grid_step_names_the_flag(capsys):
     (["optimal-field", "--j-min", "0", "--j-max", "1e12", "--j-step", "1e-3"], "--j-step"),
     # a span that overflows to inf, refused before it meets int()
     (["sweep-j", "--j-min=-1e308", "--j-max=1e308"], "--j-step"),
-    (["sweep-j", "--j-min", "0", "--j-max", "1", "--j-step", "1", "--grid-step", "1e-10"],
+    # sweep-j builds no field grid; precision does, for antiferromagnetic rows
+    (["precision", "--epsilon", "0", "--j-min=-1", "--j-max=-1", "--grid-step", "1e-10"],
      "grid step"),
 ])
 def test_oversized_grid_is_refused(capsys, argv, names):

@@ -356,6 +356,27 @@ def test_optimal_field_beta_column_matches_scalar_beta_calls():
         ising.optimal_field([[1.0], [0.0]], js)
 
 
+def test_bisect_stops_where_no_float_is_left():
+    # a root above 512, where floats lie more than 1e-13 apart, ends with lo
+    # and hi adjacent floats long before the 200-step cap; below 512 the
+    # bracket width rule ends it first, as in the scalar bisection of
+    # optimal_field, and elements outside ``live`` keep their bracket
+    roots = np.array([3e4, 1.7, 700.0, 5.0])
+    steps = []
+
+    def below(mid):
+        steps.append(mid)
+        return mid < roots
+
+    lo, hi = np.zeros(4), np.array([4e4, 2.0, 1e3, 8.0])
+    live = np.array([True, True, True, False])
+    got = ising._bisect(below, lo, hi, live)
+    assert len(steps) <= 60
+    assert abs(got[0] - 3e4) <= 2 * np.spacing(3e4) and abs(got[2] - 700.0) <= np.spacing(700.0)
+    assert abs(got[1] - 1.7) < 1e-13 and got[3] == 4.0
+    assert lo.tolist() == [0.0] * 4 and hi[0] == 4e4  # the brackets passed in stay
+
+
 # --------------------------------------------------------------------------
 # relative entropy densities
 

@@ -119,21 +119,18 @@ def test_unknown_mode_rejected():
 
 
 def test_oversized_field_grid_rejected():
-    # 4e10 points: refused before the grid is allocated (it would take 298 GiB)
-    for search in (lambda: sweep_j([0.0], BETAS, grid_step=1e-10),
-                   lambda: chain_sweep(6, [0.0], BETAS, [0.1], grid_step=1e-10)):
-        with pytest.raises(ValueError, match="grid step"):
-            search()
+    # 3.9e10 points: refused before the grid is allocated (it would take
+    # 290 GiB); sweep_j builds no grid, and precision only for J < 0 rows
+    with pytest.raises(ValueError, match="grid step"):
+        chain_sweep(6, [-1.0], BETAS, [0.1], grid_step=1e-10)
 
 
 @pytest.mark.parametrize("step", [-0.1, 0.0, math.inf, math.nan])
 def test_bad_field_grid_step_rejected(step):
     # grid points are computed from their index, so a step that is not
     # positive and finite is refused before any scan
-    for search in (lambda: sweep_j([0.0, -2.0], BETAS, grid_step=step),
-                   lambda: chain_sweep(4, [0.0], BETAS, [0.1], grid_step=step)):
-        with pytest.raises(ValueError, match="positive and finite"):
-            search()
+    with pytest.raises(ValueError, match="positive and finite"):
+        chain_sweep(4, [0.0, -2.0], BETAS, [0.1], grid_step=step)
 
 
 def test_sweep_reproduces_efficiency_curve_shape():
@@ -158,24 +155,23 @@ def test_sweep_reproduces_efficiency_curve_shape():
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_sweep_matches_pointwise_optimizer():
-    # one batched refinement follows every J's own scalar path exactly
-    # (J = 200 includes the nan rows of the h = 0 underflow); the free
-    # mode runs on a coarser field grid to keep the J = -500 scan short
+    # one batched bisection follows every J's own scalar path exactly
+    # (J = 200 includes the nan rows of the h = 0 underflow)
     j_values = [-500.0, -3.0, 0.0, 1.0, 200.0]
-    for mode, step in ((PAPER_PROTOCOL, 1e-2), (FREE_FIELDS, 1e-1)):
-        batch = sweep_j(j_values, BETAS, mode, grid_step=step)
-        single = [efficiency_at_max_work(j, BETAS, mode, grid_step=step)
-                  for j in j_values]
-        assert [p.mode for p in batch] == [p.mode for p in single]
+    for mode in (PAPER_PROTOCOL, FREE_FIELDS):
+        batch = sweep_j(j_values, BETAS, mode)
+        single = [efficiency_at_max_work(j, BETAS, mode) for j in j_values]
+        assert [p.mode for p in batch] == [p.mode for p in single] == [mode] * len(j_values)
         np.testing.assert_array_equal([p[:4] for p in batch], [p[:4] for p in single])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_paper_sweep_matches_full_core_scan():
-    # the paper search runs on the work-only log excess and scans only the
-    # cells its bound keeps; the same search built on the full _core, on
-    # every grid point, gives the same rows (J = 200 and 250 include the
-    # nan rows of the h = 0 underflow, J = -1e4 scans 4e6 points)
+    # the sweep evaluates its work from the work-only log excess; the full
+    # _core at the same fields gives the same work and efficiency bit for
+    # bit, and no grid point of a full-core scan, refined, does better
+    # (J = 200 and 250 are the nan rows of the h = 0 underflow, J = -1e4
+    # scans 4e6 points)
     bh, bc = BETAS.beta_h, BETAS.beta_c
 
     def work_eta(j, h):
@@ -188,13 +184,17 @@ def test_paper_sweep_matches_full_core_scan():
         return w, eta
 
     js = np.array([-1e4, -500.0, -499.0, -3.0, 0.0, 1.0, 200.0, 250.0, 499.0])
-    scans = [full_grid_argmax(lambda h: work_eta(j, h)[0], 0.0, 4.0 * max(1.0, abs(j)), 1e-2)
-             for j in js]
-    h_ref = gridsearch._refine(lambda rows, h: work_eta(js[rows], h)[0], scans)
-    w_ref, eta_ref = work_eta(js, h_ref)
     got = sweep_j(js, BETAS, PAPER_PROTOCOL)
+    h_opt = np.array([p.h_opt for p in got])
     np.testing.assert_array_equal([p[:4] for p in got],
-                                  np.column_stack([js, h_ref, w_ref, eta_ref]))
+                                  np.column_stack([js, h_opt, *work_eta(js, h_opt)]))
+    finite = np.isfinite(h_opt) & (js < 200.0)
+    scans = [full_grid_argmax(lambda h: work_eta(j, h)[0], 0.0, 4.0 * max(1.0, abs(j)), 1e-2)
+             for j in js[finite]]
+    w_ref = work_eta(js[finite], gridsearch._refine(
+        lambda rows, h: work_eta(js[finite][rows], h)[0], scans))[0]
+    w_got = np.array([p.work_density for p in got])[finite]
+    assert np.all(w_got >= w_ref - 1e-12 * np.abs(w_ref))
 
 
 def full_grid_argmax(w_of, lo, hi, step):
@@ -210,17 +210,12 @@ def assert_same_bits(got, want):
     assert np.array(got, dtype=np.float64).tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
-def paper_bound(js, betas):
-    # the nested scan's cell bound in paper mode, as sweep_j builds it
-    js = np.asarray(js, dtype=np.float64).reshape(-1)
-    return lambda rows, h, w: protocols._paper_cell_bound(js[rows], h, w, betas)
-
-
-def free_bound(js, betas):
-    # the nested scan's cell bound in free mode, as sweep_j builds it
-    js = np.asarray(js, dtype=np.float64).reshape(-1)
-    peaks = ising.optimal_field(betas.beta_h, js)
-    return lambda rows, h, w: protocols._free_cell_bound(js[rows], h, peaks[rows], betas)
+def lipschitz_bound(betas):
+    # a certified cell bound of the paper work, whose slope m_h - m_c lies
+    # in [-1, 1], widened as the ring's bound is (each term T*delta of the
+    # work lies in [0, T*ln 2])
+    margin = gridsearch._PRUNE_RTOL * (betas.t_h + betas.t_c) * math.log(2.0)
+    return lambda rows, h, w: 0.5 * (w[..., :-1] + w[..., 1:] + np.diff(h)) + margin
 
 
 def never_prunes(rows, h, w):
@@ -255,31 +250,6 @@ def exact_cell_max(tables):
         return np.array([[tables[r][a:b + 1].max() for r, a, b in zip(rr, ee[:-1], ee[1:])]
                          for rr, ee in zip(rows, ends)])
     return bound
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_pruned_paper_scan_matches_full_scan_on_random_grids():
-    # log-uniform draws over the whole coupling range: weak grids of a few
-    # hundred points, strong antiferromagnets with their switch at
-    # h = 2|J|, strong ferromagnets down to the nan rows (beta_c*J > ~186);
-    # a draw takes the finest step that keeps its grid under 4e5 points
-    rng = np.random.default_rng(20161018)
-    pruned = 0
-    for _ in range(300):
-        beta_h, beta_c = sorted(10.0 ** rng.uniform(-3.0, 3.0, size=2))
-        betas = Betas(beta_h, beta_c)
-        j = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 4.0)
-        h_max = 4.0 * max(1.0, abs(j))
-        step = rng.choice([s for s in (1e-3, 1e-2, 0.1) if h_max / s <= 4e5] or [0.1])
-        pruned += h_max / step >= 4096
-
-        def w_of(h):
-            return protocols._paper_work(j, h, betas)
-
-        got = gridsearch._nested_argmax(lambda rows, h: w_of(h), np.zeros(1), np.array([h_max]),
-                                       step, paper_bound([j], betas))
-        assert_same_bits(got[0], full_grid_argmax(w_of, 0.0, h_max, step))
-    assert pruned >= 120
 
 
 @pytest.mark.parametrize("case", ["ties", "nan-first", "nan-inner-end", "nan-inner", "inf-end",
@@ -325,7 +295,9 @@ def test_packed_scan_matches_one_scan_per_coupling(mode, step):
     # all rows share the work calls of one nested scan; J = 4.9 follows
     # 8004 points of J = +-5; J = -500 (and at step 1e-2 the 4096-point
     # J = 10.2375 and the nan rows J = 200, 250) have the longest grids;
-    # J = 0 has its maximum at the first grid point
+    # J = 0 has its maximum at the first grid point.  The paper work is
+    # scanned under its Lipschitz bound, the free work (the test oracle
+    # below, nan at every field of J = 200 and 250) unpruned
     js = np.array([0.5, -5.0, 5.0, -5.0, 5.0, 4.9, 0.0, 200.0, -500.0, 250.0,
                    10.2375, 10.235, -1.0, 3.0])
     floors = np.zeros(len(js))
@@ -334,10 +306,10 @@ def test_packed_scan_matches_one_scan_per_coupling(mode, step):
     if step == 1e-2:
         assert sum(sizes[1:5]) < gridsearch._SCAN_BLOCK < sum(sizes[1:6])
     paper = mode == PAPER_PROTOCOL
-    work = protocols._paper_work if paper else protocols._free_work
-    bound = paper_bound if paper else free_bound
+    work = protocols._paper_work if paper else free_work
+    bound = lipschitz_bound(BETAS) if paper else never_prunes
     got = gridsearch._nested_argmax(lambda rows, h: work(js[rows], h, BETAS), floors, tops, step,
-                                   bound(js, BETAS))
+                                   bound)
     for row, j in enumerate(js):
         want = full_grid_argmax(lambda h: work(j, h, BETAS), 0.0, tops[row], step)
         assert_same_bits(got[row], want)
@@ -399,39 +371,129 @@ def test_nested_scan_rescans_a_row_with_an_inner_non_finite_value(bounded):
     assert got[1][2] == 700.0 and got[2][2] == 0.0 and got[3][3] == np.inf
 
 
+def sweep_fuzz(seed, draws):
+    # seeded draws of betas and couplings (out to |J| = 2000, with the nan
+    # rows J = 200 and 1e3) and of the grid steps of a full scan, for the
+    # closed-form sweep to be checked against
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        beta_h, beta_c = sorted(10.0 ** rng.uniform(-2.0, 1.5, size=2))
+        js = np.append(rng.choice((-1.0, 1.0), 6) * 10.0 ** rng.uniform(-3.0, np.log10(2000.0), 6),
+                       [200.0, 1e3])
+        step = 10.0 ** rng.uniform(np.log10(0.003), np.log10(0.5))
+        yield Betas(beta_h, beta_c * 1.01), js, step
+
+
+def magnetizations(js, h, betas):
+    # m_h and m_c of the infinite chain at fields h >= 0
+    cores = (ising._core(beta * js, beta * h) for beta in (betas.beta_h, betas.beta_c))
+    return [core.rb + core.delta_b for core in cores]
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("mode", [PAPER_PROTOCOL, FREE_FIELDS])
 def test_sweep_matches_full_scan_and_refinement_per_coupling(mode):
-    # seeded draws of betas, couplings (out to |J| = 500 in free mode, with
-    # a strong antiferromagnet in every draw and a step of at least 0.05)
-    # and grid steps, with the nan rows J = 200 and 1e3: every row equals
-    # one unpruned scan of its own grid, refined by _refine, bit for bit
-    rng = np.random.default_rng(23 if mode == PAPER_PROTOCOL else 24)
-    work = protocols._paper_work if mode == PAPER_PROTOCOL else protocols._free_work
-    for _ in range(8 if mode == PAPER_PROTOCOL else 4):
-        beta_h, beta_c = sorted(10.0 ** rng.uniform(-2.0, 1.5, size=2))
-        betas = Betas(beta_h, beta_c * 1.01)
-        top_j = 2000.0 if mode == PAPER_PROTOCOL else 500.0
-        js = np.append(rng.choice((-1.0, 1.0), 6) * 10.0 ** rng.uniform(-3.0, np.log10(top_j), 6),
-                       [200.0, 1e3])
-        if mode == FREE_FIELDS:
-            js = np.append(js, -rng.uniform(100.0, top_j))
-        step = 10.0 ** rng.uniform(np.log10(0.003 if mode == PAPER_PROTOCOL else 0.05),
-                                   np.log10(0.5))
-        floors = np.zeros(len(js))
-        tops = protocols._grid_tops(js, floors, step)
-        scans = [full_grid_argmax(lambda h: work(j, h, betas), 0.0, top, step)
+    # on the seeded sweep fuzz, the work at every row's solved field is at
+    # least that of one unpruned scan of its own grid, refined by _refine,
+    # minus 1e-12 relative; both modes return the same rows
+    for betas, js, step in sweep_fuzz(23, 8):
+        tops = protocols._grid_tops(js, np.zeros(len(js)), step)
+        scans = [full_grid_argmax(lambda h: protocols._paper_work(j, h, betas), 0.0, top, step)
                  for j, top in zip(js, tops)]
-        h_ref = gridsearch._refine(lambda rows, h: work(js[rows], h, betas), scans)
-        got = sweep_j(js, betas, mode, grid_step=step)
-        assert_same_bits([p.h_opt for p in got], h_ref)
-        assert_same_bits([p.work_density for p in got], work(js, h_ref, betas))
+        h_ref = gridsearch._refine(lambda rows, h: protocols._paper_work(js[rows], h, betas),
+                                   scans)
+        w_ref = protocols._paper_work(js, h_ref, betas)
+        got = sweep_j(js, betas, mode)
+        w = np.array([p.work_density for p in got])
+        finite = np.isfinite(w_ref)
+        assert np.all(w[finite] >= w_ref[finite] - 1e-12 * np.abs(w_ref[finite]))
+        assert np.all(np.isnan(w[~finite])) and np.all(betas.beta_c * js[~finite] > 186.0)
+        assert_same_bits([p[:4] for p in got], [p[:4] for p in sweep_j(js, betas, PAPER_PROTOCOL)])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_paper_root_equalizes_the_magnetizations():
+    # at every solved field h > 0 of the seeded sweep fuzz (its nan rows
+    # included), dw/dh = m_h - m_c vanishes; h = 0 exactly where the root
+    # is switched off
+    rooted = 0
+    for betas, js, _ in sweep_fuzz(34, 40):
+        h = np.array([p.h_opt for p in sweep_j(js, betas)])
+        inv_log_mean = math.log(betas.beta_c / betas.beta_h) / (betas.beta_c - betas.beta_h)
+        on = -2.0 * js > inv_log_mean
+        assert np.all(h[on] > 0.0) and np.all(h[~on] == 0.0)
+        m_h, m_c = magnetizations(js[on], h[on], betas)
+        assert np.all(np.abs(m_h - m_c) <= 1e-12)
+        # the root lies in its bracket [2|J| - 1/beta_L, 2|J|]
+        assert np.all((h[on] <= -2.0 * js[on]) & (h[on] >= -2.0 * js[on] - inv_log_mean))
+        rooted += np.count_nonzero(on)
+    assert rooted >= 40
+
+
+@pytest.mark.parametrize("beta_h,beta_c", [(0.5, 1.0), (0.05, 2.0), (1.0, 2.5)])
+def test_paper_root_turns_on_at_the_log_mean_threshold(beta_h, beta_c):
+    # h_opt = 0 up to -J = 1/(2 beta_L), with beta_L the logarithmic mean
+    # (beta_c - beta_h)/ln(beta_c/beta_h), and positive beyond it
+    betas = Betas(beta_h, beta_c)
+    threshold = math.log(beta_c / beta_h) / (2.0 * (beta_c - beta_h))
+    below, above = sweep_j([-0.99 * threshold, -1.01 * threshold], betas)
+    assert below.h_opt == 0.0 and above.h_opt > 0.0
+    # the work at h = 0 is lower than at the root above the threshold
+    assert above.work_density > protocols._paper_work(-1.01 * threshold, 0.0, betas)
+
+
+def test_paper_root_bisection_stops_when_no_float_is_left(monkeypatch):
+    # at |J| = 1e4 the root is near 2e4, where floats are 3.6e-12 apart: the
+    # bracket never gets below 1e-13, and the loop ends once no float lies
+    # strictly inside it
+    steps = []
+    bisect = ising._bisect
+
+    def counting(below, lo, hi, live):
+        def counted(mid):
+            steps.append(mid)
+            return below(mid)
+        return bisect(counted, lo, hi, live)
+
+    monkeypatch.setattr(ising, "_bisect", counting)
+    row = sweep_j([-1e4], BETAS)[0]
+    assert len(steps) <= 120
+    assert row.h_opt == pytest.approx(2e4, abs=1.0)
+    assert row.work_density == pytest.approx((BETAS.t_h - BETAS.t_c) * math.log((1 + 5 ** 0.5) / 2),
+                                             rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_pruned_paper_scan_matches_full_scan_on_random_grids():
+    # the nested scan of the paper work under its Lipschitz cell bound
+    # (lipschitz_bound), on log-uniform draws over the whole coupling
+    # range: weak grids of a few hundred points, strong antiferromagnets
+    # with their switch at h = 2|J|, strong ferromagnets down to the nan
+    # rows (beta_c*J > ~186); a draw takes the finest step that keeps its
+    # grid under 4e5 points
+    rng = np.random.default_rng(20161018)
+    pruned = 0
+    for _ in range(300):
+        beta_h, beta_c = sorted(10.0 ** rng.uniform(-3.0, 3.0, size=2))
+        betas = Betas(beta_h, beta_c)
+        j = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 4.0)
+        h_max = 4.0 * max(1.0, abs(j))
+        step = rng.choice([s for s in (1e-3, 1e-2, 0.1) if h_max / s <= 4e5] or [0.1])
+        pruned += h_max / step >= 4096
+
+        def w_of(h):
+            return protocols._paper_work(j, h, betas)
+
+        got = gridsearch._nested_argmax(lambda rows, h: w_of(h), np.zeros(1), np.array([h_max]),
+                                       step, lipschitz_bound(betas))
+        assert_same_bits(got[0], full_grid_argmax(w_of, 0.0, h_max, step))
+    assert pruned >= 120
 
 
 def test_paper_cell_bound_premises():
-    # the two bounds of _paper_cell_bound, checked on the work it bounds at
-    # 4000 random (beta_h, beta_c, J, h), weak and strong coupling, against
-    # pairs of nearby fields h1 < h2 (finite differences)
+    # the premises of the paper work's cell bounds and of the root's
+    # bracket, at 4000 random (beta_h, beta_c, J, h), weak and strong
+    # coupling, against pairs of nearby fields h1 < h2 (finite differences)
     rng = np.random.default_rng(1972)
     rtol = gridsearch._PRUNE_RTOL
     for _ in range(500):
@@ -451,155 +513,68 @@ def test_paper_cell_bound_premises():
         (w1, e1), (w2, e2) = work_excess(h1), work_excess(h2)
         scale = rtol * (e1 + e2 + np.abs(w1) + np.abs(w2))
         assert np.all(np.isfinite(w1) & np.isfinite(w2))
-        # |dw/dh| <= 1: the ground terms cancel and dw/dh = m_h - m_c
+        # |dw/dh| <= 1 (lipschitz_bound): the ground terms cancel and dw/dh = m_h - m_c
         assert np.all(np.abs(w2 - w1) <= (h2 - h1) + scale)
         # w <= T_h*delta_h: the cold log excess is nonnegative
         assert np.all((w1 <= e1) & (w2 <= e2))
-        # T_h*delta_h rises up to h = 2|J| and falls after it
+        # T_h*delta_h rises up to h = 2|J|, the top of the root's bracket,
+        # and falls after it
         rising, falling = h2 <= switch, h1 >= switch
         assert np.all(e2[rising] >= e1[rising] - rtol * e2[rising])
         assert np.all(e2[falling] <= e1[falling] + rtol * e1[falling])
 
 
-@pytest.mark.parametrize("beta_h,beta_c", [(0.5, 1.0), (0.05, 2.0), (1.0, 2.5)])
-def test_paper_cell_bound_covers_every_grid_point(beta_h, beta_c):
-    # at every cell width the nested scan forms (each power of _BRANCH
-    # below the grid length, with a shorter last cell), the bound of each
-    # cell lies above the work at every grid point of the cell, and its
-    # excess part alone (an infinite Lipschitz part) above T_h*delta_h,
-    # the cells around the peak at h = 2|J| included (beta_c*J stays below
-    # the nan rows, whose scan stops at h = 0)
-    betas = Betas(beta_h, beta_c)
-    for j in (-100.0, -7.3, -1.0, -0.02, 0.0, 0.5, 3.0, 60.0):
-        grid = np.arange(0.0, 4.0 * max(1.0, abs(j)) + 0.5e-2, 1e-2)
-        w = protocols._paper_work(j, grid, betas)
-        excess = ising._log_excess(beta_h * j, beta_h * grid) / beta_h
-        width = 1
-        while width < len(grid) - 1:
-            ends = np.append(np.arange(0, len(grid) - 1, width), len(grid) - 1)
-            h_ends = grid[ends][None]
-            both = protocols._paper_cell_bound(np.array([[j]]), h_ends, w[ends][None], betas)[0]
-            excess_only = protocols._paper_cell_bound(
-                np.array([[j]]), h_ends, np.full((1, len(ends)), np.inf), betas)[0]
-            assert np.all(both >= np.maximum(np.maximum.reduceat(w, ends[:-1]), w[ends[1:]]))
-            assert np.all(excess_only >= np.maximum(np.maximum.reduceat(excess, ends[:-1]),
-                                                    excess[ends[1:]]))
-            width *= gridsearch._BRANCH
-
-
-def hot_entropy_term(j, h, betas):
-    # (T_h - T_c)*s_h, the first term of _free_work and its bound
-    a_h, b_h = betas.beta_h * j, betas.beta_h * np.abs(h)
-    return (betas.t_h - betas.t_c) * ising._core(a_h, b_h).entropy(a_h, b_h)
-
-
-def test_free_cell_bound_premises():
-    # the premises of _free_cell_bound at 4000 random (beta_h, beta_c, J, h),
-    # weak and strong coupling, against pairs of nearby fields h1 < h2
-    # (finite differences): the free work lies below (T_h - T_c)*s_h, and
-    # s_h rises up to ising.optimal_field(beta_h, J) and falls after it
-    rng = np.random.default_rng(1984)
-    rtol = gridsearch._PRUNE_RTOL
-    for _ in range(500):
-        beta_h, beta_c = sorted(10.0 ** rng.uniform(-3.0, 3.0, size=2))
-        betas = Betas(beta_h, beta_c)
-        j = rng.choice((-1.0, 1.0), size=8) * 10.0 ** rng.uniform(-3.0, 4.0, size=8)
-        peak = ising.optimal_field(beta_h, j)
-        h1 = np.where(rng.random(8) < 0.5, rng.uniform(0.0, 4.0, 8) * np.maximum(1.0, np.abs(j)),
-                      peak + rng.normal(0.0, 1.0, 8) / beta_h)
-        h1 = np.abs(h1) + 1e-300
-        h2 = h1 + 10.0 ** rng.uniform(-4.0, 0.0, 8)
-        s1, s2 = hot_entropy_term(j, h1, betas), hot_entropy_term(j, h2, betas)
-        assert np.all(np.isfinite(s1) & np.isfinite(s2))
-        # strong ferromagnets (beta_c*J above ~186) are nan at every field
-        with np.errstate(invalid="ignore"):
-            w1, w2 = protocols._free_work(j, h1, betas), protocols._free_work(j, h2, betas)
-        assert np.all(~(w1 > s1) & ~(w2 > s2))
-        rising, falling = h2 <= peak, h1 >= peak
-        assert np.all(s2[rising] >= s1[rising] - rtol * s2[rising])
-        assert np.all(s2[falling] <= s1[falling] + rtol * s1[falling])
-
-
-@pytest.mark.parametrize("beta_h,beta_c", [(0.5, 1.0), (0.05, 2.0), (1.0, 2.5), (3.0, 30.0)])
-def test_free_cell_bound_covers_every_grid_point(beta_h, beta_c):
-    # at every cell width the nested scan forms (each power of _BRANCH
-    # below the grid length, with a shorter last cell), the bound of each
-    # cell lies above the free work and above (T_h - T_c)*s_h at every grid
-    # point of the cell, and at least half the rounding margin above both
-    # cell ends of the latter; rows whose work is nan are skipped (strong
-    # ferromagnets, beta_c*J above ~186, are nan at every field)
-    betas = Betas(beta_h, beta_c)
-    rtol = gridsearch._PRUNE_RTOL
-    checked = 0
-    for j in (-100.0, -7.3, -1.0, -0.3, -0.02, 0.0, 0.5, 3.0, 60.0):
-        grid = np.arange(0.0, 4.0 * max(1.0, abs(j)) + 0.5e-2, 1e-2)
-        with np.errstate(invalid="ignore"):
-            w = protocols._free_work(j, grid, betas)
-        if np.any(np.isnan(w)):
-            continue
-        checked += 1
-        s = hot_entropy_term(j, grid, betas)
-        bound = free_bound([j], betas)
-        width = 1
-        while width < len(grid) - 1:
-            ends = np.append(np.arange(0, len(grid) - 1, width), len(grid) - 1)
-            got = bound(np.array([[0]]), grid[ends][None], w[ends][None])[0]
-            case = (j, width)
-            assert np.all(got >= np.maximum(np.maximum.reduceat(w, ends[:-1]), w[ends[1:]])), case
-            cell_s = np.maximum(np.maximum.reduceat(s, ends[:-1]), s[ends[1:]])
-            assert np.all(got >= cell_s), case
-            s_ends = np.maximum(s[ends[:-1]], s[ends[1:]])
-            assert np.all(got >= s_ends + 0.5 * rtol * np.abs(s_ends)), case
-            width *= gridsearch._BRANCH
-    assert checked >= 8
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_pruned_sweep_evaluates_few_grid_points(monkeypatch):
-    # J = -499 is a pruned antiferromagnet, J = 499 a nan row that stops
-    # at its end points; the default weak sweep (J = -5..5 in steps of
-    # 0.1) shares its calls; each count includes the refinement and the rows
-    evaluated = []
+def counting_sweep(monkeypatch):
+    # the fields at which sweep_j evaluates the paper work, one entry per
+    # call, and the number of nested scans it starts
+    evaluated, scans = [], []
+    paper_work, nested_argmax = protocols._paper_work, protocols._nested_argmax
 
     def counting_work(j, h, betas):
         evaluated.append(np.size(h))
         return paper_work(j, h, betas)
 
-    def grid_points(js):
-        return sum(len(np.arange(0.0, 4.0 * max(1.0, abs(j)) + 0.005, 1e-2)) for j in js)
+    def counting_scan(*args, **kwargs):
+        scans.append(args)
+        return nested_argmax(*args, **kwargs)
 
-    paper_work = protocols._paper_work
     monkeypatch.setattr(protocols, "_paper_work", counting_work)
+    monkeypatch.setattr(protocols, "_nested_argmax", counting_scan)
+    return evaluated, scans
+
+
+def sweep_grid_points(js):
+    # the points of the default 0.01-step field grids of the couplings js
+    return sum(len(np.arange(0.0, 4.0 * max(1.0, abs(j)) + 0.005, 1e-2)) for j in js)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_pruned_sweep_evaluates_few_grid_points(monkeypatch):
+    # J = -499 is a strong antiferromagnet, J = 499 a nan row; the default
+    # weak sweep (J = -5..5 in steps of 0.1) shares its calls; the solved
+    # sweep evaluates the work once per row, at its root, and scans no grid
+    evaluated, scans = counting_sweep(monkeypatch)
     rows = sweep_j([-499.0, 499.0], BETAS)
-    assert sum(evaluated) <= 0.05 * grid_points([-499.0, 499.0])
+    assert sum(evaluated) <= 0.05 * sweep_grid_points([-499.0, 499.0])
+    assert evaluated == [2] and scans == []
     assert rows[0].work_density > 0.0 and math.isnan(rows[1].work_density)
     evaluated.clear()
     weak = [-5.0 + 0.1 * k for k in range(101)]
     sweep_j(weak, BETAS)
-    assert sum(evaluated) <= 0.25 * grid_points(weak)
+    assert sum(evaluated) <= 0.25 * sweep_grid_points(weak)
+    assert evaluated == [101] and scans == []
 
 
 def test_pruned_free_sweep_evaluates_few_grid_points(monkeypatch):
-    # the free sweep at J = -1e4 (4e6 grid points) evaluates the work, golden
-    # refinement included, and its cell bound each at 0.01% of its grid
-    # points at most
-    evaluated, bounded = [], []
-    free_work, free_cell_bound = protocols._free_work, protocols._free_cell_bound
-
-    def counting_work(j, h, betas):
-        evaluated.append(np.size(h))
-        return free_work(j, h, betas)
-
-    def counting_bound(j, h, peak, betas):
-        bounded.append(np.size(h))
-        return free_cell_bound(j, h, peak, betas)
-
-    monkeypatch.setattr(protocols, "_free_work", counting_work)
-    monkeypatch.setattr(protocols, "_free_cell_bound", counting_bound)
+    # the free sweep at J = -1e4 (4e6 grid points) evaluates the work at
+    # 0.01% of its grid points at most (once, at the paper root) and starts
+    # no nested scan, so no cell bound is evaluated; the work equals the
+    # strong antiferromagnet's (T_h - T_c)*ln(phi)
+    evaluated, scans = counting_sweep(monkeypatch)
     row = sweep_j([-1e4], BETAS, FREE_FIELDS)[0]
-    grid_points = len(np.arange(0.0, 4e4 + 0.005, 1e-2))
-    assert sum(evaluated) <= 1e-4 * grid_points
-    assert sum(bounded) <= 1e-4 * grid_points
+    assert sum(evaluated) <= 1e-4 * sweep_grid_points([-1e4])
+    assert evaluated == [1] and scans == []
+    assert row.mode == FREE_FIELDS
     assert row.work_density == pytest.approx((BETAS.t_h - BETAS.t_c) * math.log((1 + 5 ** 0.5) / 2),
                                              rel=1e-12)
 
@@ -616,6 +591,92 @@ def test_golden_max_batch_matches_scalar_calls():
     assert np.all(np.abs(batch[:4] - 1.25) <= 1e-8)
 
 
+# --------------------------------------------------------------------------
+# free corner fields: the oracle of the envelope theorem.  With h_C relaxed
+# to the I-projection field h_C*, dw_free/dh_B = (h_C* - h_B) d<M>_h/dh, so
+# the free work peaks where h_C* = h_B, the paper family's own optimum,
+# and sweep_j answers --mode free with the paper optimum
+
+
+def free_penalty_min(j, h_b, betas, core_s):
+    """Minimal cold-entry penalty min over h_C >= 0 of D(hot B || cold C)
+    per site, and the h_C that attains it, elementwise over ``h_b``
+    (``j`` is a scalar or broadcasts against it), given ``core_s``, the
+    hot ``_core`` at (beta_h*J, beta_h*|h_B|).
+
+    The minimizer is the I-projection of the hot state onto the cold
+    Gibbs family: the penalty is convex in h_C and stationary where the
+    cold magnetization matches the hot one, m.  The chain's
+    m = sinh b / sqrt(sinh^2 b + e^{-4a}) inverts in closed form,
+    sinh(beta_c h_C) = m e^{-2 beta_c J} / sqrt((1 - m)(1 + m)), taken in
+    logs with the exact complement ``one_minus_m``; where m rounds to 1
+    the root is not finite and h_B takes its place.  The exact candidates
+    0, h_B and (beta_h/beta_c)*h_B compete with the root and win ties.
+    """
+    j = np.asarray(j, dtype=np.float64)
+    h_b = np.asarray(h_b, dtype=np.float64)
+    bh, bc = betas.beta_h, betas.beta_c
+    m = core_s.rb + core_s.delta_b
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_sinh = np.log(m) - 2.0 * bc * j \
+            - 0.5 * (np.log(core_s.one_minus_m) + np.log1p(m))
+        # asinh(e^L), in log form where e^L would overflow
+        asinh = np.where(log_sinh > 0.0,
+                         log_sinh + np.log1p(np.sqrt(1.0 + np.exp(-2.0 * log_sinh))),
+                         np.arcsinh(np.exp(log_sinh)))
+    root = np.where(np.isfinite(asinh), asinh / bc, h_b)
+    candidates = np.stack(np.broadcast_arrays(0.0, h_b, (bh / bc) * h_b, root))
+    values = ising._relative_entropy(bh, bc, j, h_b, candidates, core_s)
+    pick = np.argmin(values, axis=0)[None]
+    return np.take_along_axis(values, pick, 0)[0], np.take_along_axis(candidates, pick, 0)[0]
+
+
+def free_work(j, h, betas, fields=False):
+    """Work density of the infinite chain with h_B = h and each matching
+    field relaxed, and with ``fields`` also the cold field h_C* that
+    attains it."""
+    j = np.asarray(j, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)
+    a_h, b_h = betas.beta_h * j, betas.beta_h * np.abs(h)
+    core_h = ising._core(a_h, b_h)
+    d_min, h_c = free_penalty_min(j, h, betas, core_h)
+    w = (betas.t_h - betas.t_c) * core_h.entropy(a_h, b_h) - betas.t_c * d_min
+    return (w, h_c) if fields else w
+
+
+def ring_free_work(n, j, h_b, betas):
+    """Work per site of the N-ring with h_B = h_b (an array) and the
+    matching cold field relaxed, and that field h_C*, from the exact level
+    classes: h_C* matches the cold <M> to the hot one (bisection), and the
+    penalty is the classwise relative entropy there."""
+    m, b, g = kernels.levels(n)
+    real = g > 0
+    m, b, log_g = np.broadcast_to(m, b.shape)[real], b[real], np.log(g[real])
+
+    def log_p(beta, h):
+        x = beta * (j * b + h[:, None] * m) + log_g
+        return x - np.logaddexp.reduce(x, axis=1, keepdims=True)
+
+    def mean_m(beta, h):
+        return np.exp(log_p(beta, h)) @ m
+
+    lp_h = log_p(betas.beta_h, h_b)
+    p_h = np.exp(lp_h)
+    s_h = -np.sum(p_h * (lp_h - log_g), axis=1)
+    target = p_h @ m
+    lo, hi = np.zeros(len(h_b)), np.ones(len(h_b))
+    for _ in range(60):
+        short = mean_m(betas.beta_c, hi) < target
+        lo, hi = np.where(short, hi, lo), np.where(short, 2.0 * hi, hi)
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        short = mean_m(betas.beta_c, mid) < target
+        lo, hi = np.where(short, mid, lo), np.where(short, hi, mid)
+    h_c = 0.5 * (lo + hi)
+    d = np.maximum(np.sum(p_h * (lp_h - log_p(betas.beta_c, h_c)), axis=1), 0.0)
+    return ((betas.t_h - betas.t_c) * s_h - betas.t_c * d) / n, h_c
+
+
 @pytest.mark.parametrize("beta_h,beta_c", [(0.5, 1.0), (0.4, 1.4), (0.1, 3.0), (0.9, 1.0)])
 def test_free_penalty_min_against_scalar_scan(beta_h, beta_c):
     # oracle: the scalar relative-entropy density on a dense h_C grid
@@ -626,7 +687,7 @@ def test_free_penalty_min_against_scalar_scan(beta_h, beta_c):
         h_bs = np.unique(np.concatenate([[0.0, 1e-12, 2.0 * abs(j) + 1e-9],
                                          np.linspace(0.0, top, 5)]))
         core_s = ising._core(beta_h * j, beta_h * h_bs)
-        d_min, h_c = protocols._free_penalty_min(j, h_bs, betas, core_s)
+        d_min, h_c = free_penalty_min(j, h_bs, betas, core_s)
         # includes the points where the hot magnetization rounds to 1
         assert np.all(np.isfinite(d_min)) and np.all(np.isfinite(h_c))
         for h_b, d, h in zip(h_bs, d_min, h_c):
@@ -641,6 +702,50 @@ def test_free_penalty_min_against_scalar_scan(beta_h, beta_c):
                 m_cold = magnetization(beta_c, j, h)
                 m_hot = magnetization(beta_h, j, h_b)
                 assert abs(m_cold - m_hot) <= 1e-12
+
+
+def test_free_fields_never_beat_the_paper_optimum_of_the_chain():
+    # seeded (betas, J) on 20001-point grids over [0, 4*max(1, |J|)]: the
+    # free work lies above the paper work at every field, its maximum
+    # exceeds sweep_j's optimum by at most 1e-12 relative, and it peaks
+    # within a grid step of sweep_j's field, where h_C* = h_B to a step
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        beta_h, beta_c = sorted(10.0 ** rng.uniform(-1.5, 1.0, size=2))
+        betas = Betas(beta_h, 1.01 * beta_c)
+        for j in rng.choice((-1.0, 1.0), 4) * 10.0 ** rng.uniform(-2.0, 2.0, 4):
+            if betas.beta_c * j > 150.0:  # the nan rows of the h = 0 underflow
+                continue
+            point = sweep_j([j], betas, FREE_FIELDS)[0]
+            grid, step = np.linspace(0.0, 4.0 * max(1.0, abs(j)), 20001, retstep=True)
+            w, h_c = free_work(j, grid, betas, fields=True)
+            paper = protocols._paper_work(j, grid, betas)
+            assert np.all(w >= paper - 1e-12 * np.abs(paper)), (betas, j)
+            k = int(np.argmax(w))
+            assert w[k] <= point.work_density + 1e-12 * abs(point.work_density), (betas, j)
+            assert abs(grid[k] - point.h_opt) <= step and abs(h_c[k] - grid[k]) <= step
+
+
+def test_free_fields_never_beat_the_paper_optimum_of_rings():
+    # the same theorem on rings at N <= 10, by the exact level classes, on
+    # 801-point grids: chain_sweep's paper optimum is the free maximum too
+    rng = np.random.default_rng(17)
+    for _ in range(16):
+        n = int(rng.integers(2, 11))
+        beta_h, beta_c = sorted(10.0 ** rng.uniform(-1.0, 0.7, size=2))
+        betas = Betas(beta_h, 1.01 * beta_c)
+        j = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.5, 0.7)
+        point = chain_sweep(n, [j], betas)[0]
+        grid, step = np.linspace(0.0, 4.0 * max(1.0, abs(j)), 801, retstep=True)
+        w, h_c = ring_free_work(n, j, grid, betas)
+        levels = kernels.levels(n)
+        paper = protocols._chain_gap(levels, protocols._sectors(levels, j, betas), grid,
+                                     betas)[0] / n
+        case = (n, betas, j)
+        assert np.all(w >= paper - 1e-12 * np.abs(paper)), case
+        k = int(np.argmax(w))
+        assert w[k] <= point.work_density + 1e-12 * abs(point.work_density), case
+        assert abs(grid[k] - point.h_opt) <= step and abs(h_c[k] - grid[k]) <= step, case
 
 
 # --------------------------------------------------------------------------
@@ -871,9 +976,10 @@ def sum_by_halving(x):
 
 
 def pointwise_chain_optimum(n, j, betas, epsilon):
-    """The per-point finite-chain optimizer: grid scan and golden
-    refinement on the full evaluation (work, efficiency and the hot
-    entropy), each temperature building its own sector sums.
+    """The per-point finite-chain optimizer: the floor for J >= 0, else a
+    grid scan and golden refinement, on the full evaluation (work,
+    efficiency and the hot entropy), each temperature building its own
+    sector sums.
 
     The classes come as the padded sector table of ``kernels.levels``,
     and every sum is taken by halving, so that the bits match the
@@ -909,8 +1015,11 @@ def pointwise_chain_optimum(n, j, betas, epsilon):
     def w_of(hs):
         return evaluate(hs)[0]
 
-    scan = full_grid_argmax(w_of, epsilon, h_max, 1e-2)
-    h_opt = gridsearch._refine(lambda rows, h: w_of(h), [scan])
+    if j >= 0:
+        h_opt = np.array([epsilon])
+    else:
+        scan = full_grid_argmax(w_of, epsilon, h_max, 1e-2)
+        h_opt = gridsearch._refine(lambda rows, h: w_of(h), [scan])
     w_opt, eta_opt = evaluate(h_opt)
     return ChainPoint(float(j), float(epsilon), float(h_opt[0]),
                       float(w_opt[0]), float(eta_opt[0]))
@@ -962,11 +1071,11 @@ def chain_search(monkeypatch, n, js, betas, floors, step):
 def test_chain_cell_bound_covers_every_grid_point(monkeypatch, beta_h, beta_c):
     # at every cell width the nested scan forms (each power of _BRANCH
     # below the grid length, with a shorter last cell), the bound of each
-    # cell lies above chain_sweep's work at every grid point of the cell,
-    # and so does its excess part alone (an infinite Lipschitz part); the
-    # grids end at 4*max(1, |J|), past the antiferromagnets' last switch.
-    # Each bound also lies at least half the rounding margin above both
-    # ends of its cell, so a cell that ties the best to rounding is kept
+    # cell lies above chain_sweep's work at every grid point of the cell;
+    # the grids end at 4*max(1, |J|), past the antiferromagnets' switch at
+    # 2|J|.  Each bound also lies at least half the rounding margin above
+    # both ends of its cell, so a cell that ties the best to rounding is
+    # kept.  Only the antiferromagnetic rows are scanned
     betas = Betas(beta_h, beta_c)
     margin = gridsearch._PRUNE_RTOL * (betas.t_h + betas.t_c) * math.log(2.0)
     js = [s * j for j in (1e-3, 0.5, 5.0, 200.0) for s in (-1.0, 1.0)]
@@ -974,6 +1083,7 @@ def test_chain_cell_bound_covers_every_grid_point(monkeypatch, beta_h, beta_c):
     for n in (1, 2, 3, 6, 10, 24):
         search = chain_search(monkeypatch, n, js, betas, [0.0, 0.3], step)
         work, cell_bound = search["work"], search["cell_bound"]
+        assert len(search["floors"]) == 8
         for row, (floor, top) in enumerate(zip(search["floors"], search["tops"])):
             grid = np.arange(floor, top + 0.5 * step, step)
             w = work(np.full(len(grid), row), grid)
@@ -981,20 +1091,19 @@ def test_chain_cell_bound_covers_every_grid_point(monkeypatch, beta_h, beta_c):
             while width < len(grid) - 1:
                 ends = np.append(np.arange(0, len(grid) - 1, width), len(grid) - 1)
                 cell_max = np.maximum(np.maximum.reduceat(w, ends[:-1]), w[ends[1:]])
-                both, excess_only = (
-                    cell_bound(np.array([[row]]), grid[ends][None], w_ends[None])[0]
-                    for w_ends in (w[ends], np.full(len(ends), np.inf)))
-                case = (n, js[row % len(js)], floor, width)
-                assert np.all(both >= cell_max), case
-                assert np.all(excess_only >= cell_max), case
-                assert np.all(both >= np.maximum(w[ends[:-1]], w[ends[1:]]) + 0.5 * margin)
+                bound = cell_bound(np.array([[row]]), grid[ends][None], w[ends][None])[0]
+                case = (n, row, floor, width)
+                assert np.all(bound >= cell_max), case
+                assert np.all(bound >= np.maximum(w[ends[:-1]], w[ends[1:]]) + 0.5 * margin)
                 width *= gridsearch._BRANCH
 
 
 def test_chain_sweep_matches_full_scan_and_refinement_per_row():
     # seeded draws of N, betas, couplings (strong ones of both signs),
-    # floors up to 100 and grid steps: every row equals one unpruned scan
-    # of its own grid, refined by _refine, bit for bit
+    # floors up to 100 and grid steps: every antiferromagnetic row equals
+    # one unpruned scan of its own grid, refined by _refine, bit for bit;
+    # every ferromagnetic row sits at its floor, with work at least that
+    # of the scan and refinement minus 1e-12 relative
     rng = np.random.default_rng(2024)
     for _ in range(10):
         n = int(rng.integers(1, 25))
@@ -1016,15 +1125,62 @@ def test_chain_sweep_matches_full_scan_and_refinement_per_row():
         scans = [full_grid_argmax(lambda h: work(j, h), floor, top, step)
                  for j, floor, top in zip(j_rows, floor_rows, tops)]
         h_ref = gridsearch._refine(lambda rows, h: work(j_rows[rows], h), scans)
+        w_ref = work(j_rows, h_ref)
         got = chain_sweep(n, js, betas, floors, grid_step=step)
-        assert_same_bits([p.h_opt for p in got], h_ref)
-        assert_same_bits([p.work_density for p in got], work(j_rows, h_ref))
+        h_got, w_got = (np.array([p[k] for p in got]) for k in (2, 3))
+        anti = j_rows < 0
+        assert_same_bits(h_got[anti], h_ref[anti])
+        assert_same_bits(w_got[anti], w_ref[anti])
+        assert_same_bits(h_got[~anti], floor_rows[~anti])
+        assert np.all(w_got[~anti] >= w_ref[~anti] - 1e-12 * np.abs(w_ref[~anti]))
+
+
+def test_ferromagnetic_ring_optimum_is_the_floor():
+    # Griffiths' second inequality: <M> rises with beta at h >= 0, so the
+    # work per site never rises with h; seeded rows at N = 2..24 on
+    # 4001-point grids above their floors
+    rng = np.random.default_rng(1967)
+    for _ in range(40):
+        n = int(rng.integers(2, 25))
+        beta_h, beta_c = sorted(10.0 ** rng.uniform(-2.0, 1.0, size=2))
+        betas = Betas(beta_h, beta_c * 1.01)
+        j = 10.0 ** rng.uniform(-3.0, 2.0)
+        floor = rng.choice([0.0, 10.0 ** rng.uniform(-3.0, 1.0)])
+        point = chain_sweep(n, [j], betas, [floor])[0]
+        assert point.h_opt == floor
+        levels = kernels.levels(n)
+        grid = np.linspace(floor, floor + 4.0 * max(1.0, j), 4001)
+        w = protocols._chain_gap(levels, protocols._sectors(levels, j, betas), grid,
+                                 betas)[0] / n
+        assert np.all(np.diff(w) <= 1e-12 * np.abs(w[:-1]))
+        assert point.work_density >= np.max(w) * (1.0 - 1e-12)
+
+
+def test_ring_ground_sector_switches_only_at_twice_the_coupling():
+    # with k <= N/2 down spins the lowest class has k isolated down spins,
+    # E_k = (|J| - h) N + k (2h - 4|J|): every sector crosses at h = 2|J| at
+    # once, so the lowest sector of f_M - h*M on h > 0 is M = N mod 2 below
+    # 2|J| and M = N above it; a ferromagnet stays at M = N
+    u = np.concatenate([np.linspace(1e-3, 1.0 - 1e-3, 199), 1.0 - np.logspace(-9, -4, 6)])
+    for n in range(2, 25):
+        m, b, _ = kernels.levels(n)
+        m = m[:, 0]
+        for j in (-0.3, -1.0, -2.5, 7.0, 1.0):
+            f = (-(j * b)).min(axis=0)[:, 0]
+            switch = 2.0 * abs(j)
+            hs = switch * np.concatenate([u, 2.0 - u])
+            lowest = m[np.argmin(f[None, :] - hs[:, None] * m[None, :], axis=1)]
+            below = n % 2 if j < 0 else n
+            assert np.all(lowest[hs < switch] == below), (n, j)
+            assert np.all(lowest[hs > switch] == n), (n, j)
 
 
 def test_pruned_chain_sweep_evaluates_few_grid_points(monkeypatch):
     # the precision run of the chains benchmark (N = 10, floors 0 and 0.1,
-    # J = 0..20 in steps of 2): the work calls and the excess bound, golden
-    # refinement included, evaluate at most 5% of its grid points
+    # J = 0..20 in steps of 2) has only ferromagnetic rows: one sector-sum
+    # call for all 22 rows, at their floors.  Its antiferromagnetic mirror
+    # (J = -20..-2) evaluates at most 10% of its grid points, golden
+    # refinement included
     evaluated = []
 
     def counting_sums(m, f, c, hs, beta):
@@ -1035,8 +1191,13 @@ def test_pruned_chain_sweep_evaluates_few_grid_points(monkeypatch):
     monkeypatch.setattr(protocols, "_sector_sums", counting_sums)
     js, floors = [2.0 * k for k in range(11)], [0.0, 0.1]
     rows = chain_sweep(10, js, BETAS, floors)
+    assert evaluated == [22]
+    assert [p.h_opt for p in rows] == [eps for eps in floors for _ in js]
+    assert all(point.work_density > 0.0 for point in rows)
+    evaluated.clear()
+    js = [-2.0 * k for k in range(1, 11)]
+    rows = chain_sweep(10, js, BETAS, floors)
     evaluated.pop()  # the efficiency at the optimum
-    grid_points = sum(len(np.arange(eps, 4.0 * max(1.0, j) + 0.005, 1e-2))
-                      for eps in floors for j in js)
-    assert sum(evaluated) <= 0.05 * grid_points
+    grid_points = sum(len(np.arange(eps, -4.0 * j + 0.005, 1e-2)) for eps in floors for j in js)
+    assert sum(evaluated) <= 0.1 * grid_points
     assert all(point.work_density > 0.0 for point in rows)

@@ -351,7 +351,7 @@ _COMMANDS = {
               help="corner-field family: matched quench or free fields"),
         _GRID_STEP)),
     "precision": (cmd_precision, "finite-chain efficiency with a field floor (CSV)", (
-        *_BETAS, *_j_grid(0.0, 20.0, 0.5), _chain_length(6),
+        *_BETAS, *_j_grid(0.0, 20.0, 0.5), _chain_length(6, hi=10 ** 9),
         _flag("--epsilon", action="append",
               type=_checked(float, lambda e: 0 <= e < math.inf,
                             "--epsilon values must be nonnegative and finite"),

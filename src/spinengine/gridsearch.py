@@ -52,7 +52,7 @@ def _golden_max(work, lo, hi, tol: float) -> np.ndarray:
 
 
 def _nested_argmax(work, floors: np.ndarray, tops: np.ndarray, step: float,
-                   cell_bound, block: int = _SCAN_BLOCK) -> np.ndarray:
+                   cell_bound) -> np.ndarray:
     """Grid argmax of ``work(rows, h)`` on the grid floors[k], floors[k] +
     step, ..., tops[k] of every row k, from one nested scan of all rows:
     row k of the returned array holds the bracket (the grid neighbours of
@@ -63,7 +63,7 @@ def _nested_argmax(work, floors: np.ndarray, tops: np.ndarray, step: float,
     as one cell between its end points.  At each level every cell is cut
     at the largest power of ``_BRANCH`` below its width, which gives it at
     most ``_BRANCH`` - 1 new points; the new points of all cells go to
-    shared ``work`` calls of at most ``block`` points.  ``cell_bound(rows,
+    shared ``work`` calls of at most ``_SCAN_BLOCK`` points.  ``cell_bound(rows,
     h, w)`` maps the fields and the work at consecutive points along the
     last axis to an upper bound on the work over each cell between them;
     a cell whose bound lies below its row's best value by more than a
@@ -82,11 +82,11 @@ def _nested_argmax(work, floors: np.ndarray, tops: np.ndarray, step: float,
 
     def scan(rows, idx):
         """The work at points ``idx`` of ``rows``, in calls of at most
-        ``block`` points, each folded into its row's first maximum."""
+        ``_SCAN_BLOCK`` points, each folded into its row's first maximum."""
         out = np.empty(len(idx))
-        for a in range(0, len(idx), block):
-            r, i = rows[a:a + block], idx[a:a + block]
-            w = out[a:a + block] = work(r, floors[r] + i * deltas[r])
+        for a in range(0, len(idx), _SCAN_BLOCK):
+            r, i = rows[a:a + _SCAN_BLOCK], idx[a:a + _SCAN_BLOCK]
+            w = out[a:a + _SCAN_BLOCK] = work(r, floors[r] + i * deltas[r])
             fallback[r[~np.isfinite(w)]] = True
             before = best[r]
             with np.errstate(invalid="ignore"):  # a nan row falls back

@@ -128,6 +128,66 @@ def _log_excess(a, babs) -> np.ndarray:
                        lambda *ab: _staggered(*ab)[:1])[0]
 
 
+def _log1mexp(u):
+    """log(1 - e^{-u}) for u >= 0, to full relative precision on both sides
+    of ln 2 (Maechler's split)."""
+    return np.where(u > _LOG2, np.log1p(-np.exp(-u)), np.log(-np.expm1(-u)))
+
+
+def _ring(n: int, a, babs):
+    """(log Z_N/N - r_N, S/N) of the periodic N-site ring, elementwise over
+    broadcast (a, |b|), with r_N = -beta E_0/N the ring's ground log-scale.
+
+    Z_N = lambda_+^N + lambda_-^N with rho = lambda_-/lambda_+ of the sign
+    of a, and |lambda_-| lambda_+ = |det T| = 2|sinh 2a| gives
+
+        u = -log|rho| = 2(r - |a|) - log(1 - e^{-4|a|}) + 2 delta,
+
+    a sum of terms >= 0, with r and delta those of :class:`_Core`.  Where
+    rho^N >= 0, r_N = r and log Z_N/N = r + delta + log1p(e^{-Nu})/N.  For
+    odd N and a < 0, rho^N = -e^{-Nu} tends to -1 (the frustrated ring);
+    there Z_N = lambda_+^{N-1} tr(T) R with tr T = lambda_+ + lambda_- =
+    2 e^a cosh b and R = (1 - e^{-Nu})/(1 - e^{-u}) in [1, N], so
+
+        N (log Z_N/N - r_N) = (N - 1) delta + log(1 + e^{-2|b|}) + log R,
+
+    with r_N = r + (2a + |b|)/N in the staggered branch (the frustrated
+    bond's cost, which no float subtraction then has to cancel) and r in
+    the polarized one.  Both temperatures of a cycle share r_N up to the
+    factor beta, so T_h (log Z_h/N - r_N) - T_c (log Z_c/N - r_N) is the
+    work.  Deep in the frustrated phase u is below 1e-300, and R and its
+    derivative take their limits N and 0.  No term above cancels, N = 1
+    included.  The entropy is
+    (1 - a d_a - |b| d_b) log Z_N/N, with
+
+        (a d_a + |b| d_b) log|rho| = 2(|a| - ra a) + 4|a|/(e^{4|a|} - 1)
+                                     - 2a delta_a - 2|b| (rb + delta_b),
+
+    none of whose terms cancels in the branch where it is large.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        core = _core(a, babs)
+        # _polarized is 0/0 where |b| ~ 0 and a > ~186; there delta -> 0, and
+        # the partials enter only as a*delta_a -> 0 and |b|*delta_b -> 0
+        delta, delta_a, delta_b = (np.where(np.isnan(x), 0.0, x) for x in core[2:5])
+        chain = delta - a * delta_a - babs * delta_b
+        abs_a = np.abs(a)
+        u = 2.0 * (core.ra * a - abs_a + core.rb * babs) - _log1mexp(4.0 * abs_a) + 2.0 * delta
+        slope = 2.0 * (abs_a - core.ra * a - a * delta_a - babs * (core.rb + delta_b)) \
+            + np.where(abs_a > 0.0, 4.0 * abs_a / np.expm1(4.0 * abs_a), 1.0)
+        v = n * u
+        tail = np.log1p(np.exp(-v))
+        log_z, s = n * delta + tail, n * chain + tail - n * slope / (1.0 + np.exp(v))
+        if n % 2:
+            log_r = np.where(u < 1e-300, math.log(n), _log1mexp(v) - _log1mexp(u))
+            tilt_r = np.where(u < 1e-300, 0.0, slope * (1.0 / np.expm1(u) - n / np.expm1(v)))
+            q = np.exp(-2.0 * babs)
+            trace = (n - 1) * delta + np.log1p(q) + log_r
+            s_trace = (n - 1) * chain + np.log1p(q) + 2.0 * babs * q / (1.0 + q) + log_r - tilt_r
+            log_z, s = np.where(a < 0.0, trace, log_z), np.where(a < 0.0, s_trace, s)
+    return log_z / n, s / n
+
+
 def _check_beta(beta) -> np.ndarray:
     beta = np.asarray(beta, dtype=np.float64)
     if np.any(~np.isfinite(beta)) or np.any(beta <= 0):

@@ -19,11 +19,7 @@ views:
   ``(n/r) C(k-1, r-1) C(n-k-1, r-1)`` of them; the two polarized states
   (``r = 0``) are their own classes.  Anything that depends on a
   configuration only through ``(M, B)`` sums over these few classes
-  (27 at ``n = 10``, 146 at ``n = 24``) instead of all ``2**n``.  The
-  classes come as one table of the ``n + 1`` magnetization sectors (11
-  at ``n = 10``, 25 at ``n = 24``), each padded to the longest with
-  zero-degeneracy copies, so a sum in which the field enters only
-  through ``-h * M`` can be taken once per sector.
+  (27 at ``n = 10``, 146 at ``n = 24``) instead of all ``2**n``.
 """
 
 from __future__ import annotations
@@ -71,27 +67,18 @@ def ising_energies(n: int, j: float, h) -> np.ndarray:
 
 def levels(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ring's ``(M, B, g)`` classes (magnetization sum, bond sum and
-    the exact number of configurations) grouped into its ``n + 1``
-    magnetization sectors: M as a column of shape (sectors, 1) in
-    descending order, and B and g of shape (longest sector, sectors, 1),
-    all float64.
+    the exact number of configurations) as three flat float64 arrays.
 
-    Sector ``k`` (``k`` down spins) holds its classes along axis 0 in
-    ascending domain count ``r`` (B = n - 4r), padded to the longest
-    sector with ``g = 0`` copies of its first class.  The degeneracies
-    sum to ``2**n``.
+    The classes come in descending M (``k`` down spins, M = n - 2k), each
+    magnetization in ascending domain count ``r`` (B = n - 4r).  The
+    degeneracies sum to ``2**n``.
     """
     _check_length(n)
-    longest = max(1, n // 2)
-    b, g = [], []
-    for k in range(n + 1):
-        domains = range(1, min(k, n - k) + 1) or [0]  # r = 0: a polarized state
-        pad = longest - len(domains)
-        b += [n - 4 * r for r in domains] + [n - 4 * domains[0]] * pad
-        g += [n * comb(k - 1, r - 1) * comb(n - k - 1, r - 1) // r if r else 1
-              for r in domains] + [0] * pad
-    b, g = np.array(b + g, dtype=np.float64).reshape(2, n + 1, longest, 1).swapaxes(1, 2)
-    return n - 2.0 * np.arange(n + 1)[:, None], b, g
+    # r = 0: a polarized state
+    classes = [(n - 2 * k, n - 4 * r,
+                n * comb(k - 1, r - 1) * comb(n - k - 1, r - 1) // r if r else 1)
+               for k in range(n + 1) for r in range(1, min(k, n - k) + 1) or [0]]
+    return tuple(np.array(x, dtype=np.float64) for x in zip(*classes))
 
 
 def ground_state_stats(n: int, j: float, h: float, tol: float) -> tuple[float, int]:

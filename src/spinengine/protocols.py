@@ -22,7 +22,9 @@ isotherm against the local Gibbs state there.  Two families:
 Everything evaluates through the reduced transfer-matrix parts rather
 than total free energies; total-energy differences at strong coupling
 cancel catastrophically (the surviving signal can sit 20 orders of
-magnitude below the ground-state term).
+magnitude below the ground-state term).  A finite N-ring is the chain
+plus the transfer-matrix correction of Z_N = lambda_+^N + lambda_-^N
+(:func:`ising._ring`), at any N.
 """
 
 from __future__ import annotations
@@ -32,21 +34,17 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import ising, kernels
+from . import ising
 from .engine import Betas, UndefinedResultError
-from .gridsearch import _PRUNE_RTOL, _SCAN_BLOCK, _nested_argmax, _refine
+from .gridsearch import _PRUNE_RTOL, _nested_argmax, _refine
 from .ising import _core
 
 PAPER_PROTOCOL = "paper"
 FREE_FIELDS = "free"
 
-_EXP_FLOOR = -700.0  # lowest Boltzmann exponent of a partition sum (see _weights)
 # most field grid points per coupling: 50x the strong-coupling grids in use
 # (2e5 points), and 80 MB per grid array
 _GRID_POINTS_MAX = 10_000_000
-# most fields times sectors in one finite-chain work call: 8192 fields at
-# N = 24 (3.3 MB of weights) ran about 3 times slower per field than 5000
-_SECTOR_TERMS = 1 << 17
 
 
 class ProtocolFields(NamedTuple):
@@ -225,124 +223,41 @@ def efficiency_at_max_work(j: float, betas: Betas, mode: str = PAPER_PROTOCOL) -
 # finite chains
 # ---------------------------------------------------------------------------
 
-def _temperatures(betas: Betas) -> np.ndarray:
-    """Both inverse temperatures as a column, hot then cold."""
-    return np.array([[betas.beta_h], [betas.beta_c]])
+def _ring_work(n: int, j, h, betas: Betas):
+    """Work per site of the N-ring's matched cycle at the shared field h,
+    elementwise over broadcast (j, h), and the hot entropy per site.
 
-
-def _weights(beta: np.ndarray, x) -> np.ndarray:
-    """Boltzmann weights e^{-beta*x} of energies x >= 0 at each inverse
-    temperature of the column ``beta`` (:func:`_temperatures`, or its hot
-    row alone), along a new second-to-last axis, each at least
-    e^_EXP_FLOOR (1e-304).
-
-    Every sum of them here has a term of at least 1, which absorbs the
-    floor, and numpy's exp is 20 to 200 times slower where its result
-    would be subnormal or 0.
+    One :func:`ising._ring` call serves both temperatures.  They share the
+    ring's ground log-scale, which enters as the same energy at both, so
+    the work is T_h*excess_h - T_c*excess_c of the reduced parts: the
+    chain's :func:`_paper_work` plus the transfer-matrix correction.
     """
-    w = -beta * x[..., None, :]
-    np.maximum(w, _EXP_FLOOR, out=w)
-    return np.exp(w, out=w)
+    beta = np.array([[betas.beta_h], [betas.beta_c]])
+    excess, entropy = ising._ring(n, beta * j, beta * np.abs(h))
+    return excess[0] / betas.beta_h - excess[1] / betas.beta_c, entropy[0]
 
 
-def _sum_rows(x: np.ndarray) -> np.ndarray:
-    """Sum of ``x`` over axis 0, by halving it in place.
-
-    The order of the additions does not depend on the other axes (numpy's
-    ``sum`` adds a lone column pairwise, and other shapes row by row or
-    not, as its iterator chooses), so a field gets the same bits alone
-    as in a batch.
-    """
-    rows = len(x)
-    while rows > 1:
-        half = (rows + 1) // 2
-        x[:rows - half] += x[half:rows]
-        rows = half
-    return x[0]
-
-
-def _sectors(levels, j, betas: Betas):
-    """The sector terms of :func:`_chain_gap` on the ring's sector table
-    ``levels`` (:func:`kernels.levels`) at coupling ``j`` (a scalar, or
-    one coupling per field along the last axis): each sector's lowest
-    bond energy f_M = min -J*B, its sums C_M at both temperatures
-    (:func:`_weights`), and its hot sum D_M."""
-    _, b, g = levels
-    bond = -(b * j)
-    f = bond.min(axis=0)
-    excess = bond - f
-    c = _sum_rows(g[..., None, :] * _weights(_temperatures(betas), excess))
-    return f, c, _sum_rows(g * excess * np.exp(-betas.beta_h * excess))
-
-
-def _columns(parts, rows) -> tuple:
-    """Columns ``rows`` (last axis) of each array of ``parts``, one per
-    field; a single column, which broadcasts, when all rows are one."""
-    rows = np.asarray(rows)
-    if rows.size and np.all(rows == rows.flat[0]):
-        rows = rows.reshape(-1)[:1]
-    return tuple(np.take(part, rows, axis=-1) for part in parts)
-
-
-def _sector_sums(m, f, c, hs, beta):
-    """The ground-shifted sector energies f_M - h*M - s at each field,
-    with s = min_M (f_M - h*M), and the sums z = sum_M C_M e^{-beta (f_M -
-    h*M - s)}, one row per inverse temperature of the column ``beta``
-    (``c`` holds C_M at the same temperatures).  1 <= z <= 2^N."""
-    shifted = f - m * hs
-    shifted -= shifted.min(axis=0)
-    weights = _weights(beta, shifted)
-    weights *= c
-    return shifted, _sum_rows(weights)
-
-
-def _chain_gap(levels, sectors, hs, betas: Betas):
-    """Free-energy gap T_h*logZ_h - T_c*logZ_c of the ring with sector
-    table ``levels`` (:func:`kernels.levels`) at each field, and a
-    function of no arguments that returns the hot entropy there.
-
-    The field enters the energy only through -h*M, so each partition sum
-    runs over the magnetization sectors (:func:`_sectors`):
-
-        Z = sum_M C_M e^{-beta (f_M - h*M - s)},
-        C_M = sum_{B in M} g e^{-beta (-J*B - f_M)},
-
-    with f_M the sector's lowest -J*B and s = min_M (f_M - h*M) the ground
-    energy, so a field costs one exponential per sector and temperature
-    (:func:`_sector_sums`).  Every exponent is <= 0, and both temperatures
-    share s, so strong couplings do not cancel away the signal.  The hot
-    entropy adds D_M = sum_{B in M} g (-J*B - f_M) e^{-beta_h (-J*B - f_M)};
-    the gap reads only f_M and C_M, the first two of ``sectors``.
-    """
-    f, c = sectors[:2]
-    shifted, (z_h, z_c) = _sector_sums(levels[0], f, c, hs, _temperatures(betas))
-
-    def hot_entropy():
-        d_h = sectors[2]
-        energy = _sum_rows(np.exp(-betas.beta_h * shifted) * (shifted * c[:, 0] + d_h)) / z_h
-        return betas.beta_h * energy + np.log(z_h)
-
-    return betas.t_h * np.log(z_h) - betas.t_c * np.log(z_c), hot_entropy
-
-
-def _chain_cell_bound(h, w, betas: Betas) -> np.ndarray:
+def _chain_cell_bound(j, h, w, betas: Betas) -> np.ndarray:
     """Upper bound of the ring's work per site over each cell between
     consecutive fields h >= 0 along the last axis of ``h``, with ``w`` the
-    work there, certified for any cell width (Piyavskii-Shubert): dw/dh =
-    (<M>_h - <M>_c)/N, and spin-flip symmetry puts <M> in [0, N] on
-    h >= 0, so a cell of width H holds at most (w_a + w_b + H)/2.
+    work there and ``j`` the coupling of each row, certified for any cell
+    width (Piyavskii-Shubert): dw/dh = (<M>_h - <M>_c)/N, and spin-flip
+    symmetry puts <M> in [0, N] on h >= 0, so a cell of width H holds at
+    most (w_a + w_b + H)/2.
 
     The antiferromagnetic rows it serves switch ground sectors at one
     field: with k <= N/2 down spins the lowest class has k isolated down
     spins, E_k = (|J| - h) N + k (2h - 4|J|), so every sector crosses at
     h = 2|J| at once.
 
-    The bound is widened by ``_PRUNE_RTOL``*(T_h + T_c)*ln 2: each term
-    T*log z / N of w lies in [0, T*ln 2], and w, which can cancel, is
-    rounded at that absolute scale.
+    The bound is widened by ``_PRUNE_RTOL``*((T_h + T_c)*ln 2 + 4|J|), the
+    scale at which w is rounded: each reduced term T*excess of w is at most
+    T*ln 2 (:func:`_ring_work`), and the rounding of a = beta*J and
+    b = beta*|h| moves T*delta by up to about 1e-16*(2|J| + |h|) at the
+    switch field, where delta is largest.
     """
     bound = 0.5 * (w[:, :-1] + w[:, 1:] + (h[:, 1:] - h[:, :-1]))
-    return bound + _PRUNE_RTOL * (betas.t_h + betas.t_c) * math.log(2.0)
+    return bound + _PRUNE_RTOL * ((betas.t_h + betas.t_c) * math.log(2.0) + 4.0 * np.abs(j))
 
 
 def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
@@ -350,7 +265,7 @@ def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
                 grid_step: float = 1e-2) -> list[ChainPoint]:
     """Finite-chain analogue of :func:`sweep_j` for the shared-field
     family, with the corner fields constrained to h >= epsilon, at every
-    (epsilon, J) pair; rows are epsilon-major.
+    (epsilon, J) pair of the N-ring (N >= 1); rows are epsilon-major.
 
     A ferromagnetic row (J >= 0) has its optimum at the floor epsilon:
     by Griffiths' second inequality <M> rises with beta at h >= 0, so the
@@ -358,37 +273,36 @@ def chain_sweep(n: int, j_values: Sequence[float], betas: Betas,
     An antiferromagnetic pair gets a field grid on [epsilon,
     4*max(1, |J|)] (:func:`_grid_tops`), and one nested scan
     (:func:`gridsearch._nested_argmax`) searches the grids of all such
-    pairs in shared work calls, on the work per site alone, only in the
-    cells that :func:`_chain_cell_bound` cannot rule out.  One
-    golden-section refinement (:func:`gridsearch._refine`) then runs for
-    all of them at once.  The ring's sector table (:func:`kernels.levels`)
-    and the sector terms of the rows are built once; a work call takes the
-    f_M and C_M columns of its rows, one column when they are all one row.
-    The work and the efficiency gap / (T_h*S_h) (:func:`_eta`) of every
-    row then come from one :func:`_chain_gap` call at the optimal fields.
+    pairs in shared work calls, on the work per site alone
+    (:func:`_ring_work` at each field's coupling), only in the cells that
+    :func:`_chain_cell_bound` cannot rule out.  One golden-section
+    refinement (:func:`gridsearch._refine`) then runs for all of them at
+    once.  The work and the efficiency w / (T_h*s_h) (:func:`_eta`) of
+    every row then come from one :func:`_ring_work` call at the optimal
+    fields.
     """
+    if n < 1:
+        raise ValueError(f"chain length {n} must be at least 1")
     eps = np.array(epsilons, dtype=np.float64).reshape(-1)
     if np.any(eps < 0):
         raise ValueError("field floor must be nonnegative")
-    levels = kernels.levels(n)
     js = np.array(j_values, dtype=np.float64).reshape(-1)
     eps_rows, j_rows = np.repeat(eps, len(js)), np.tile(js, len(eps))
-    row_sectors = _sectors(levels, j_rows, betas)
     h_opt = eps_rows.copy()
     anti = np.flatnonzero(j_rows < 0)
     if len(anti):
         def work(rows, hs):
-            return _chain_gap(levels, _columns(row_sectors[:2], anti[rows]), hs, betas)[0] / n
+            return _ring_work(n, j_rows[anti[rows]], hs, betas)[0]
 
         floors = eps_rows[anti]
-        scans = _nested_argmax(work, floors, _grid_tops(j_rows[anti], floors, grid_step),
-                               grid_step, lambda rows, h, w: _chain_cell_bound(h, w, betas),
-                               min(_SCAN_BLOCK, _SECTOR_TERMS // len(levels[0])))
+        scans = _nested_argmax(
+            work, floors, _grid_tops(j_rows[anti], floors, grid_step), grid_step,
+            lambda rows, h, w: _chain_cell_bound(j_rows[anti[rows]], h, w, betas))
         h_opt[anti] = _refine(work, scans)
-    gap, hot_entropy = _chain_gap(levels, row_sectors, h_opt, betas)
-    eta = _eta(gap, hot_entropy(), betas.beta_h)
+    w, s_h = _ring_work(n, j_rows, h_opt, betas)
+    eta = _eta(w, s_h, betas.beta_h)
     return [ChainPoint(float(j), float(floor), float(h), float(w), float(e))
-            for j, floor, h, w, e in zip(j_rows, eps_rows, h_opt, gap / n, eta)]
+            for j, floor, h, w, e in zip(j_rows, eps_rows, h_opt, w, eta)]
 
 
 def chain_efficiency_at_max_work(n: int, j: float, betas: Betas,

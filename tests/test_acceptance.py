@@ -120,12 +120,11 @@ def test_criterion_4_optimal_field_non_analyticity():
 
 
 def test_criterion_5_oracle_equivalence():
-    with criterion(5, "sector sums vs enumeration; ordered divergence "
+    with criterion(5, "ring closed form vs enumeration; ordered divergence "
                       "vs permutation search", 30.0):
         rng = np.random.default_rng(2024)
         worst = 0.0
         for n in range(4, 13):
-            levels = kernels.levels(n)
             for _ in range(50):
                 j = rng.uniform(-2.0, 2.0)
                 h = rng.uniform(-2.0, 2.0)
@@ -136,8 +135,7 @@ def test_criterion_5_oracle_equivalence():
                          for beta in (betas.beta_h, betas.beta_c)]
                 brute = betas.t_h * log_z[0] - betas.t_c * log_z[1]
                 scale = betas.t_h * abs(log_z[0]) + betas.t_c * abs(log_z[1])
-                gap, _ = protocols._chain_gap(levels, protocols._sectors(levels, j, betas),
-                                              np.array([h]), betas)
+                gap = n * protocols._ring_work(n, j, np.array([h]), betas)[0]
                 worst = max(worst, abs(gap[0] - brute) / scale)
         assert worst < 1e-10
 

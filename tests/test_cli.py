@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import spinengine
-from spinengine import cli, ising, kernels
+from spinengine import cli, ising, kernels, protocols
 from spinengine.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_UNDEFINED, main
+from spinengine.engine import Betas
 
 
 def read_csv(path):
@@ -191,9 +192,52 @@ def test_full_class_bound_on_tiny_populations(tmp_path, j, h_b):
 
 @pytest.mark.parametrize("command", ["cycle", "bound", "gs-deg", "precision"])
 def test_chain_length_range(command, capsys):
-    for n in ("0", "25"):
+    # precision has no level table, and takes any N that a float holds exactly
+    top = 10 ** 9 if command == "precision" else 24
+    for n in ("0", str(top + 1)):
         assert main([command, "-N", n]) == EXIT_CONFIG
-        assert "-N must be between 1 and 24" in capsys.readouterr().err
+        assert f"-N must be between 1 and {top}" in capsys.readouterr().err
+
+
+def precision_rows(capsys, argv):
+    assert main(["precision", *argv]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return [[float(x) for x in line.split(",")] for line in captured.out.splitlines()[2:]]
+
+
+def test_precision_accepts_any_ring_length(capsys):
+    # the antiferromagnetic rows of a billion-site ring are the infinite
+    # chain's, and the free spins (J = 0) sit at Carnot
+    rows = precision_rows(capsys, ["-N", "1000000000", "--epsilon", "0", "--j-min=-2",
+                                   "--j-max", "0", "--j-step", "1"])
+    assert [row[0] for row in rows] == [-2.0, -1.0, 0.0]
+    chain = protocols.sweep_j([-2.0, -1.0], Betas(0.5, 1.0))
+    for row, point in zip(rows, chain):
+        assert row[2] == pytest.approx(point.efficiency, rel=1e-9)
+    assert rows[2][2] == 0.5
+
+
+def test_precision_large_floor_keeps_relative_accuracy(capsys):
+    # at J = 1 and a floor of 40 only single flips (cost 2h + 4J = 84) are
+    # excited, at weight e^{-42}; the work per site is 1.15e-18, and the
+    # efficiency 1/(1 + beta_h*84) = 1/43
+    rows = precision_rows(capsys, ["-N", "10", "--epsilon", "40", "--j-min", "1",
+                                   "--j-max", "1"])
+    assert rows[0][2] == pytest.approx(1.0 / 43.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--epsilon", "0", "--j-min", "200", "--j-max", "400", "--j-step", "100"],
+    ["--epsilon", "0", "--epsilon", "1e-300", "--j-min", "200", "--j-max", "200",
+     "--beta-h", "1", "--beta-c", "2"],
+])
+def test_precision_strong_ferromagnet_is_carnot(capsys, argv):
+    # at h ~ 0 only the ground doublet is populated, whose log 2 entropy is
+    # the same at both temperatures: the efficiency is Carnot's, 0.5, where
+    # the chain's closed form divides 0 by 0
+    rows = precision_rows(capsys, ["-N", "10", *argv])
+    assert rows and all(row[2] == pytest.approx(0.5, rel=1e-12) for row in rows)
 
 
 def test_gs_deg_json_field_flag(tmp_path):
@@ -475,7 +519,7 @@ def test_bad_inverse_temperature_in_config_names_key_and_flag(tmp_path, capsys, 
     assert repr(key) in captured.err and f"argument {flag}:" in captured.err
 
 def test_config_exit_codes(tmp_path):
-    assert main(["precision", "-N", "25", "--epsilon", "0"]) == EXIT_CONFIG
+    assert main(["precision", "-N", "1000000001", "--epsilon", "0"]) == EXIT_CONFIG
     assert main(["precision"]) == EXIT_CONFIG  # no epsilon given
     assert main(["precision", "-N", "4", "--epsilon", "-1"]) == EXIT_CONFIG
     assert main(["optimal-field", "--beta", "-1"]) == EXIT_CONFIG

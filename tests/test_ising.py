@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import sector_sums
 from spinengine import ising, kernels, protocols
 from spinengine.engine import Betas
 
@@ -118,19 +119,20 @@ def test_finite_size_correction_shrinks_with_n():
 
 def test_transfer_matrix_logz_matches_sector_sums_past_enumeration():
     # two finite-ring paths that share no code: the core's lambda_+ through
-    # Z_N = lambda_+^N + lambda_-^N, and the magnetization-sector sums
+    # Z_N = lambda_+^N + lambda_-^N, and the magnetization-sector sums of
+    # the tests' reference; the ring's closed form matches both
     rng = np.random.default_rng(54)
     for n in (16, 20, 24):
-        levels = kernels.levels(n)
         for _ in range(5):
             j, h = rng.uniform(-2.0, 2.0, size=2)
             betas = Betas(*sorted(rng.uniform(0.2, 2.0, size=2)))
             log_z = [transfer_matrix_log_z(n, j, h, beta)
                      for beta in (betas.beta_h, betas.beta_c)]
-            gap, _ = protocols._chain_gap(levels, protocols._sectors(levels, j, betas),
-                                          np.array([h]), betas)
             scale = betas.t_h * abs(log_z[0]) + betas.t_c * abs(log_z[1])
-            assert abs(gap[0] - (betas.t_h * log_z[0] - betas.t_c * log_z[1])) <= 1e-12 * scale
+            for gap in (sector_sums.gap_entropy(n, j, np.array([h]), betas)[0],
+                        n * protocols._ring_work(n, j, np.array([h]), betas)[0]):
+                assert abs(gap[0] - (betas.t_h * log_z[0] - betas.t_c * log_z[1])) \
+                    <= 1e-12 * scale
 
 
 # --------------------------------------------------------------------------

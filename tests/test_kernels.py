@@ -37,12 +37,8 @@ def test_all_up_is_index_zero():
 
 
 def classes(n):
-    """The (M, B, g) classes of the sector table, padding left out."""
-    m, b, g = kernels.levels(n)
-    m = np.broadcast_to(m, b.shape)
-    real = g > 0
-    return list(zip(m[real].astype(int).tolist(), b[real].astype(int).tolist(),
-                    g[real].astype(int).tolist()))
+    """The (M, B, g) classes of ``kernels.levels`` as integer triples."""
+    return list(zip(*(x.astype(int).tolist() for x in kernels.levels(n))))
 
 
 def test_levels_match_enumerated_histogram():
@@ -59,29 +55,27 @@ def test_levels_match_enumerated_histogram():
 def test_levels_grouped_by_descending_magnetization():
     for n in range(1, 25):
         m, b, g = kernels.levels(n)
-        assert m.shape == (n + 1, 1) and b.shape == g.shape == (max(1, n // 2), n + 1, 1)
+        assert m.ndim == b.ndim == g.ndim == 1 and len(m) == len(b) == len(g)
         assert m.dtype == b.dtype == g.dtype == np.float64
-        ms = m[:, 0].tolist()
+        ms = m.tolist()
         assert ms == sorted(ms, reverse=True)
         assert len(set(ms)) == n + 1
 
 
 def test_sector_table():
-    # sector k holds the configurations with k down spins, in ascending
-    # domain count r (B = N - 4r, r = 0 for the polarized sectors), padded
-    # with g = 0 copies of the sector's first class
+    # magnetization M = N - 2k holds the configurations with k down spins,
+    # in ascending domain count r (B = N - 4r, r = 0 for the polarized
+    # states), with no zero-degeneracy class
     for n in range(1, 25):
         m, b, g = kernels.levels(n)
-        assert m[:, 0].tolist() == [n - 2 * k for k in range(n + 1)]
-        assert np.all(np.diff(m[:, 0]) < 0)
+        assert sorted(set(m.tolist()), reverse=True) == [n - 2 * k for k in range(n + 1)]
         for k in range(n + 1):
-            bs, gs = b[:, k, 0], g[:, k, 0]
+            bs, gs = b[m == n - 2 * k], g[m == n - 2 * k]
             assert sum(gs) == math.comb(n, k)
             count = max(1, min(k, n - k))
             first_r = 1 if 0 < k < n else 0
-            assert bs[:count].tolist() == [n - 4 * r for r in range(first_r, first_r + count)]
-            assert np.all(gs[:count] > 0) and np.all(gs == np.round(gs))
-            assert np.all(gs[count:] == 0.0) and np.all(bs[count:] == bs[0])
+            assert bs.tolist() == [n - 4 * r for r in range(first_r, first_r + count)]
+            assert np.all(gs > 0) and np.all(gs == np.round(gs))
 
 
 def test_tables_from_one_enumeration(monkeypatch):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import hp_oracle
+import sector_sums
 from spinengine import gridsearch, ising, kernels, protocols
 from spinengine.engine import Betas, UndefinedResultError
 from spinengine.protocols import (FREE_FIELDS, PAPER_PROTOCOL, ProtocolFields,
@@ -650,8 +652,7 @@ def ring_free_work(n, j, h_b, betas):
     classes: h_C* matches the cold <M> to the hot one (bisection), and the
     penalty is the classwise relative entropy there."""
     m, b, g = kernels.levels(n)
-    real = g > 0
-    m, b, log_g = np.broadcast_to(m, b.shape)[real], b[real], np.log(g[real])
+    log_g = np.log(g)
 
     def log_p(beta, h):
         x = beta * (j * b + h[:, None] * m) + log_g
@@ -738,9 +739,7 @@ def test_free_fields_never_beat_the_paper_optimum_of_rings():
         point = chain_sweep(n, [j], betas)[0]
         grid, step = np.linspace(0.0, 4.0 * max(1.0, abs(j)), 801, retstep=True)
         w, h_c = ring_free_work(n, j, grid, betas)
-        levels = kernels.levels(n)
-        paper = protocols._chain_gap(levels, protocols._sectors(levels, j, betas), grid,
-                                     betas)[0] / n
+        paper = protocols._ring_work(n, j, grid, betas)[0]
         case = (n, betas, j)
         assert np.all(w >= paper - 1e-12 * np.abs(paper)), case
         k = int(np.argmax(w))
@@ -877,8 +876,6 @@ def class_gap_entropy(n, j, hs, betas):
     """Gap and hot entropy at each field, summed class by class over the
     (M, B, g) levels with one ground shift per field."""
     m, b, g = kernels.levels(n)
-    real = g > 0  # the padding of the sector table left out
-    m, b, g = np.broadcast_to(m, b.shape)[real], b[real], g[real]
     shifted = -j * b[None, :] - hs[:, None] * m[None, :]
     shifted -= shifted.min(axis=1, keepdims=True)
 
@@ -900,13 +897,6 @@ def sector_fields(j):
     return np.array([0.0, 1e-12, 0.3, 2.0 * abs(j), 4.0 * max(1.0, abs(j))])
 
 
-def sector_gap_entropy(n, j, hs, betas):
-    levels = kernels.levels(n)
-    gap, hot_entropy = protocols._chain_gap(levels, protocols._sectors(levels, j, betas), hs,
-                                            betas)
-    return gap, hot_entropy()
-
-
 def assert_rel_close(got, want, rtol):
     got, want = np.asarray(got), np.asarray(want)
     assert np.all(np.isfinite(got))
@@ -918,7 +908,7 @@ def test_sector_sum_matches_enumeration():
         for betas in SECTOR_BETAS:
             for j in SECTOR_JS:
                 hs = sector_fields(j)
-                gap, s_h = sector_gap_entropy(n, j, hs, betas)
+                gap, s_h = sector_sums.gap_entropy(n, j, hs, betas)
                 want = np.array([enumerated_gap_entropy(n, j, h, betas) for h in hs]).T
                 assert_rel_close(gap, want[0], 1e-11)
                 assert_rel_close(s_h, want[1], 1e-11)
@@ -929,7 +919,7 @@ def test_sector_sum_matches_class_sum_at_24_sites():
     for betas in SECTOR_BETAS:
         for j in SECTOR_JS:
             hs = sector_fields(j)
-            gap, s_h = sector_gap_entropy(24, j, hs, betas)
+            gap, s_h = sector_sums.gap_entropy(24, j, hs, betas)
             want_gap, want_s = class_gap_entropy(24, j, hs, betas)
             assert_rel_close(gap, want_gap, 1e-11)
             assert_rel_close(s_h, want_s, 1e-11)
@@ -942,14 +932,99 @@ def test_sector_sum_same_bits_for_scalar_and_per_field_coupling():
         for betas in SECTOR_BETAS:
             for j in SECTOR_JS:
                 hs = sector_fields(j)
-                scalar = sector_gap_entropy(n, j, hs, betas)
-                per_field = sector_gap_entropy(n, np.full(len(hs), j), hs, betas)
+                scalar = sector_sums.gap_entropy(n, j, hs, betas)
+                per_field = sector_sums.gap_entropy(n, np.full(len(hs), j), hs, betas)
                 np.testing.assert_array_equal(scalar[0], per_field[0])
                 np.testing.assert_array_equal(scalar[1], per_field[1])
                 # a field alone gets the bits it gets in a batch
                 for k in range(len(hs)):
-                    alone = sector_gap_entropy(n, np.full(1, j), hs[k:k + 1], betas)
+                    alone = sector_sums.gap_entropy(n, np.full(1, j), hs[k:k + 1], betas)
                     assert (alone[0][0], alone[1][0]) == (scalar[0][k], scalar[1][k])
+
+
+def test_ring_matches_sector_sums():
+    # the closed form against the sector-sum reference on its own rows, to
+    # the reference's tolerance or within its rounding: it sums
+    # e^{-beta (E - E_0)} with energies E = -J*B - h*M of size (|J| + |h|) N,
+    # and rounds log z to 0 once every excited weight is below 1e-16
+    for n in (*range(1, 17), 24):
+        for betas in SECTOR_BETAS:
+            for j in SECTOR_JS:
+                hs = sector_fields(j)
+                work, s_h = protocols._ring_work(n, j, hs, betas)
+                gap, want_s = sector_sums.gap_entropy(n, j, hs, betas)
+                energy = 4e-16 * n * (abs(j) + hs)
+                for got, want, floor in (
+                        (n * work, gap, energy + 4e-16 * n * (betas.t_h + betas.t_c)),
+                        (n * s_h, want_s, betas.beta_h * energy + 4e-16 * n)):
+                    assert np.all(np.abs(got - want)
+                                  <= 1e-11 * np.maximum(np.abs(got), np.abs(want)) + floor)
+                assert np.all(s_h >= 0.0)
+
+
+def test_decimal_oracle_routes_agree():
+    # the oracle's transfer-matrix log Z against its exact class sums
+    rng = np.random.default_rng(41)
+    with hp_oracle.decimal.localcontext(hp_oracle.CONTEXT):
+        for n in (1, 2, 3, 7, 12):
+            for _ in range(2):
+                beta = hp_oracle.Decimal(float(rng.uniform(0.1, 3.0)))
+                j, h = rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 60.0), rng.uniform(0.0, 100.0)
+                via_classes = hp_oracle.class_log_z(n, beta, j, h)
+                via_transfer = hp_oracle.transfer_log_z(n, beta, j, h)
+                assert abs(via_classes - via_transfer) <= abs(via_classes) * hp_oracle.Decimal("1e-300")
+
+
+def test_ring_matches_decimal_oracle():
+    # seeded rows with N up to 1e4 (every third an odd antiferromagnetic
+    # ring), |J| up to 60, and fields up to 100 or within 0.1% of 2|J|:
+    # the work per site, the hot entropy and the efficiency match the
+    # 400-digit transfer matrix to 1e-12 relative, also where they are
+    # tiny, wherever the oracle's values are normal floats
+    rng = np.random.default_rng(40)
+    for k in range(90):
+        n = int(rng.integers(1, 25) if k % 2 else rng.integers(1, 10_001))
+        beta_h, beta_c = sorted(10.0 ** rng.uniform(-1.0, 0.5, size=2))
+        betas = Betas(beta_h, 1.01 * beta_c)
+        j = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, math.log10(60.0))
+        if k % 3 == 0:
+            n, j = n | 1, -abs(j)
+        h = rng.uniform(0.0, 100.0) if k % 4 < 2 else 2.0 * abs(j) * (1.0 + 1e-3 * rng.normal())
+        w, s_h = protocols._ring_work(n, j, np.array([h]), betas)
+        got = (w[0], s_h[0], protocols._eta(w, s_h, betas.beta_h)[0])
+        want = hp_oracle.chain_point(n, betas.beta_h, betas.beta_c, j, h)
+        case = (n, betas, j, h)
+        if abs(want[1]) < 1e-290:
+            assert abs(got[0]) <= 1e-290 and abs(got[1]) <= 1e-290, case
+        else:
+            assert_rel_close(got, want, 1e-12)
+
+
+def test_one_site_ring_is_a_free_spin():
+    # N = 1 has the one bond s*s = 1, so Z_1 = 2 e^a cosh b and the work and
+    # entropy do not depend on J; the closed form reaches them through
+    # delta and rho, which cancel to about 1e-8 of each other at h ~ 2|J|
+    # of a strong antiferromagnet
+    rng = np.random.default_rng(39)
+    for _ in range(200):
+        betas = Betas(*sorted(10.0 ** rng.uniform(-1.0, 0.5, size=2)))
+        j = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 2.0)
+        h = abs(j) * rng.choice([rng.uniform(0.0, 4.0), 2.0 + rng.normal(0.0, 0.01)])
+        work, s_h = protocols._ring_work(1, j, np.array([h]), betas)
+        q_h, q_c = np.exp(-2.0 * betas.beta_h * h), np.exp(-2.0 * betas.beta_c * h)
+        free = betas.t_h * np.log1p(q_h) - betas.t_c * np.log1p(q_c)
+        entropy = np.log1p(q_h) + 2.0 * betas.beta_h * h * q_h / (1.0 + q_h)
+        assert_rel_close([work[0], s_h[0]], [free, entropy], 1e-12)
+
+
+def test_long_ring_work_is_the_chain_work():
+    # at N = 1e4 the ring's correction to the infinite chain is below
+    # e^{-300} at these couplings, for both signs of J and both parities
+    fields = np.array([0.0, 0.3, 1.0, 2.0, 3.9, 4.0, 4.1, 8.0])
+    for n in (10_000, 10_001):
+        for j in (-2.0, -1.0, -0.3, 0.3, 1.0, 2.0):
+            work = protocols._ring_work(n, j, fields, BETAS)[0]
+            assert_rel_close(work, protocols._paper_work(j, fields, BETAS), 1e-12)
 
 
 def test_chain_matches_enumeration():
@@ -966,51 +1041,21 @@ def test_chain_matches_enumeration():
                     <= point.work_density * (1 + 1e-10) + 1e-15
 
 
-def sum_by_halving(x):
-    """Sum over axis 0 in the order of protocols._chain_gap: the top half
-    of the rows is added onto the bottom half until one row is left."""
-    while len(x) > 1:
-        half = (len(x) + 1) // 2
-        x = np.concatenate([x[:len(x) - half] + x[half:], x[len(x) - half:half]])
-    return x[0]
-
-
 def pointwise_chain_optimum(n, j, betas, epsilon):
     """The per-point finite-chain optimizer: the floor for J >= 0, else a
-    grid scan and golden refinement, on the full evaluation (work,
-    efficiency and the hot entropy), each temperature building its own
-    sector sums.
-
-    The classes come as the padded sector table of ``kernels.levels``,
-    and every sum is taken by halving, so that the bits match the
-    batched ``chain_sweep``.
-    """
+    grid scan and golden refinement of this one coupling, on the full
+    evaluation (work, efficiency and the hot entropy) of the ring's closed
+    form, which is elementwise, so that the bits match the batched
+    ``chain_sweep``."""
     h_max = 4.0 * max(1.0, abs(j))
     if h_max <= epsilon:
         h_max = epsilon + 1.0
-    m, b, g = (x[..., 0] for x in kernels.levels(n))
-    bond = -j * b
-    f = bond.min(axis=0)
-    excess = bond - f
-
-    def stats(beta, hs):
-        c = sum_by_halving(g * np.exp(-beta * excess))
-        d = sum_by_halving(g * excess * np.exp(-beta * excess))
-        energies = f[:, None] - m[:, None] * hs[None, :]
-        shifted = energies - energies.min(axis=0)
-        weights = np.exp(-beta * shifted)
-        z = sum_by_halving(c[:, None] * weights)
-        logz = np.log(z)
-        energy = sum_by_halving(weights * (shifted * c[:, None] + d[:, None])) / z
-        return logz, beta * energy + logz
 
     def evaluate(hs):
-        logz_h, s_h = stats(betas.beta_h, hs)
-        logz_c, _ = stats(betas.beta_c, hs)
-        gap = betas.t_h * logz_h - betas.t_c * logz_c
+        w, s_h = protocols._ring_work(n, j, hs, betas)
         with np.errstate(invalid="ignore", divide="ignore"):
-            eta = np.where(s_h > 0.0, gap / (betas.t_h * np.where(s_h > 0, s_h, 1.0)), 0.0)
-        return gap / n, eta
+            eta = np.where(s_h > 0.0, w / (betas.t_h * np.where(s_h > 0, s_h, 1.0)), 0.0)
+        return w, eta
 
     def w_of(hs):
         return evaluate(hs)[0]
@@ -1044,8 +1089,6 @@ def test_chain_validation():
     with pytest.raises(ValueError):
         chain_efficiency_at_max_work(0, 1.0, BETAS)
     with pytest.raises(ValueError):
-        chain_efficiency_at_max_work(25, 1.0, BETAS)
-    with pytest.raises(ValueError):
         chain_efficiency_at_max_work(6, 1.0, BETAS, epsilon=-1.0)
     with pytest.raises(ValueError):
         chain_sweep(6, [1.0], BETAS, [0.0, -1.0])
@@ -1053,8 +1096,9 @@ def test_chain_validation():
 
 def chain_search(monkeypatch, n, js, betas, floors, step):
     """The work and cell bound callbacks that chain_sweep hands to the
-    nested scan, with the floors and tops of its rows."""
-    captured = {}
+    nested scan, with the floors, tops, couplings and grid step of its
+    rows."""
+    captured = {"js": [j for _ in floors for j in js if j < 0], "step": step}
     nested = protocols._nested_argmax
 
     def recording(work, floors, tops, step, cell_bound, *rest):
@@ -1067,35 +1111,57 @@ def chain_search(monkeypatch, n, js, betas, floors, step):
     return captured
 
 
+def assert_cell_bounds_cover(search, betas, n):
+    """At every cell width the nested scan forms (each power of _BRANCH
+    below the grid length, with a shorter last cell), the bound of each
+    cell lies above the work at every grid point of the cell, and at least
+    half the row's rounding margin above both ends of the cell."""
+    work, cell_bound = search["work"], search["cell_bound"]
+    for row, (floor, top) in enumerate(zip(search["floors"], search["tops"])):
+        grid = np.arange(floor, top + 0.5 * search["step"], search["step"])
+        w = work(np.full(len(grid), row), grid)
+        j = search["js"][row]
+        margin = gridsearch._PRUNE_RTOL * ((betas.t_h + betas.t_c) * math.log(2.0) + 4.0 * abs(j))
+        width = 1
+        while width < len(grid) - 1:
+            ends = np.append(np.arange(0, len(grid) - 1, width), len(grid) - 1)
+            cell_max = np.maximum(np.maximum.reduceat(w, ends[:-1]), w[ends[1:]])
+            bound = cell_bound(np.array([[row]]), grid[ends][None], w[ends][None])[0]
+            case = (n, row, floor, width)
+            assert np.all(bound >= cell_max), case
+            assert np.all(bound >= np.maximum(w[ends[:-1]], w[ends[1:]]) + 0.5 * margin)
+            width *= gridsearch._BRANCH
+
+
 @pytest.mark.parametrize("beta_h,beta_c", [(0.5, 1.0), (1e-2, 0.7), (1.0, 30.0), (1e-2, 30.0)])
 def test_chain_cell_bound_covers_every_grid_point(monkeypatch, beta_h, beta_c):
-    # at every cell width the nested scan forms (each power of _BRANCH
-    # below the grid length, with a shorter last cell), the bound of each
-    # cell lies above chain_sweep's work at every grid point of the cell;
     # the grids end at 4*max(1, |J|), past the antiferromagnets' switch at
-    # 2|J|.  Each bound also lies at least half the rounding margin above
-    # both ends of its cell, so a cell that ties the best to rounding is
-    # kept.  Only the antiferromagnetic rows are scanned
+    # 2|J|.  A bound at least half the rounding margin above both ends of
+    # its cell keeps a cell that ties the best to rounding.  Only the
+    # antiferromagnetic rows are scanned
     betas = Betas(beta_h, beta_c)
-    margin = gridsearch._PRUNE_RTOL * (betas.t_h + betas.t_c) * math.log(2.0)
     js = [s * j for j in (1e-3, 0.5, 5.0, 200.0) for s in (-1.0, 1.0)]
-    step = 0.05
     for n in (1, 2, 3, 6, 10, 24):
-        search = chain_search(monkeypatch, n, js, betas, [0.0, 0.3], step)
-        work, cell_bound = search["work"], search["cell_bound"]
+        search = chain_search(monkeypatch, n, js, betas, [0.0, 0.3], 0.05)
         assert len(search["floors"]) == 8
-        for row, (floor, top) in enumerate(zip(search["floors"], search["tops"])):
-            grid = np.arange(floor, top + 0.5 * step, step)
-            w = work(np.full(len(grid), row), grid)
-            width = 1
-            while width < len(grid) - 1:
-                ends = np.append(np.arange(0, len(grid) - 1, width), len(grid) - 1)
-                cell_max = np.maximum(np.maximum.reduceat(w, ends[:-1]), w[ends[1:]])
-                bound = cell_bound(np.array([[row]]), grid[ends][None], w[ends][None])[0]
-                case = (n, row, floor, width)
-                assert np.all(bound >= cell_max), case
-                assert np.all(bound >= np.maximum(w[ends[:-1]], w[ends[1:]]) + 0.5 * margin)
-                width *= gridsearch._BRANCH
+        assert_cell_bounds_cover(search, betas, n)
+    # odd rings at |J| = 1e6 on a coarse grid, deep in the frustrated phase
+    for n in (3, 1001):
+        search = chain_search(monkeypatch, n, [-1e6], betas, [0.0], 2e4)
+        assert_cell_bounds_cover(search, betas, n)
+
+
+def test_frustrated_ring_work_rounds_within_the_cell_margin():
+    # the work's reduced terms round at the scale of |J| (the rounding of
+    # beta*J moves them near the switch field 2|J|), which the margin's 4|J|
+    # part covers: at N = 3 and J = -1e6 the decimal class sums put the
+    # rounding a million times below the margin, the switch field included
+    grid = np.linspace(0.0, 4e6, 11)
+    w = protocols._ring_work(3, -1e6, grid, BETAS)[0]
+    exact = [hp_oracle.chain_point(3, BETAS.beta_h, BETAS.beta_c, -1e6, h,
+                                   hp_oracle.class_log_z)[0] for h in grid]
+    margin = gridsearch._PRUNE_RTOL * ((BETAS.t_h + BETAS.t_c) * math.log(2.0) + 4e6)
+    assert np.all(np.abs(w - exact) <= 1e-6 * margin)
 
 
 def test_chain_sweep_matches_full_scan_and_refinement_per_row():
@@ -1116,11 +1182,8 @@ def test_chain_sweep_matches_full_scan_and_refinement_per_row():
         tops = protocols._grid_tops(j_rows, floor_rows, 1.0)
         step = max(10.0 ** rng.uniform(np.log10(0.003), np.log10(0.5)),
                    np.max(tops - floor_rows) / 2e4)
-        levels = kernels.levels(n)
-
         def work(j, h):
-            return protocols._chain_gap(levels, protocols._sectors(levels, j, betas), h,
-                                        betas)[0] / n
+            return protocols._ring_work(n, j, h, betas)[0]
 
         scans = [full_grid_argmax(lambda h: work(j, h), floor, top, step)
                  for j, floor, top in zip(j_rows, floor_rows, tops)]
@@ -1148,10 +1211,8 @@ def test_ferromagnetic_ring_optimum_is_the_floor():
         floor = rng.choice([0.0, 10.0 ** rng.uniform(-3.0, 1.0)])
         point = chain_sweep(n, [j], betas, [floor])[0]
         assert point.h_opt == floor
-        levels = kernels.levels(n)
         grid = np.linspace(floor, floor + 4.0 * max(1.0, j), 4001)
-        w = protocols._chain_gap(levels, protocols._sectors(levels, j, betas), grid,
-                                 betas)[0] / n
+        w = protocols._ring_work(n, j, grid, betas)[0]
         assert np.all(np.diff(w) <= 1e-12 * np.abs(w[:-1]))
         assert point.work_density >= np.max(w) * (1.0 - 1e-12)
 
@@ -1163,7 +1224,7 @@ def test_ring_ground_sector_switches_only_at_twice_the_coupling():
     # 2|J| and M = N above it; a ferromagnet stays at M = N
     u = np.concatenate([np.linspace(1e-3, 1.0 - 1e-3, 199), 1.0 - np.logspace(-9, -4, 6)])
     for n in range(2, 25):
-        m, b, _ = kernels.levels(n)
+        m, b, _ = sector_sums.sector_table(n)
         m = m[:, 0]
         for j in (-0.3, -1.0, -2.5, 7.0, 1.0):
             f = (-(j * b)).min(axis=0)[:, 0]
@@ -1177,18 +1238,18 @@ def test_ring_ground_sector_switches_only_at_twice_the_coupling():
 
 def test_pruned_chain_sweep_evaluates_few_grid_points(monkeypatch):
     # the precision run of the chains benchmark (N = 10, floors 0 and 0.1,
-    # J = 0..20 in steps of 2) has only ferromagnetic rows: one sector-sum
-    # call for all 22 rows, at their floors.  Its antiferromagnetic mirror
-    # (J = -20..-2) evaluates at most 10% of its grid points, golden
+    # J = 0..20 in steps of 2) has only ferromagnetic rows: one ring
+    # evaluation for all 22 rows, at their floors.  Its antiferromagnetic
+    # mirror (J = -20..-2) evaluates at most 10% of its grid points, golden
     # refinement included
     evaluated = []
 
-    def counting_sums(m, f, c, hs, beta):
-        evaluated.append(np.size(hs))
-        return sector_sums(m, f, c, hs, beta)
+    def counting_work(n, j, h, betas):
+        evaluated.append(np.size(h))
+        return ring_work(n, j, h, betas)
 
-    sector_sums = protocols._sector_sums
-    monkeypatch.setattr(protocols, "_sector_sums", counting_sums)
+    ring_work = protocols._ring_work
+    monkeypatch.setattr(protocols, "_ring_work", counting_work)
     js, floors = [2.0 * k for k in range(11)], [0.0, 0.1]
     rows = chain_sweep(10, js, BETAS, floors)
     assert evaluated == [22]

@@ -25,7 +25,7 @@ import numpy as np
 from . import kernels
 
 _LOG2 = math.log(2.0)
-_BISECT_TOL = 1e-13  # bracket width at which _bisect stops
+_NEWTON_CAP = 100  # iterations; roots within a few floats of their threshold take up to 49
 
 
 class _Core(NamedTuple):
@@ -36,6 +36,8 @@ class _Core(NamedTuple):
     and ``delta_a``/``delta_b`` its partials with respect to a and |b|.
     ``one_minus_m`` is the exact complement of the magnetization in the
     polarized branch (it equals ``1 - (rb + delta_b)`` there).
+    ``delta_ab`` is ``delta_a - 2*delta_b`` (>= 0), written without the
+    difference, which cancels near the switch field 2a + |b| = 0.
     """
 
     ra: np.ndarray
@@ -44,10 +46,17 @@ class _Core(NamedTuple):
     delta_a: np.ndarray
     delta_b: np.ndarray
     one_minus_m: np.ndarray
+    delta_ab: np.ndarray
 
     def entropy(self, a, babs):
-        """Entropy per site at the (a, |b|) this core was built from."""
-        return self.delta - a * self.delta_a - babs * self.delta_b
+        """Entropy per site delta - a*delta_a - |b|*delta_b at the (a, |b|)
+        this core was built from, as a sum of terms >= 0.  Where a < 0 the
+        products are regrouped as -a*delta_ab - (|b| + 2a)*delta_b, since
+        near the switch field (h ~ 2|J|) a*delta_a and |b|*delta_b are
+        large and nearly equal."""
+        pos, neg = np.maximum(a, 0.0), np.minimum(a, 0.0)
+        return self.delta - pos * self.delta_a - neg * self.delta_ab \
+            - (babs + 2.0 * neg) * self.delta_b
 
     def ground_energy(self, j, habs):
         """Energy per site of the reference configuration at (J, |h|)."""
@@ -88,14 +97,14 @@ def _polarized(a, babs):
 
 
 def _staggered(a, babs):
-    """delta and the terms (g1, g2, hyp) of the staggered reference."""
+    """delta and the terms (g1, g2, hyp, q) of the staggered reference."""
     q = np.exp(-2.0 * babs)
     g1 = np.exp(2.0 * a + babs + np.log1p(q) - _LOG2)
     with np.errstate(divide="ignore"):
         log_sinh = babs + np.log(-np.expm1(-2.0 * babs)) - _LOG2
     g2 = np.exp(2.0 * a + log_sinh)
     hyp = np.hypot(g2, 1.0)
-    return np.log1p(g1 + g2 * g2 / (1.0 + hyp)), g1, g2, hyp
+    return np.log1p(g1 + g2 * g2 / (1.0 + hyp)), g1, g2, hyp, q
 
 
 def _core_polarized(a, babs):
@@ -104,17 +113,22 @@ def _core_polarized(a, babs):
     inner = 0.5 * (1.0 + q) + root
     # subtraction-free magnetization complement: equals
     # (q + (p - q*omq/2)/root)/inner but stays exact when p << omq^2
-    one_minus_m = p * (q + half) / (root * half * inner)
+    scale = root * half * inner
+    one_minus_m = p * (q + half) / scale
     return (np.ones_like(a), np.ones_like(a), delta, -2.0 * p / (root * inner),
-            -one_minus_m, one_minus_m)
+            -one_minus_m, one_minus_m, 2.0 * p * q / scale)
 
 
 def _core_staggered(a, babs):
-    delta, g1, g2, hyp = _staggered(a, babs)
+    delta, g1, g2, hyp, q = _staggered(a, babs)
     inner = g1 + hyp
     delta_b = g2 * (1.0 + g1 / hyp) / inner
+    one_minus_m = 1.0 - delta_b
+    # delta_a - 2 delta_b = 2 (1 - g2/hyp)(g1 - g2)/inner, with
+    # 1 - g2/hyp = 1 - delta_b (>= 1/2 here) and g1 - g2 = e^{2a - |b|} = 2 g1 q/(1 + q)
     return (np.full_like(a, -1.0), np.zeros_like(a), delta,
-            (2.0 * g1 + 2.0 * g2 * g2 / hyp) / inner, delta_b, 1.0 - delta_b)
+            (2.0 * g1 + 2.0 * g2 * g2 / hyp) / inner, delta_b, one_minus_m,
+            4.0 * g1 * q * one_minus_m / ((1.0 + q) * inner))
 
 
 def _core(a, babs) -> _Core:
@@ -169,8 +183,9 @@ def _ring(n: int, a, babs):
         core = _core(a, babs)
         # _polarized is 0/0 where |b| ~ 0 and a > ~186; there delta -> 0, and
         # the partials enter only as a*delta_a -> 0 and |b|*delta_b -> 0
-        delta, delta_a, delta_b = (np.where(np.isnan(x), 0.0, x) for x in core[2:5])
-        chain = delta - a * delta_a - babs * delta_b
+        core = _Core(*core[:2], *(np.where(np.isnan(x), 0.0, x) for x in core[2:]))
+        delta, delta_a, delta_b = core.delta, core.delta_a, core.delta_b
+        chain = core.entropy(a, babs)
         abs_a = np.abs(a)
         u = 2.0 * (core.ra * a - abs_a + core.rb * babs) - _log1mexp(4.0 * abs_a) + 2.0 * delta
         slope = 2.0 * (abs_a - core.ra * a - a * delta_a - babs * (core.rb + delta_b)) \
@@ -210,37 +225,39 @@ def entropy_density(beta, j, h):
     return _maybe_float(out, beta, j, h)
 
 
-def _bisect(below, lo, hi, live) -> np.ndarray:
-    """Root of a function that changes sign once on every bracket [lo, hi],
-    elementwise: ``below(mid)`` is true where the root lies above ``mid``.
+def _newton(step, hi, live) -> np.ndarray:
+    """Positive root of a function f that is convex on (0, hi] and
+    positive at hi, elementwise over the flat array ``hi``, by Newton's
+    iteration from hi on the elements of ``live``; the others keep hi.
 
-    One loop serves all elements; each element of ``live`` moves until its
-    bracket is narrower than ``_BISECT_TOL`` or holds no float strictly
-    inside, and the others keep [lo, hi], so a batch follows each element's
-    scalar path exactly.  Returns the bracket midpoints.  The midpoint is
-    taken as lo/2 + hi/2, which cannot overflow, and it rounds to lo or hi
-    exactly when no float lies strictly between them.  Every caller
-    brackets its root by 2|J|, so a ``live`` bracket top that overflowed
-    raises ``ValueError``: the root is not a float.
+    ``step(rows, h)`` returns f/f' at the fields ``h`` of the elements
+    ``rows`` (flat indices).  On such an f every iterate lies at or above
+    the root, and each one is lower than the last, so an element stops at
+    its first iterate whose successor is not strictly inside (0, current):
+    there rounding has taken over.  Only the elements still falling are
+    evaluated, each on its own scalar path, so a batch returns what one
+    call per element would.  Every caller brackets its root by 2|J|, so a
+    ``live`` top that overflowed raises ``ValueError``: the root is not a
+    float.  An element still falling after ``_NEWTON_CAP`` iterations
+    raises ``RuntimeError``.
     """
     if np.any(live & np.isinf(hi)):
         raise ValueError("optimal field: 2|J| overflows, so the root is not a float")
-    lo, hi, live = lo.copy(), hi.copy(), live.copy()
-    # floats are 1e-13 or more apart only from 512 on, so below it the
-    # width rule always ends an element first, and the float rule is skipped
-    floats = np.any(live & (hi >= 512.0))
-    mid = 0.5 * lo + 0.5 * hi
-    for _ in range(200):
-        if not live.any():
-            break
-        up = below(mid) & live
-        np.copyto(lo, mid, where=up)
-        np.copyto(hi, mid, where=live ^ up)
-        mid = 0.5 * lo + 0.5 * hi
-        live &= hi - lo >= _BISECT_TOL
-        if floats:
-            live &= (lo < mid) & (mid < hi)
-    return mid
+    h = hi.copy()
+    rows = np.flatnonzero(live)
+    cur = h[rows]
+    steps = 0
+    while rows.size:
+        if steps == _NEWTON_CAP:
+            raise RuntimeError(f"Newton iteration still falling after {_NEWTON_CAP} steps")
+        steps += 1
+        nxt = cur - step(rows, cur)
+        falls = (nxt < cur) & (nxt > 0.0)
+        if not falls.all():
+            h[rows[~falls]] = cur[~falls]
+            rows, nxt = rows[falls], nxt[falls]
+        cur = nxt
+    return h
 
 
 def optimal_field(beta, j):
@@ -248,23 +265,33 @@ def optimal_field(beta, j):
     elementwise over ``beta`` broadcast against ``j``.
 
     Zero unless the coupling is antiferromagnetic with ``2|J|beta > 1``;
-    then the unique positive solution of ``h = 2|J| tanh(beta h)``, in
-    [0, 2|J|], located by one bisection for all elements (:func:`_bisect`).
+    then the unique positive solution of f(h) = h - 2|J| tanh(beta h) = 0,
+    in (0, 2|J|].  f is convex on h > 0 and positive at 2|J|, so Newton's
+    iteration from 2|J| falls onto it (:func:`_newton`), with
+    f' = 1 - 2|J| beta (1 - tanh^2), written as
+    tanh^2 - (2|J| - 1/beta) * beta (1 - tanh^2): near 2|J|beta = 1 it does
+    not cancel, and where 2|J|beta overflows the product is 0, not inf*0.
     Raises ``ValueError`` where the root is not a float: 2|J| overflows.
     """
     beta = _check_beta(beta)
     j = np.asarray(j, dtype=np.float64)
+    shape = np.broadcast_shapes(beta.shape, j.shape)
+    flat_beta, flat_j = (np.ravel(x) for x in np.broadcast_arrays(beta, j))
     with np.errstate(over="ignore"):
-        jj = 2.0 * np.abs(j)
-        # slope at 0 is 1 - 2|J|beta < 0, slope at 2|J| positive: root bracketed
-        live = ~((j >= 0) | (jj * beta <= 1.0))
-    jj = np.where(live, jj, 0.0)
+        jj = 2.0 * np.abs(flat_j)
+        # slope at 0 is 1 - 2|J|beta < 0, f(2|J|) > 0: one root in (0, 2|J|]
+        live = ~((flat_j >= 0) | (jj * flat_beta <= 1.0))
+        jj = np.where(live, jj, 0.0)
+        excess = jj - 1.0 / flat_beta
 
-    def below(h):
-        return h - jj * np.tanh(beta * h) < 0.0
+    def step(rows, h):
+        b = flat_beta[rows]
+        t = np.tanh(b * h)
+        return (h - jj[rows] * t) / (t * t - excess[rows] * (b * (1.0 - t * t)))
 
     with np.errstate(over="ignore"):  # where beta*h overflows, tanh is 1
-        return _maybe_float(_bisect(below, np.zeros(jj.shape), jj, live), beta, j)
+        h = _newton(step, jj, live)
+    return _maybe_float(h.reshape(shape), beta, j)
 
 
 def _relative_entropy(bs, br, j, hs, hr, core_s=None):

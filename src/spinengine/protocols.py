@@ -153,7 +153,7 @@ def _paper_work(j, h, betas: Betas):
 
 def _paper_field(js: np.ndarray, betas: Betas) -> np.ndarray:
     """Work-optimal field h >= 0 of :func:`_paper_work` at every coupling
-    of ``js``, in closed form up to one bisection for all couplings.
+    of ``js``, in closed form up to one Newton iteration for all couplings.
 
     The work has dw/dh = m_h - m_c, and on h > 0 the two magnetizations
     m = sinh b / sqrt(sinh^2 b + e^{-4a}) are equal iff
@@ -165,10 +165,18 @@ def _paper_field(js: np.ndarray, betas: Betas) -> np.ndarray:
     m_h > m_c where g < 0.  So h = 0 for J >= 0 and for
     -J <= 1/(2 beta_L), with beta_L = (beta_c - beta_h)/ln(beta_c/beta_h)
     the logarithmic mean; every other coupling has one root, where the
-    work peaks, in [max(0, 2|J| - 1/beta_L), 2|J|] (:func:`ising._bisect`).
-    g is taken as (beta_c - beta_h)(h - 2|J|) plus the logs of
-    1 - e^{-2 beta h}, which does not cancel at strong coupling.  Raises
-    ``ValueError`` where the root is not a float: 2|J| overflows.
+    work peaks, in [max(0, 2|J| - 1/beta_L), 2|J|].  g is taken as
+    (beta_c - beta_h)(h - 2|J|) + log((1 - e^{-2 beta_c h})/(1 - e^{-2 beta_h h})),
+    which does not cancel at strong coupling, and its slope
+
+        g' = (beta_c - beta_h) + 2 beta_c/expm1(2 beta_c h) - 2 beta_h/expm1(2 beta_h h)
+
+    rises from 0 to beta_c - beta_h: g is convex and g(2|J|) > 0, so
+    Newton's iteration from 2|J| falls onto the root
+    (:func:`ising._newton`).  With m = expm1(-2 beta h),
+    2 beta/expm1(2 beta h) = -2 beta (1 + 1/m), which is 0, not inf*0,
+    where 2 beta h overflows.  Raises ``ValueError`` where the root is not
+    a float: 2|J| overflows.
     """
     bh, bc = betas.beta_h, betas.beta_c
     gap = bc - bh
@@ -178,13 +186,13 @@ def _paper_field(js: np.ndarray, betas: Betas) -> np.ndarray:
     live = jj > inv_log_mean
     hi = np.where(live, jj, 0.0)
 
-    def below(h):
-        return gap * (h - hi) + np.log(-np.expm1(-2.0 * bc * h)) \
-            - np.log(-np.expm1(-2.0 * bh * h)) < 0.0
+    def step(rows, h):
+        m_c, m_h = np.expm1(-2.0 * bc * h), np.expm1(-2.0 * bh * h)
+        g = gap * (h - hi[rows]) + np.log(m_c / m_h)
+        return g / (2.0 * bh / m_h - 2.0 * bc / m_c - gap)
 
-    # log 0, and -inf minus -inf, at the h = 0 of the rows off live
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return ising._bisect(below, np.maximum(hi - inv_log_mean, 0.0), hi, live)
+    with np.errstate(over="ignore"):
+        return ising._newton(step, hi, live)
 
 
 def sweep_j(j_values: Sequence[float], betas: Betas,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import hp_oracle
 import sector_sums
 from spinengine import ising, kernels, protocols
 from spinengine.engine import Betas
@@ -324,9 +325,9 @@ def test_optimal_field_array_path(beta):
 
 
 def test_optimal_field_near_the_float_range():
-    # roots above half the float range, where lo + hi of the bisection
-    # would overflow: at these couplings tanh(beta*h) rounds to 1, so the
-    # root is 2|J|; the weak couplings batched with them keep their bits
+    # roots above half the float range: at these couplings tanh(beta*h)
+    # rounds to 1, so the root is 2|J|; the weak couplings batched with
+    # them keep their bits
     huge = np.array([-4.6e307, -6e307, -8.9e307])
     for beta in (1.0, 1e-300, 1e308):
         np.testing.assert_allclose(ising.optimal_field(beta, huge), 2.0 * np.abs(huge),
@@ -334,14 +335,14 @@ def test_optimal_field_near_the_float_range():
     js = np.array([-6e307, -1.0, -3.0, 2e307, -4e307])
     got = ising.optimal_field(1.0, js)
     assert np.array_equal(got, [ising.optimal_field(1.0, float(j)) for j in js])
-    assert got[1] == bisect_optimal_field(1.0, -1.0) and got[3] == 0.0
+    assert got[1] == pytest.approx(bisect_optimal_field(1.0, -1.0), abs=1e-13) and got[3] == 0.0
     assert got[4] == pytest.approx(8e307, rel=1e-15)
     with pytest.raises(ValueError, match="overflows"):
         ising.optimal_field(1.0, [-1.0, -1e308])
 
 
 def test_optimal_field_beta_column_matches_scalar_beta_calls():
-    # one bisection for a column of betas against a row of couplings, the
+    # one Newton iteration for a column of betas against a row of couplings, the
     # half-scale roots near the float maximum included, equals one call
     # per beta bit for bit
     betas = np.array([0.5, 1.0, 3.0, 1e-300, 1e308])
@@ -358,25 +359,86 @@ def test_optimal_field_beta_column_matches_scalar_beta_calls():
         ising.optimal_field([[1.0], [0.0]], js)
 
 
-def test_bisect_stops_where_no_float_is_left():
-    # a root above 512, where floats lie more than 1e-13 apart, ends with lo
-    # and hi adjacent floats long before the 200-step cap; below 512 the
-    # bracket width rule ends it first, as in the scalar bisection of
-    # optimal_field, and elements outside ``live`` keep their bracket
-    roots = np.array([3e4, 1.7, 700.0, 5.0])
-    steps = []
+def test_newton_stops_where_rounding_takes_over(newton_calls):
+    # optimal_field's Newton iterations, on batches mixing a root far above
+    # 512 (floats more than 1e-13 apart), a row within 1e-12 of
+    # 2|J|beta = 1, rows whose 2|J|beta overflows (beta = 1e308) or whose
+    # roots sit near the float maximum (beta = 1e-300), and rows off
+    # ``live``: every step is finite, the rows off ``live`` are never
+    # evaluated and keep their bracket top, and each batch ends well inside
+    # the cap
+    cases = {1.0: [-3e4, -1.0, -0.5 * (1.0 + 1e-12), -0.25, 2.0, -4e307],
+             1e308: [-1.0, -3.0, -1e-300, 1.0, -4.6e307],
+             1e-300: [-1e300, -4.6e307, -8.9e307, -1.0, 0.0]}
+    for beta, js in cases.items():
+        js = np.array(js)
+        newton_calls.clear()
+        got = ising.optimal_field(beta, js)
+        live = -js > 0.5 / beta
+        assert np.array_equal(np.unique(np.concatenate([rows for rows, _ in newton_calls])),
+                              np.flatnonzero(live))
+        assert all(np.all(np.isfinite(out)) for _, out in newton_calls)
+        assert len(newton_calls) <= ising._NEWTON_CAP // 2
+        assert np.all(got[~live] == 0.0) and np.all((got[live] > 0.0) & (got[live] <= -2.0 * js[live]))
+    # a step that never settles hits the cap and raises, never returning
+    with pytest.raises(RuntimeError, match="still falling"):
+        ising._newton(lambda rows, h: 1e-3 * h, np.array([1.0]), np.array([True]))
 
-    def below(mid):
-        steps.append(mid)
-        return mid < roots
 
-    lo, hi = np.zeros(4), np.array([4e4, 2.0, 1e3, 8.0])
-    live = np.array([True, True, True, False])
-    got = ising._bisect(below, lo, hi, live)
-    assert len(steps) <= 60
-    assert abs(got[0] - 3e4) <= 2 * np.spacing(3e4) and abs(got[2] - 700.0) <= np.spacing(700.0)
-    assert abs(got[1] - 1.7) < 1e-13 and got[3] == 4.0
-    assert lo.tolist() == [0.0] * 4 and hi[0] == 4e4  # the brackets passed in stay
+def test_optimal_field_roots_on_a_near_critical_fuzz(newton_calls):
+    # seeded rows with 2|J|beta - 1 from 1e-15 to 1e-1, rows within 40
+    # floats of 2|J|beta = 1 (where rounding can step an iterate below 0)
+    # and rows with |J| up to 1e300: the root is positive, its exact
+    # residual |h - 2|J| tanh(beta h)| (decimal oracle) is at most
+    # 1e-12*max(1, 2|J|), and no row needs half the iteration cap
+    rng = np.random.default_rng(46)
+    for k in range(360):
+        beta = 10.0 ** rng.uniform(-3.0, 3.0)
+        if k % 3 == 1:
+            j = -(1.0 + 10.0 ** rng.uniform(-15.0, -1.0)) / (2.0 * beta)
+        elif k % 3 == 2:
+            j = -0.5 / beta - rng.integers(1, 41) * np.spacing(0.5 / beta)
+        else:
+            j = -10.0 ** rng.uniform(-3.0, 300.0)
+            beta = 10.0 ** rng.uniform(-3.0, min(3.0, 307.0 - math.log10(-j)))
+        newton_calls.clear()
+        h = ising.optimal_field(beta, j)
+        assert len(newton_calls) < ising._NEWTON_CAP // 2
+        case = (beta, j, h)
+        assert h > 0.0 if 2.0 * abs(j) * beta > 1.0 else h == 0.0, case
+        assert hp_oracle.field_residual(beta, j, h) <= 1e-12 * max(1.0, 2.0 * abs(j)), case
+
+
+def test_entropy_matches_decimal_oracle():
+    # the hot entropy next to the switch field h = 2|J|, where a*delta_a
+    # and |b|*delta_b are large and nearly equal, against the 400-digit
+    # oracle to 1e-12 relative: at h = 2|J| for |J| up to 1e10, at
+    # beta = 0.5, 1, 2 (so beta*J and beta*h are exact) on the polarized
+    # side for |J| up to 1e10 and on both sides for |J| up to 1e3 (the
+    # staggered reference rounds log sinh|b| at the scale of |b| before it
+    # adds 2a), and away from it for either sign of J
+    rng = np.random.default_rng(2)
+    rows = []
+    for _ in range(30):
+        j = -10.0 ** rng.uniform(-1.0, 10.0)
+        rows.append((10.0 ** rng.uniform(-1.0, 0.5), j, -2.0 * j))
+    for _ in range(60):
+        beta = float(rng.choice((0.5, 1.0, 2.0)))
+        j = -10.0 ** rng.uniform(-1.0, 10.0)
+        side = 1.0 if -j > 1e3 else rng.choice((-1.0, 1.0))
+        rows.append((beta, j, -2.0 * j + side * 10.0 ** rng.uniform(-3.0, 2.5) / beta))
+    for _ in range(30):
+        beta = float(rng.choice((0.5, 1.0, 2.0)))
+        j = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 2.0)
+        rows.append((beta, j, abs(j) * 10.0 ** rng.uniform(-3.0, 1.0)))
+    checked = 0
+    for beta, j, h in rows:
+        want = hp_oracle.chain_entropy(beta, j, h)
+        if want < 1e-290:
+            continue
+        checked += 1
+        assert ising.entropy_density(beta, j, h) == pytest.approx(want, rel=1e-12), (beta, j, h)
+    assert checked >= 100
 
 
 # --------------------------------------------------------------------------
